@@ -15,7 +15,6 @@ Monte Carlo coverage/width experiments, cli the command-line front end.
 from .catoni_cs import (
     CatoniConfig,
     CatoniState,
-    condition_holds,
     epsilon_n,
     interval,
     new_state,
@@ -30,7 +29,6 @@ from .harness import (
     DistributionSpec,
     WidthReport,
     centered_pareto,
-    compare_methods,
     gaussian,
     run_coverage,
     run_width,
@@ -42,7 +40,7 @@ from .harness import (
 from .influence import InfluenceFunction, catoni_constant, make_influence
 from .interval import ConfidenceInterval
 from .lower_bound import LilConfig, lil_floor, theta_n, y_variance_check
-from .schedules import LambdaSchedule, PrefixSums, custom_list, extend, lambda_at, power_law
+from .schedules import LambdaSchedule, PrefixSums, custom_list, power_law
 
 __version__ = "0.1.0"
 
@@ -61,18 +59,14 @@ __all__ = [
     "WidthReport",
     "catoni_constant",
     "centered_pareto",
-    "compare_methods",
-    "condition_holds",
     "custom_list",
     "ds_interval",
     "ds_tail_bound",
     "ds_update",
     "ds_width",
     "epsilon_n",
-    "extend",
     "gaussian",
     "interval",
-    "lambda_at",
     "lil_floor",
     "m_p",
     "make_influence",

@@ -26,11 +26,12 @@ the width bound
     |I_n| <= 4 (1 + tau_n) (C_p v_p sum lambda_i^p (1 + t_i^-(p-1))
              + log(2/alpha)) / sum(lambda_i)
 
-holds simultaneously for all n satisfying `condition_holds`, outside an
-event of probability at most sum_n eps_n.  The eps_n exponent uses the
-factor (1 + t_i^-(p-1)); substituting it into the two-sided endpoint
-bound reproduces the factor-4 display above exactly, which the variant
-reading (1 + t_i)^-(p-1) does not.
+holds simultaneously for all n at which its applicability condition
+(see `width_bound_curve`) is true, outside an event of probability at
+most sum_n eps_n.  The eps_n exponent uses the factor (1 + t_i^-(p-1));
+substituting it into the two-sided endpoint bound reproduces the
+factor-4 display above exactly, which the variant reading
+(1 + t_i)^-(p-1) does not.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ class CatoniConfig:
 
     t and tau may be constants or callables i -> t_i / n -> tau_n; the
     defaults t = 1/2, tau = 0.1 keep (t_n) bounded away from 0 and tau_n a
-    small positive constant, which makes `condition_holds` true for all
-    large n.  v_p is a trusted upper bound on E|X - mu|^p; no estimation
-    is attempted.  root_tol = None means 1e-9 * max(1, |weighted mean|),
-    resolved per interval query.
+    small positive constant, which makes the width-bound condition (see
+    `width_bound_curve`) true for all large n.  v_p is a trusted upper
+    bound on E|X - mu|^p; no estimation is attempted.  root_tol = None
+    means 1e-9 * max(1, |weighted mean|), resolved per interval query.
     """
 
     p: float
@@ -241,18 +242,16 @@ def running_intersection(
 # ---------------------------------------------------------------------------
 
 
-def _lambda_power_sums(config: CatoniConfig, n: int) -> tuple[float, float, float, float]:
-    """(sum lam, sum lam^p, sum lam^p (1 + t^-(p-1)), sum lam^p (1-t)^-(p-1))."""
+def _schedule_sums(config: CatoniConfig, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cumulative sum lam, sum lam^p (1 + t^-(p-1)), sum lam^p (1-t)^-(p-1) over 1..n."""
     lam = config.schedule.head(n)
     lam_p = lam**config.p
     tv = config.t_array(n)
     q = config.p - 1.0
-    return (
-        float(np.sum(lam)),
-        float(np.sum(lam_p)),
-        float(np.sum(lam_p * (1.0 + tv**-q))),
-        float(np.sum(lam_p * (1.0 - tv) ** -q)),
-    )
+    s1 = np.cumsum(lam)
+    s_plus = np.cumsum(lam_p * (1.0 + tv**-q))
+    s_minus = np.cumsum(lam_p * (1.0 - tv) ** -q)
+    return s1, s_plus, s_minus
 
 
 def epsilon_n(config: CatoniConfig, n: int) -> float:
@@ -263,8 +262,8 @@ def epsilon_n(config: CatoniConfig, n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _, _, s_plus, _ = _lambda_power_sums(config, n)
-    return config.alpha * math.exp(-config.c_p * config.v_p * s_plus)
+    _, s_plus, _ = _schedule_sums(config, n)
+    return config.alpha * math.exp(-config.c_p * config.v_p * float(s_plus[-1]))
 
 
 def failure_budget(
@@ -304,66 +303,30 @@ def failure_budget(
     raise RuntimeError(f"failure budget did not reach term_floor within {max_terms} terms")
 
 
-def condition_holds(config: CatoniConfig, n: int) -> bool:
-    """Whether the width bound applies at n.
-
-    True iff
-        C_p v_p sum lam^p (1 + t^-(p-1)) + log(2/alpha) + log(2/eps_n)
-        <= tau_n^(1/(p-1)) / (1+tau_n)^(p/(p-1))
-           * (sum lam)^(p/(p-1)) / (C_p sum lam^p (1-t)^-(p-1))^(1/(p-1))
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    s1, _, s_plus, s_minus = _lambda_power_sums(config, n)
-    return _condition_from_sums(config, n, s1, s_plus, s_minus)
-
-
-def _condition_from_sums(
-    config: CatoniConfig, n: int, s1: float, s_plus: float, s_minus: float
-) -> bool:
-    q = config.p - 1.0
-    log2a = math.log(2.0 / config.alpha)
-    cv_splus = config.c_p * config.v_p * s_plus
-    # log(2/eps_n) = log(2/alpha) + C_p v_p s_plus
-    lhs = cv_splus + log2a + (log2a + cv_splus)
-    tau = config.tau_at(n)
-    rhs = (
-        tau ** (1.0 / q)
-        / (1.0 + tau) ** (config.p / q)
-        * s1 ** (config.p / q)
-        / (config.c_p * s_minus) ** (1.0 / q)
-    )
-    return lhs <= rhs
-
-
 def width_bound(config: CatoniConfig, n: int) -> float | None:
-    """4 (1+tau_n) (C_p v_p sum lam^p (1+t^-(p-1)) + log 2/alpha) / sum lam.
-
-    Returns None (not applicable) when condition_holds(n) is false.
-    """
+    """width_bound_curve at n; None (not applicable) where its condition fails."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    s1, _, s_plus, s_minus = _lambda_power_sums(config, n)
-    if not _condition_from_sums(config, n, s1, s_plus, s_minus):
-        return None
-    tau = config.tau_at(n)
-    log2a = math.log(2.0 / config.alpha)
-    return 4.0 * (1.0 + tau) * (config.c_p * config.v_p * s_plus + log2a) / s1
+    bound = width_bound_curve(config, n)[0][n - 1]
+    return None if math.isnan(bound) else float(bound)
 
 
 def width_bound_curve(config: CatoniConfig, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(bounds, condition) for every n = 1..n_max in one vectorized pass.
 
+    bounds[n-1] = 4 (1+tau_n) (C_p v_p sum lam^p (1+t^-(p-1)) + log 2/alpha) / sum lam,
+    and the bound applies at n (condition[n-1]) iff
+
+        C_p v_p sum lam^p (1 + t^-(p-1)) + log(2/alpha) + log(2/eps_n)
+        <= tau_n^(1/(p-1)) / (1+tau_n)^(p/(p-1))
+           * (sum lam)^(p/(p-1)) / (C_p sum lam^p (1-t)^-(p-1))^(1/(p-1)),
+
+    where log(2/eps_n) = log(2/alpha) + C_p v_p sum lam^p (1 + t^-(p-1)).
     bounds[n-1] is NaN where the condition fails.  A callable tau costs
     one scalar evaluation per n; everything else is vectorized.
     """
-    lam = config.schedule.head(n_max)
-    lam_p = lam**config.p
-    tv = config.t_array(n_max)
     q = config.p - 1.0
-    s1 = np.cumsum(lam)
-    s_plus = np.cumsum(lam_p * (1.0 + tv**-q))
-    s_minus = np.cumsum(lam_p * (1.0 - tv) ** -q)
+    s1, s_plus, s_minus = _schedule_sums(config, n_max)
     if callable(config.tau):
         tau = np.array([config.tau_at(i) for i in range(1, n_max + 1)])
     else:
@@ -472,13 +435,9 @@ def b_plus(config: CatoniConfig, n: int, x: float, mu: float) -> float:
 
 def b_plus_minimizer(config: CatoniConfig, n: int, mu: float) -> float:
     """argmin of B_n^+: mu + (sum lam / (p C_p sum lam^p (1-t)^-(p-1)))^(1/(p-1))."""
-    lam = config.schedule.head(n)
-    lam_p = lam**config.p
-    tv = config.t_array(n)
+    s1, _, s_omt = _schedule_sums(config, n)
     q = config.p - 1.0
-    s1 = float(np.sum(lam))
-    s_omt = float(np.sum(lam_p * (1.0 - tv) ** -q))
-    return mu + (s1 / (config.p * config.c_p * s_omt)) ** (1.0 / q)
+    return mu + (float(s1[-1]) / (config.p * config.c_p * float(s_omt[-1]))) ** (1.0 / q)
 
 
 def reduced_root(d: float, p: float, tol: float = 1e-14) -> float:

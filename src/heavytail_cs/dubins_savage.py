@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .interval import ConfidenceInterval
-from .schedules import LambdaSchedule, _KahanSum, ds_optimal
+from .schedules import LambdaSchedule, PrefixSums, _KahanSum, ds_optimal
 
 
 def m_p(p: float) -> float:
@@ -61,14 +61,6 @@ class DsConfig:
         if self.b <= 0.0:
             raise ValueError(f"b must be positive, got {self.b}")
 
-    @property
-    def m_p(self) -> float:
-        return m_p(self.p)
-
-    @property
-    def a(self) -> float:
-        return ds_a(self)
-
 
 def ds_a(cfg: DsConfig) -> float:
     """a = (1 / (m_p b^(1/(p-1)))) ((2/alpha)^(1/(p-1)) - 1).
@@ -90,43 +82,35 @@ def ds_tail_bound(a: float, b: float, p: float) -> float:
 
 
 @dataclass
-class DsState:
-    """Running sums sum(lambda_i), sum(lambda_i X_i), sum(lambda_i^p).
+class DsState(PrefixSums):
+    """PrefixSums' sum(lambda_i) and sum(lambda_i^p), plus sum(lambda_i X_i).
 
     Unlike the Catoni state this is a finite sufficient statistic, so no
     observations are retained.  Works with any positive schedule; pass the
     schedule whose weights should be applied at each update.
     """
 
-    p: float
-    n: int = 0
-    _s1: _KahanSum = field(default_factory=_KahanSum, repr=False)
     _sx: _KahanSum = field(default_factory=_KahanSum, repr=False)
-    _sp: _KahanSum = field(default_factory=_KahanSum, repr=False)
-
-    @property
-    def sum_lambda(self) -> float:
-        return self._s1.total
 
     @property
     def sum_lambda_x(self) -> float:
         return self._sx.total
 
-    @property
-    def sum_lambda_p(self) -> float:
-        return self._sp.total
-
 
 def ds_update(state: DsState, schedule: LambdaSchedule, x: float) -> DsState:
-    """Fold one observation into the running sums."""
+    """Fold one observation into the running sums.
+
+    Rejects non-finite input, and input whose weighted sum would overflow,
+    leaving the state unchanged.
+    """
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"observations must be finite, got {x}")
     lam = schedule.at(state.n + 1)
-    state.n += 1
-    state._s1.add(lam)
+    if not math.isfinite(state.sum_lambda_x + lam * x):
+        raise ValueError(f"sum of lambda_i X_i overflows at observation {state.n + 1} ({x})")
+    state.push(lam)
     state._sx.add(lam * x)
-    state._sp.add(lam**state.p)
     return state
 
 
@@ -160,16 +144,3 @@ def ds_width(cfg: DsConfig, n: int, schedule: LambdaSchedule | None = None) -> f
     schedule = ds_optimal_schedule(cfg) if schedule is None else schedule
     lam = schedule.head(n)
     return 2.0 * ds_radius(cfg, float(np.sum(lam)), float(np.sum(lam**cfg.p)))
-
-
-def ds_width_display(cfg: DsConfig, n: int, schedule: LambdaSchedule | None = None) -> float:
-    """The 2 b v_p sum(lam^p) / sum(lam) width form, without the a term.
-
-    Exposed for comparison only; the union bound certifies ds_width, which
-    keeps the a term.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    schedule = ds_optimal_schedule(cfg) if schedule is None else schedule
-    lam = schedule.head(n)
-    return 2.0 * cfg.b * cfg.v_p * float(np.sum(lam**cfg.p)) / float(np.sum(lam))

@@ -184,17 +184,6 @@ def true_std(dist: DistributionSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def schedule_descriptor(schedule: LambdaSchedule) -> dict:
-    d: dict = {"kind": schedule.kind, "p": schedule.p}
-    if schedule.kind == "power_law":
-        d["c"] = schedule.c
-    elif schedule.kind == "ds_optimal":
-        d.update(a=schedule.a, b=schedule.b, v_p=schedule.v_p)
-    else:
-        d["values"] = list(schedule.values)
-    return d
-
-
 def _resolve_vp(dist: DistributionSpec, p: float, v_p: float | None) -> float:
     actual = true_vp(dist, p)
     if v_p is None:
@@ -335,7 +324,7 @@ def run_coverage(
         reps=reps,
         stride=stride,
         seed=seed,
-        schedule=schedule_descriptor(sched),
+        schedule=sched.descriptor(),
         miscoverage_count=count,
         miscoverage_rate=rate,
         mc_std_err=math.sqrt(rate * (1.0 - rate) / reps),
@@ -420,6 +409,8 @@ def run_width(
     if n_max < 1 or reps < 1:
         raise ValueError(f"n_max and reps must be >= 1, got {n_max}, {reps}")
     cps = default_checkpoints(n_max) if checkpoints is None else sorted(set(int(c) for c in checkpoints))
+    if not cps:
+        raise ValueError("checkpoints must not be empty")
     if cps[0] < 1 or cps[-1] > n_max:
         raise ValueError(f"checkpoints must lie in [1, {n_max}], got {cps[0]}..{cps[-1]}")
     vp, sched, cfg = _method_setup(method, dist, p, alpha, v_p, schedule, t, tau, b)
@@ -471,7 +462,7 @@ def run_width(
         n_max=n_max,
         reps=reps,
         seed=seed,
-        schedule=schedule_descriptor(sched),
+        schedule=sched.descriptor(),
         checkpoints=rows,
         slope=slope,
     )
@@ -530,7 +521,7 @@ def run_bound_validity(
     n0 = int(np.argmax(condition)) + 1
     permanent = bool(condition[n0 - 1 :].all())
     if not permanent:
-        raise ValueError("condition_holds is not permanent over [n0, n_max]; blocks assume it")
+        raise ValueError("the width-bound condition is not permanent over [n0, n_max]; blocks assume it")
     edges = np.unique(
         np.geomspace(n0, n_max, max(2, int(blocks_per_decade * math.log10(max(n_max / n0, 10)) + 1))).astype(int)
     )
@@ -567,7 +558,7 @@ def run_bound_validity(
         n_max=n_max,
         reps=reps,
         seed=seed,
-        schedule=schedule_descriptor(sched),
+        schedule=sched.descriptor(),
         n0=n0,
         condition_permanent=permanent,
         violating_reps=count,
@@ -575,37 +566,3 @@ def run_bound_validity(
         failure_budget=cat.failure_budget(cfg, term_floor=1e-12),
         exact_solves=exact_solves,
     )
-
-
-def compare_methods(
-    methods: list[str],
-    dists: list[DistributionSpec],
-    ps: list[float],
-    alphas: list[float],
-    n_max: int,
-    seed: int,
-    checkpoints: list[int] | None = None,
-    **kwargs,
-) -> list[dict]:
-    """Cross-product width runs; one row per (method, dist, p, alpha, n)."""
-    rows: list[dict] = []
-    for method in methods:
-        for dist in dists:
-            for p in ps:
-                for alpha in alphas:
-                    rep = run_width(method, dist, p, alpha, n_max, seed, checkpoints, **kwargs)
-                    for ck in rep.checkpoints:
-                        rows.append(
-                            {
-                                "method": method,
-                                "dist": rep.dist,
-                                "p": p,
-                                "alpha": alpha,
-                                "n": ck.n,
-                                "width": ck.mean_width,
-                                "bound": ck.bound,
-                                "condition": ck.condition,
-                                "slope": rep.slope,
-                            }
-                        )
-    return rows

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .harness import sample_stream, true_std
 from .influence import CATONI_CLASSIC_P2, make_influence
 from .schedules import LambdaSchedule
 
@@ -59,22 +60,19 @@ class LilConfig:
 
 
 def lil_floor(cfg: LilConfig, n: int) -> float | None:
-    """a sqrt(S2 log log S2) / S1 with S2 = sum lam_i^2, S1 = sum lam_i.
-
-    Defined once S2 > e (so the double log is positive); returns None
-    (not applicable) before that.
-    """
+    """lil_floor_curve at n; None (not applicable) while S2 <= e."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    lam = cfg.schedule.head(n)
-    s2 = float(np.sum(lam * lam))
-    if s2 <= math.e:
-        return None
-    return cfg.a * math.sqrt(s2 * math.log(math.log(s2))) / float(np.sum(lam))
+    floor = lil_floor_curve(cfg, n)[n - 1]
+    return None if math.isnan(floor) else float(floor)
 
 
 def lil_floor_curve(cfg: LilConfig, n_max: int) -> np.ndarray:
-    """lil_floor for every n = 1..n_max; NaN where not applicable."""
+    """a sqrt(S2 log log S2) / S1 for every n = 1..n_max.
+
+    S2 = sum lam_i^2 and S1 = sum lam_i.  Defined once S2 > e (so the
+    double log is positive); NaN (not applicable) before that.
+    """
     lam = cfg.schedule.head(n_max)
     s1 = np.cumsum(lam)
     s2 = np.cumsum(lam * lam)
@@ -122,8 +120,6 @@ def y_variance_check(
     still damps the tails) together with the |E Y| <= lambda_i^2 sigma^2/2
     diagnostic.
     """
-    from .harness import sample_stream, true_std  # local import: avoids cycle
-
     psi = make_influence(2.0, CATONI_CLASSIC_P2)
     sigma = true_std(dist)
     mu = dist.true_mean
@@ -157,8 +153,6 @@ def lil_trace(dist, schedule: LambdaSchedule, n: int, seed: int) -> dict[str, np
     correction O(sum lambda_i^2 / theta_n), negligible on the trace scale.
     Returns arrays "n", "ratio" (NaN while theta is undefined).
     """
-    from .harness import sample_stream, true_std
-
     psi = make_influence(2.0, CATONI_CLASSIC_P2)
     sigma = true_std(dist)
     mu = dist.true_mean

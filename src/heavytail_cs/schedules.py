@@ -42,10 +42,8 @@ class LambdaSchedule:
         """lambda_t for t >= 1."""
         if t < 1:
             raise ValueError(f"schedule index must be >= 1, got {t}")
-        if self.kind == POWER_LAW:
-            return self.c * float(t) ** (-1.0 / self.p)
-        if self.kind == DS_OPTIMAL:
-            return (self.a / (t * self.b * self.v_p * (self.p - 1.0))) ** (1.0 / self.p)
+        if self.kind != CUSTOM_LIST:
+            return self._closed_form(float(t))
         if t > len(self.values):
             raise ValueError(
                 f"custom_list schedule has {len(self.values)} values, index {t} requested"
@@ -56,16 +54,30 @@ class LambdaSchedule:
         """lambda_1 .. lambda_n as a float64 array."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        if self.kind == POWER_LAW:
-            return self.c * np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / self.p)
-        if self.kind == DS_OPTIMAL:
-            t = np.arange(1, n + 1, dtype=np.float64)
-            return (self.a / (t * self.b * self.v_p * (self.p - 1.0))) ** (1.0 / self.p)
+        if self.kind != CUSTOM_LIST:
+            return self._closed_form(np.arange(1, n + 1, dtype=np.float64))
         if n > len(self.values):
             raise ValueError(
                 f"custom_list schedule has {len(self.values)} values, {n} requested"
             )
         return np.asarray(self.values[:n], dtype=np.float64)
+
+    def _closed_form(self, t):
+        """lambda_t of a power_law or ds_optimal schedule, t a float or float64 array."""
+        if self.kind == POWER_LAW:
+            return self.c * t ** (-1.0 / self.p)
+        return (self.a / (t * self.b * self.v_p * (self.p - 1.0))) ** (1.0 / self.p)
+
+    def descriptor(self) -> dict:
+        """The schedule's kind and parameters, as recorded in reports."""
+        d: dict = {"kind": self.kind, "p": self.p}
+        if self.kind == POWER_LAW:
+            d["c"] = self.c
+        elif self.kind == DS_OPTIMAL:
+            d.update(a=self.a, b=self.b, v_p=self.v_p)
+        else:
+            d["values"] = list(self.values)
+        return d
 
 
 def power_law(c: float = 1.0, p: float = 2.0) -> LambdaSchedule:
@@ -91,33 +103,14 @@ def custom_list(values, p: float = 2.0) -> LambdaSchedule:
     return LambdaSchedule(kind=CUSTOM_LIST, p=p, values=vals)
 
 
-def lambda_at(schedule: LambdaSchedule, t: int) -> float:
-    return schedule.at(t)
-
-
-def divergence_advisory(schedule: LambdaSchedule) -> str | None:
-    """Advisory check of the divergence requirement (lambda_t -> 0, sum lambda_t^p = inf).
-
-    power_law and ds_optimal satisfy it by construction; a finite custom
-    list can never be checked, so a warning string is returned instead of
-    an error.  Returns None when the schedule is known-good.
-    """
-    if schedule.kind in (POWER_LAW, DS_OPTIMAL):
-        return None
-    return (
-        "custom_list schedule: divergence of sum(lambda^p) and lambda -> 0 "
-        "cannot be verified from a finite list"
-    )
-
-
 class _KahanSum:
     """Compensated scalar accumulator."""
 
     __slots__ = ("total", "_comp")
 
-    def __init__(self, total: float = 0.0, comp: float = 0.0):
-        self.total = total
-        self._comp = comp
+    def __init__(self):
+        self.total = 0.0
+        self._comp = 0.0
 
     def add(self, x: float) -> None:
         y = x - self._comp
@@ -125,24 +118,19 @@ class _KahanSum:
         self._comp = (t - self.total) - y
         self.total = t
 
-    def copy(self) -> "_KahanSum":
-        return _KahanSum(self.total, self._comp)
-
 
 @dataclass
 class PrefixSums:
-    """Running sums of lambda_i, lambda_i^p and lambda_i^2 over i <= n.
+    """Running sums of lambda_i and lambda_i^p over i <= n.
 
-    A value owned and updated by a single writer; `extend` appends the next
-    schedule term in O(1).  sum_lambda_sq is kept alongside for the p = 2
-    diagnostics even when p != 2.
+    A value owned and updated by a single writer; `push` appends the next
+    lambda value in O(1).
     """
 
     p: float
     n: int = 0
     _s1: _KahanSum = field(default_factory=_KahanSum, repr=False)
     _sp: _KahanSum = field(default_factory=_KahanSum, repr=False)
-    _s2: _KahanSum = field(default_factory=_KahanSum, repr=False)
 
     @property
     def sum_lambda(self) -> float:
@@ -152,16 +140,6 @@ class PrefixSums:
     def sum_lambda_p(self) -> float:
         return self._sp.total
 
-    @property
-    def sum_lambda_sq(self) -> float:
-        return self._s2.total
-
-    def extend(self, schedule: LambdaSchedule) -> "PrefixSums":
-        """Append lambda_{n+1}; returns self for chaining."""
-        lam = schedule.at(self.n + 1)
-        self.push(lam)
-        return self
-
     def push(self, lam: float) -> None:
         """Append an explicit lambda value."""
         if lam <= 0.0:
@@ -169,29 +147,3 @@ class PrefixSums:
         self.n += 1
         self._s1.add(lam)
         self._sp.add(lam**self.p)
-        self._s2.add(lam * lam)
-
-    def copy(self) -> "PrefixSums":
-        return PrefixSums(
-            p=self.p,
-            n=self.n,
-            _s1=self._s1.copy(),
-            _sp=self._sp.copy(),
-            _s2=self._s2.copy(),
-        )
-
-
-def extend(prefix: PrefixSums, schedule: LambdaSchedule) -> PrefixSums:
-    """Functional form of PrefixSums.extend: returns an extended copy."""
-    out = prefix.copy()
-    out.extend(schedule)
-    return out
-
-
-def prefix_arrays(schedule: LambdaSchedule, n: int, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lambda_i, cumsum lambda_i, cumsum lambda_i^p) for i = 1..n.
-
-    Vectorized batch companion to PrefixSums for the experiment harness.
-    """
-    lam = schedule.head(n)
-    return lam, np.cumsum(lam), np.cumsum(lam**p)

@@ -174,6 +174,16 @@ class TestInterval:
         assert all(a >= b for a, b in zip(his, his[1:]))  # uppers nonincreasing
         assert all(lo >= iv.lower and hi <= iv.upper for (lo, hi), iv in zip(inter, ivs))
 
+    def test_endpoints_beyond_float_range_are_infinite(self):
+        """The ds_optimal weights at p = 1.5 make the band exceed f_n at every
+        float x, so both true endpoints lie beyond the float range."""
+        from heavytail_cs.dubins_savage import DsConfig, ds_optimal_schedule
+
+        cfg = cat.CatoniConfig(p=1.5, v_p=1.0, alpha=0.05,
+                               schedule=ds_optimal_schedule(DsConfig(1.5, 1.0, 0.05)))
+        iv = cat.interval(state_with(cfg, [0.1, -0.2, 0.3]), cfg)
+        assert (iv.lower, iv.upper) == (-math.inf, math.inf)
+
 
 class TestEpsilonN:
     def test_single_step_value(self):
@@ -203,7 +213,8 @@ class TestEpsilonN:
 class TestCondition:
     def test_tiny_lambda_fails(self):
         cfg = config_p2(schedule=custom_list([1e-3]))
-        assert cat.condition_holds(cfg, 1) is False
+        assert not cat.width_bound_curve(cfg, 1)[1][0]
+        assert cat.width_bound(cfg, 1) is None
 
     def test_crossover_at_644_and_permanent(self):
         """Scan oracle for the default p=2 config: first true at n0 = 644,
@@ -214,9 +225,9 @@ class TestCondition:
         n0 = int(np.argmax(cond)) + 1
         assert n0 == 644
         assert bool(cond[n0 - 1 :].all())
-        assert cat.condition_holds(cfg, n0 - 1) is False
-        assert cat.condition_holds(cfg, n0) is True
-        assert cat.condition_holds(cfg, 10**4) is True
+        assert cat.width_bound(cfg, n0 - 1) is None
+        assert cat.width_bound(cfg, n0) is not None
+        assert cat.width_bound(cfg, 10**4) is not None
 
 
 class TestWidthBound:

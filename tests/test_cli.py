@@ -153,6 +153,13 @@ class TestLilCheckCommand:
                 assert row["width"] >= row["lil_floor"]
 
 
+class TestEmptyCheckpoints:
+    @pytest.mark.parametrize("command", ["width", "lil-check"])
+    def test_usage_error(self, command, capsys):
+        assert run_cli([command, "--dist", "gaussian", "--n", "100", "--checkpoints", ","]) == 2
+        assert "error: checkpoints must not be empty" in capsys.readouterr().err
+
+
 class TestConfigFileAndEnv:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "run.json"

@@ -7,7 +7,7 @@ import pytest
 
 from heavytail_cs import catoni_cs as cat
 from heavytail_cs import dubins_savage as ds
-from heavytail_cs.harness import centered_pareto, ols_slope, sample_stream, true_vp
+from heavytail_cs.harness import centered_pareto, gaussian, ols_slope, run_width, sample_stream, true_vp
 from heavytail_cs.schedules import custom_list, power_law
 
 
@@ -136,6 +136,12 @@ class TestInterval:
         assert iv.lower == pytest.approx(center - radius, rel=1e-12)
         assert iv.upper == pytest.approx(center + radius, rel=1e-12)
 
+    def test_overflowing_sum_rejected_state_unchanged(self):
+        st = ds.ds_update(ds.DsState(p=2.0), power_law(1.0, 2.0), 1.7e308)
+        with pytest.raises(ValueError, match="overflow"):
+            ds.ds_update(st, power_law(1.0, 2.0), 1.7e308)
+        assert (st.n, st.sum_lambda, st.sum_lambda_x, st.sum_lambda_p) == (1, 1.0, 1.7e308, 1.0)
+
 
 class TestWidth:
     def test_n1_consistency_with_interval(self):
@@ -184,11 +190,13 @@ class TestWidth:
         assert sa == pytest.approx(sb, abs=1e-12)
 
     def test_display_form_drops_a_term(self):
+        """run_width's DS bound column is the display form 2 b v_p sum(lam^p) / sum(lam)."""
         cfg = ds.DsConfig(p=2.0, v_p=1.0, alpha=0.05)
         lam = ds.ds_optimal_schedule(cfg).head(100)
         expect = 2.0 * float(np.sum(lam**2)) / float(np.sum(lam))
-        assert ds.ds_width_display(cfg, 100) == pytest.approx(expect, rel=1e-14)
-        assert ds.ds_width_display(cfg, 100) < ds.ds_width(cfg, 100)
+        rep = run_width("ds", gaussian(0, 1), 2.0, 0.05, 100, seed=0, checkpoints=[100], v_p=1.0)
+        assert rep.checkpoints[0].bound == pytest.approx(expect, rel=1e-14)
+        assert rep.checkpoints[0].bound < ds.ds_width(cfg, 100)
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_alpha_decade_ratio(self, p):

@@ -8,7 +8,6 @@ from scipy import integrate, stats
 
 from heavytail_cs.harness import (
     centered_pareto,
-    compare_methods,
     gaussian,
     run_bound_validity,
     run_coverage,
@@ -206,23 +205,13 @@ class TestWidthRuns:
 
 
 class TestCompare:
-    def test_empty_grid(self):
-        assert compare_methods([], [], [], [], 100, seed=0) == []
-
-    def test_single_cell_matches_run_width(self):
-        rows = compare_methods(["ds"], [gaussian(0, 1)], [2.0], [0.05], 500, seed=12,
-                               checkpoints=[100, 500])
-        rep = run_width("ds", gaussian(0, 1), 2.0, 0.05, 500, seed=12, checkpoints=[100, 500])
-        assert len(rows) == 2
-        assert rows[-1]["width"] == rep.checkpoints[-1].mean_width
-        assert rows[-1]["slope"] == rep.slope
-
     def test_ds_alpha_sweep_ratios(self):
         """Adjacent-decade DS width ratios track 10^(1/p) within 10%."""
         for p in (1.5, 2.0):
-            rows = compare_methods(["ds"], [RADEMACHER], [p], [0.1, 0.01, 0.001],
-                                   10**5, seed=13, checkpoints=[10**5])
-            widths = [r["width"] for r in rows]
+            widths = [
+                run_width("ds", RADEMACHER, p, alpha, 10**5, seed=13, checkpoints=[10**5]).checkpoints[0].mean_width
+                for alpha in (0.1, 0.01, 0.001)
+            ]
             for big, small in zip(widths, widths[1:]):
                 assert small / big == pytest.approx(10.0 ** (1.0 / p), rel=0.10)
 

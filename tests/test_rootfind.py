@@ -1,5 +1,7 @@
 """Bracket expansion and bisection."""
 
+import math
+
 import pytest
 
 from heavytail_cs.rootfind import BracketError, bisect, expand_bracket, solve_monotone
@@ -28,6 +30,17 @@ def test_bisect_requires_sign_change():
 
 def test_solve_monotone_decreasing():
     assert solve_monotone(lambda x: 5.0 - x, 0.0, 1.0, 1e-12) == pytest.approx(5.0, abs=1e-12)
+
+
+def test_nan_objective_rejected():
+    with pytest.raises(ValueError, match="NaN"):
+        bisect(lambda x: math.nan if 0.3 < x < 0.9 else x - 0.5, 0.0, 1.0, 1e-9)
+
+
+def test_root_beyond_float_range_is_infinite():
+    """Root at 1e310: the outward answer is +inf, not a BracketError."""
+    assert solve_monotone(lambda x: 1e10 - x * 1e-300, -1.0, 1.0, 1e-9) == math.inf
+    assert solve_monotone(lambda x: x * 1e-300 + 1e10, -1.0, 1.0, 1e-9) == -math.inf
 
 
 def test_invalid_bracket():

@@ -5,21 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from heavytail_cs.schedules import (
-    PrefixSums,
-    custom_list,
-    divergence_advisory,
-    ds_optimal,
-    extend,
-    lambda_at,
-    power_law,
-    prefix_arrays,
-)
+from heavytail_cs.schedules import PrefixSums, custom_list, ds_optimal, power_law
 
 
 class TestLambdaAt:
     def test_power_law(self):
-        assert lambda_at(power_law(1.0, 2.0), 4) == 0.5
+        assert power_law(1.0, 2.0).at(4) == 0.5
 
     def test_ds_optimal_reference_value(self):
         # a = 39 is the p=2, b=1, alpha=0.05 constant; lambda_1 = sqrt(39)
@@ -27,7 +18,7 @@ class TestLambdaAt:
         assert s.at(1) == pytest.approx(math.sqrt(39.0), rel=1e-15)
 
     def test_custom_list(self):
-        assert lambda_at(custom_list([0.3, 0.2]), 2) == 0.2
+        assert custom_list([0.3, 0.2]).at(2) == 0.2
 
     def test_index_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -61,37 +52,36 @@ class TestLambdaAt:
             custom_list([0.5, -0.1])
 
 
+def pushed(schedule, n, p=2.0):
+    """PrefixSums after pushing lambda_1 .. lambda_n of schedule."""
+    ps = PrefixSums(p=p)
+    for t in range(1, n + 1):
+        ps.push(schedule.at(t))
+    return ps
+
+
 class TestPrefixSums:
     def test_single_step(self):
-        ps = PrefixSums(p=2.0).extend(power_law(1.0, 2.0))
+        ps = pushed(power_law(1.0, 2.0), 1)
         assert (ps.n, ps.sum_lambda, ps.sum_lambda_p) == (1, 1.0, 1.0)
 
     def test_two_steps_power_law(self):
-        ps = PrefixSums(p=2.0)
-        s = power_law(1.0, 2.0)
-        ps.extend(s).extend(s)
+        ps = pushed(power_law(1.0, 2.0), 2)
         assert ps.sum_lambda == pytest.approx(1.0 + 2.0**-0.5, rel=1e-15)
         assert ps.sum_lambda_p == pytest.approx(1.5, rel=1e-15)
 
     def test_custom_two_halves(self):
-        ps = PrefixSums(p=2.0)
-        s = custom_list([0.5, 0.5])
-        ps.extend(s).extend(s)
+        ps = pushed(custom_list([0.5, 0.5]), 2)
         assert ps.sum_lambda == 1.0
         assert ps.sum_lambda_p == 0.5
-
-    def test_functional_extend_copies(self):
-        base = PrefixSums(p=2.0).extend(power_law(1.0, 2.0))
-        out = extend(base, power_law(1.0, 2.0))
-        assert base.n == 1 and out.n == 2
 
     def test_strictly_increasing(self):
         ps = PrefixSums(p=1.5)
         s = power_law(1.0, 1.5)
-        prev = (0.0, 0.0, 0.0)
-        for _ in range(50):
-            ps.extend(s)
-            cur = (ps.sum_lambda, ps.sum_lambda_p, ps.sum_lambda_sq)
+        prev = (0.0, 0.0)
+        for t in range(1, 51):
+            ps.push(s.at(t))
+            cur = (ps.sum_lambda, ps.sum_lambda_p)
             assert all(c > q for c, q in zip(cur, prev))
             prev = cur
 
@@ -99,7 +89,8 @@ class TestPrefixSums:
     def test_holder_style_bound(self, p):
         # sum(lam^p) <= sum(lam) * max(lam)^(p-1); max is lam_1 here
         s = power_law(1.3, p)
-        lam, cs1, csp = prefix_arrays(s, 500, p)
+        lam = s.head(500)
+        cs1, csp = np.cumsum(lam), np.cumsum(lam**p)
         assert csp[-1] <= cs1[-1] * lam.max() ** (p - 1.0) + 1e-12
 
     def test_incremental_matches_batch_at_1e6(self):
@@ -125,19 +116,10 @@ class TestPrefixSums:
         """
         s = power_law(1.0, 2.0)
         for n, frozen in ((10**4, 9.7876060360443822642), (10**6, 14.392726722865723631)):
-            _, _, csp = prefix_arrays(s, n, 2.0)
+            csp = np.cumsum(s.head(n) ** 2.0)
             assert csp[-1] == pytest.approx(frozen, rel=1e-12)
         ratio_1e4 = 9.7876060360443822642 / math.log(10**4)
         ratio_1e6 = 14.392726722865723631 / math.log(10**6)
         assert abs(ratio_1e6 - 1.0) < abs(ratio_1e4 - 1.0)  # converging
         assert abs(ratio_1e6 - 1.0) < 0.05
 
-
-class TestAdvisory:
-    def test_known_divergent_kinds_pass(self):
-        assert divergence_advisory(power_law(1.0, 2.0)) is None
-        assert divergence_advisory(ds_optimal(1.0, 1.0, 1.0, 2.0)) is None
-
-    def test_custom_list_warns(self):
-        msg = divergence_advisory(custom_list([0.5, 0.25]))
-        assert msg is not None and "cannot be verified" in msg
