@@ -172,6 +172,26 @@ def target(config: CatoniConfig, sum_lambda_p: float) -> float:
     return math.log(2.0 / config.alpha) + config.c_p * config.v_p * sum_lambda_p
 
 
+#: Elements per block of the fused f_n / f_n' pass: a block's temporaries
+#: stay in cache, and at most this many elements are summed by one np.sum.
+_BLOCK = 1 << 15
+
+
+def _f_and_slope(influence: InfluenceFunction, lam: np.ndarray, xs: np.ndarray, x: float) -> tuple[float, float]:
+    """(f_n(x), f_n'(x)) = (sum phi(z_i), -sum lambda_i phi'(z_i)), z_i = lambda_i (X_i - x).
+
+    One pass over the arrays in blocks of _BLOCK elements.  Up to _BLOCK
+    elements the value equals np.sum(influence(lam * (xs - x))) exactly.
+    """
+    f = slope = 0.0
+    for start in range(0, xs.size, _BLOCK):
+        lam_b = lam[start : start + _BLOCK]
+        phi, dphi = influence.value_and_slope(lam_b * (xs[start : start + _BLOCK] - x))
+        f += float(np.sum(phi))
+        slope -= float(np.dot(lam_b, dphi))
+    return f, slope
+
+
 def solve_interval_arrays(
     influence: InfluenceFunction,
     lam: np.ndarray,
@@ -179,29 +199,27 @@ def solve_interval_arrays(
     tgt: float,
     root_tol: float | None = None,
 ) -> tuple[float, float]:
-    """Both endpoint roots of sum phi(lambda_i (X_i - x)) = +-tgt.
+    """Both endpoint roots of sum phi(lambda_i (X_i - x)) = +-tgt, each to within root_tol.
 
-    The initial bracket is [xhat - s, xhat + s] around the weighted mean
-    xhat = sum(lambda_i X_i)/sum(lambda_i) with s = 1 + IQR of the
-    observations, doubled until a sign change appears, then bisected.
-    Returns (lower, upper); lower <= upper since f_n is decreasing and the
-    +tgt root is the smaller one.
+    Both endpoints start safeguarded Newton (solve_monotone) from one shared
+    evaluation of f_n and f_n' at the weighted mean
+    xhat = sum(lambda_i X_i)/sum(lambda_i); each evaluation is one fused
+    pass (_f_and_slope).  Returns (lower, upper); lower <= upper since f_n
+    is decreasing and the +tgt root is the smaller one.
     """
-    sum_lam = float(np.sum(lam))
-    xhat = float(np.sum(lam * xs)) / sum_lam
-    if xs.size > 1:
-        q75, q25 = np.percentile(xs, [75.0, 25.0])
-        spread = 1.0 + float(q75 - q25)
-    else:
-        spread = 1.0
+    xhat = float(np.dot(lam, xs)) / float(np.sum(lam))
     if root_tol is None:
         root_tol = 1e-9 * max(1.0, abs(xhat))
 
-    def f(x: float) -> float:
-        return float(np.sum(influence(lam * (xs - x))))
+    def shifted(level: float):
+        def g(x: float) -> tuple[float, float]:
+            f, slope = _f_and_slope(influence, lam, xs, x)
+            return f - level, slope
+        return g
 
-    lower = solve_monotone(lambda x: f(x) - tgt, xhat - spread, xhat + spread, root_tol)
-    upper = solve_monotone(lambda x: f(x) + tgt, xhat - spread, xhat + spread, root_tol)
+    f0, slope0 = _f_and_slope(influence, lam, xs, xhat)
+    lower = solve_monotone(shifted(tgt), xhat, root_tol, (f0 - tgt, slope0))
+    upper = solve_monotone(shifted(-tgt), xhat, root_tol, (f0 + tgt, slope0))
     return lower, upper
 
 

@@ -120,12 +120,24 @@ def ds_radius(cfg: DsConfig, sum_lambda: float, sum_lambda_p: float) -> float:
 
 
 def ds_interval(state: DsState, cfg: DsConfig) -> ConfidenceInterval:
-    """Weighted-mean centre +- the union-bound-certified radius."""
+    """Weighted-mean centre +- the union-bound-certified radius.
+
+    Rounds outward: where the float centre - radius (centre + radius)
+    rounded inward, cutting into the radius, that endpoint moves one float
+    down (up), so the interval always contains [centre - radius,
+    centre + radius] in exact arithmetic.
+    """
     if state.n == 0:
         raise ValueError("ds_interval requires at least one observation")
     center = state.sum_lambda_x / state.sum_lambda
     radius = ds_radius(cfg, state.sum_lambda, state.sum_lambda_p)
-    return ConfidenceInterval(center - radius, center + radius)
+    lower, upper = center - radius, center + radius
+    # fsum is correctly rounded, so its sign is the sign of the exact rounding error.
+    if math.fsum((center, -radius, -lower)) < 0.0:
+        lower = math.nextafter(lower, -math.inf)
+    if math.fsum((center, radius, -upper)) > 0.0:
+        upper = math.nextafter(upper, math.inf)
+    return ConfidenceInterval(lower, upper)
 
 
 def ds_optimal_schedule(cfg: DsConfig) -> LambdaSchedule:

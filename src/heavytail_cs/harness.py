@@ -438,8 +438,12 @@ def run_width(
         bounds = [2.0 * cfg.b * vp * cum_lam_p[n - 1] / cum_lam[n - 1] for n in cps]
         conds = [None] * len(cps)
 
-    mean_w = widths.mean(axis=0)
-    q10, q50, q90 = np.quantile(widths, [0.1, 0.5, 0.9], axis=0)
+    # A width is inf where an endpoint is +-inf; the statistics over it are
+    # then inf or NaN, which the reports print as NA, so no warning is due.
+    with np.errstate(invalid="ignore"):
+        mean_w = widths.mean(axis=0)
+        q10, q50, q90 = np.quantile(widths, [0.1, 0.5, 0.9], axis=0)
+        slope = fit_loglog_slope(cps, mean_w, n_max)
     rows = [
         WidthCheckpoint(
             n=n,
@@ -452,7 +456,6 @@ def run_width(
         )
         for j, n in enumerate(cps)
     ]
-    slope = fit_loglog_slope(cps, mean_w, n_max)
     return WidthReport(
         method=method,
         dist=dist.label(),

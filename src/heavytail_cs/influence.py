@@ -43,7 +43,7 @@ TIGHT_UPPER_GENERAL_P = "tight_upper_general_p"
 
 _VARIANTS = (CATONI_CLASSIC_P2, TIGHT_UPPER_GENERAL_P)
 
-#: Absolute tolerance used by invert()'s bisection.
+#: Absolute tolerance of invert()'s root solve.
 INVERT_TOL = 1e-12
 
 
@@ -76,6 +76,19 @@ class InfluenceFunction:
             return float(out)
         return out
 
+    def value_and_slope(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(phi(x), phi'(x)) as ndarrays (0-d for a scalar x), sharing one pass over |x|^p.
+
+        phi'(x) = (1 + p C_p |x|^(p-1)) / (1 + |x| + C_p |x|^p), where
+        C_p |x|^(p-1) is read off phi's log argument t = |x| + C_p |x|^p as
+        (t - |x|) / |x|, and is 0 at x = 0.  Where |x|^p overflows, phi is
+        +-inf and the slope NaN, without a warning.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi, ax, t = _phi_parts(np.asarray(x, dtype=np.float64), self.p, self.c_p)
+            slope = (1.0 + self.p * (t - ax) / np.maximum(ax, _TINY)) / (1.0 + t)
+        return phi, slope
+
     def upper_envelope(self, x):
         """log(1 + x + C_p |x|^p); defined for every real x."""
         arr = np.asarray(x, dtype=np.float64)
@@ -99,22 +112,36 @@ class InfluenceFunction:
         """The unique x with phi(x) = y, to absolute tolerance `tol`.
 
         Exists for every finite y because phi is strictly increasing and
-        unbounded in both directions.  Bracket doubling from [-1, 1], then
-        bisection; the p = 2 closed form -1 + sqrt(2 e^y - 1) is used only
-        as a test oracle, never here.
+        unbounded in both directions.  Safeguarded Newton on y - phi(x) from
+        x = 0 (see solve_monotone); the p = 2 closed form
+        -1 + sqrt(2 e^y - 1) is used only as a test oracle, never here.
         """
         y = float(y)
         if y == 0.0:
             return 0.0
-        return solve_monotone(lambda x: float(self(x)) - y, -1.0, 1.0, tol)
+
+        def g(x: float) -> tuple[float, float]:
+            phi, slope = self.value_and_slope(x)
+            return y - float(phi), -float(slope)
+
+        return solve_monotone(g, 0.0, tol)
+
+
+#: Stands in for |x| = 0 in the slope's (t - |x|) / |x|, whose numerator is then 0.
+_TINY = np.finfo(np.float64).tiny
 
 
 def _phi(x: np.ndarray, p: float, c_p: float) -> np.ndarray:
+    return _phi_parts(x, p, c_p)[0]
+
+
+def _phi_parts(x: np.ndarray, p: float, c_p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi(x), with |x| and the log argument t = |x| + C|x|^p that phi' reuses."""
     # log(1 + x + C|x|^p) for x >= 0, -log(1 - x + C|x|^p) for x < 0.
     # Both branches vanish at 0 and glue to an odd, strictly increasing map.
     ax = np.abs(x)
     t = ax + c_p * ax**p
-    return np.sign(x) * np.log1p(t)
+    return np.sign(x) * np.log1p(t), ax, t
 
 
 def make_influence(p: float, variant: str = TIGHT_UPPER_GENERAL_P) -> InfluenceFunction:

@@ -1,9 +1,12 @@
 """Scalar root finding for strictly monotone functions.
 
-Bracket expansion by geometric doubling around an initial guess interval,
-followed by plain bisection.  Bisection is preferred over faster schemes
-because every caller in this package has a strictly monotone objective and
-wants a hard guarantee of termination with a sign-change bracket.
+`solve_monotone` is the package's root solver: safeguarded Newton on an
+objective that returns its value and slope.  It keeps a sign-change bracket
+at all times and falls back to bisection (or, while one side is still open,
+to geometric growth of the bracket) whenever a Newton step cannot be
+trusted, so it terminates like bisection and stops only on a certified
+bracket.  `expand_bracket` and `bisect` are the plain value-only methods;
+they remain as the slow reference the solver is tested against.
 """
 
 from __future__ import annotations
@@ -109,12 +112,80 @@ def bisect(
 
 
 def solve_monotone(
-    f: Callable[[float], float],
-    guess_lo: float,
-    guess_hi: float,
+    f: Callable[[float], tuple[float, float]],
+    x: float,
     xtol: float,
+    fx: tuple[float, float] | None = None,
     max_doublings: int = 200,
 ) -> float:
-    """Expand a guess interval to a bracket, then bisect to `xtol`."""
-    lo, hi, flo, fhi = expand_bracket(f, guess_lo, guess_hi, max_doublings)
-    return bisect(f, lo, hi, xtol, flo, fhi)
+    """Root of a strictly decreasing f to within `xtol`, by safeguarded Newton.
+
+    f returns the pair (f(x), f'(x)); `fx` may pass that pair at the start
+    `x` to reuse an evaluation.  The iterate always ends a bracket
+    [lo, hi] with f(lo) > 0 > f(hi).  Each step is a Newton step from the
+    latest iterate, unless that step is not finite, leaves the bracket, or
+    is longer than half the step before last; then it bisects instead.
+    While one side of the bracket is still open, the fallback step doubles
+    the distance from the start, as in expand_bracket; after
+    `max_doublings` steps on an open side, the next probe is that side's
+    infinite end.  A Newton step shorter than xtol/4 is lengthened by
+    xtol/4, so it lands just past the root and closes the bracket.
+
+    Returns the midpoint of the first bracket no wider than `xtol` (or of
+    one whose ends are adjacent floats), so the root lies within xtol/2 of
+    the answer.  f is taken to be finite at every finite x, so an infinite
+    value there is an overflow of its computation and its sign is not
+    trusted: when it turns up on an open side, the answer is that side's
+    infinite end.  A root beyond the float range also comes back as +-inf.
+    Raises ValueError when f is NaN or overflows at the start, and
+    BracketError when f does not change sign out to +-inf.
+    """
+    if xtol <= 0.0:
+        raise ValueError(f"xtol must be positive, got {xtol}")
+    x0 = x
+    fx, dfx = f(x) if fx is None else fx
+    lo, hi = -math.inf, math.inf
+    lo_open = hi_open = True
+    reach, doublings = 1.0, 0
+    prev = prev2 = math.inf  # lengths of the last two steps
+    while True:
+        if math.isnan(fx):
+            raise ValueError(f"objective is NaN at x = {x}")
+        if fx == 0.0:
+            return x
+        if math.isinf(fx) and math.isfinite(x) and (lo_open or hi_open):
+            # f is finite at every finite x, so this value is an overflow and
+            # its sign proves nothing: the root may lie anywhere beyond.
+            if lo_open and hi_open:
+                raise ValueError(f"objective overflows at the start x = {x}")
+            return -math.inf if lo_open else math.inf
+        if fx > 0.0:
+            lo, lo_open = x, False
+        else:
+            hi, hi_open = x, False
+        if not (lo_open or hi_open):
+            mid = 0.5 * lo + 0.5 * hi
+            if hi - lo <= xtol or not lo < mid < hi:
+                return mid
+        elif math.isinf(x):
+            raise BracketError(f"no sign change out to x = {x}: f = {fx}")
+        toward = 1.0 if fx > 0.0 else -1.0  # the side of x the root is on
+        step = -fx / dfx if dfx < 0.0 else math.nan
+        if abs(step) < 0.25 * xtol:
+            step = toward * (abs(step) + 0.25 * xtol)
+        nxt = x + step
+        if not (lo < nxt < hi and (lo_open or hi_open or abs(step) <= 0.5 * prev2)):
+            if not (lo_open or hi_open):
+                nxt = mid
+            elif doublings < max_doublings:
+                end = lo if hi_open else hi
+                reach = max(reach, abs(end - x0), 4.0 * math.ulp(end))
+                nxt = end + toward * reach
+                reach *= 2.0
+            else:
+                nxt = toward * math.inf
+        if lo_open or hi_open:
+            doublings += 1
+        prev2, prev = prev, abs(nxt - x)
+        x = nxt
+        fx, dfx = f(x)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from heavytail_cs import catoni_cs as cat
+from heavytail_cs.harness import centered_pareto, gaussian, sample_stream, true_vp
 from heavytail_cs.influence import CATONI_CLASSIC_P2, make_influence
 from heavytail_cs.schedules import custom_list, power_law
 
@@ -150,8 +151,8 @@ class TestInterval:
         assert iv1.upper - iv0.upper == pytest.approx(shift, abs=1e-5)
 
     def test_general_p_roots_unique_and_ordered(self):
-        """tight_upper_general_p is strictly increasing, so bisection always
-        terminates on a sign-change bracket; spot-check p = 1.5."""
+        """tight_upper_general_p is strictly increasing, so each endpoint is
+        the unique sign change of f_n; spot-check p = 1.5."""
         cfg = cat.CatoniConfig(p=1.5, v_p=2.0, alpha=0.1, schedule=power_law(1.0, 1.5))
         rng = np.random.default_rng(23)
         st = state_with(cfg, rng.standard_t(1.8, size=300).tolist())
@@ -183,6 +184,46 @@ class TestInterval:
                                schedule=ds_optimal_schedule(DsConfig(1.5, 1.0, 0.05)))
         iv = cat.interval(state_with(cfg, [0.1, -0.2, 0.3]), cfg)
         assert (iv.lower, iv.upper) == (-math.inf, math.inf)
+
+
+class TestSolveBudget:
+    """Objective evaluations per interval: one fused f_n / f_n' pass each."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        original = cat._f_and_slope
+
+        def f_and_slope(*args):
+            calls.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(cat, "_f_and_slope", f_and_slope)
+        return calls
+
+    @pytest.mark.parametrize("dist, p", [(centered_pareto(1.9), 1.5), (gaussian(), 2.0)])
+    def test_at_most_12_evaluations_at_1e4(self, monkeypatch, dist, p):
+        n = 10_000
+        cfg = cat.CatoniConfig(p=p, v_p=true_vp(dist, p), alpha=ALPHA, schedule=power_law(1.0, p))
+        lam = cfg.schedule.head(n)
+        tgt = cat.target(cfg, float(np.sum(lam**p)))
+        calls = self.counted(monkeypatch)
+        lower, upper = cat.solve_interval_arrays(cfg.influence, lam, sample_stream(dist, 5, n), tgt)
+        assert lower < upper
+        assert len(calls) <= 12
+
+    def test_infinite_endpoints_within_expansion_budget(self, monkeypatch):
+        """The case of test_endpoints_beyond_float_range_are_infinite: bracket
+        growth alone took 2 * (2 + 2 * 200 + 2) = 808 evaluations."""
+        from heavytail_cs.dubins_savage import DsConfig, ds_optimal_schedule
+
+        cfg = cat.CatoniConfig(p=1.5, v_p=1.0, alpha=0.05,
+                               schedule=ds_optimal_schedule(DsConfig(1.5, 1.0, 0.05)))
+        st = state_with(cfg, [0.1, -0.2, 0.3])
+        calls = self.counted(monkeypatch)
+        iv = cat.interval(st, cfg)
+        assert (iv.lower, iv.upper) == (-math.inf, math.inf)
+        assert len(calls) <= 808
 
 
 class TestEpsilonN:

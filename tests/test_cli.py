@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -114,6 +115,20 @@ class TestWidthCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["config"]["schedule"] == "ds_optimal"
+
+    def test_infinite_endpoints_report_na_without_warnings(self, tmp_path):
+        """At p = 1.5 the ds_optimal weights put the early Catoni endpoints at
+        +-inf: those widths read NA, the slope null, and no warning is raised."""
+        out = tmp_path / "w.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["width", "--method", "catoni", "--dist", "gaussian", "--p", "1.5",
+                            "--n", "2000", "--reps", "1", "--seed", "3", "--schedule", "ds_optimal",
+                            "--out", str(out)])
+        assert code == 0
+        _, rows = read_report_csv(out)
+        assert rows[0]["width_catoni"] == "NA" and rows[-1]["width_catoni"] != "NA"
+        assert '"slope_catoni": null' in out.read_text().splitlines()[-1]
 
     def test_svg_written(self, tmp_path):
         out = tmp_path / "w.csv"

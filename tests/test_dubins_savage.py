@@ -1,6 +1,7 @@
 """Dubins-Savage tail bound, interval, width, and alpha scaling."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -141,6 +142,21 @@ class TestInterval:
         with pytest.raises(ValueError, match="overflow"):
             ds.ds_update(st, power_law(1.0, 2.0), 1.7e308)
         assert (st.n, st.sum_lambda, st.sum_lambda_x, st.sum_lambda_p) == (1, 1.0, 1.7e308, 1.0)
+
+
+    @pytest.mark.parametrize("x", [1.7e308, 1e17])
+    def test_rounding_never_cuts_the_radius(self, x):
+        """The radius (40) is below the float spacing at the centre: the float
+        endpoints move one float outward, so the interval contains
+        [centre - radius, centre + radius] in exact arithmetic."""
+        cfg = ds.DsConfig(p=2.0, v_p=1.0, alpha=0.05)
+        st = ds.ds_update(ds.DsState(p=2.0), power_law(1.0, 2.0), x)
+        iv = ds.ds_interval(st, cfg)
+        center = Fraction(st.sum_lambda_x) / Fraction(st.sum_lambda)
+        radius = Fraction(ds.ds_radius(cfg, st.sum_lambda, st.sum_lambda_p))
+        assert radius == 40
+        assert Fraction(iv.lower) <= center - radius and Fraction(iv.upper) >= center + radius
+        assert iv.width > 0.0
 
 
 class TestWidth:

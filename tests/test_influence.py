@@ -124,6 +124,19 @@ class TestEvaluation:
         assert np.all(dv <= dx + 1e-12)
 
 
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_value_and_slope(self, p):
+        """The fused pass gives phi bit for bit and the closed-form phi'."""
+        f = default_influence(p)
+        x = sign_grid(hi=1e6)
+        phi, slope = f.value_and_slope(x)
+        ax = np.abs(x)
+        closed_form = (1.0 + p * f.c_p * ax ** (p - 1.0)) / (1.0 + ax + f.c_p * ax**p)
+        assert np.array_equal(phi, f(x))
+        np.testing.assert_allclose(slope, closed_form, rtol=1e-12, atol=0.0)
+        assert slope[x.size // 2] == 1.0  # phi'(0)
+
+
 class TestInvert:
     def test_zero(self):
         assert make_influence(2.0, CATONI_CLASSIC_P2).invert(0.0) == 0.0
