@@ -182,11 +182,15 @@ def _f_and_slope(influence: InfluenceFunction, lam: np.ndarray, xs: np.ndarray, 
 
     One pass over the arrays in blocks of _BLOCK elements.  Up to _BLOCK
     elements the value equals np.sum(influence(lam * (xs - x))) exactly.
+    A z_i beyond the float range is +-inf without a warning; f_n is then
+    infinite, which solve_monotone reads as an overflow.
     """
     f = slope = 0.0
     for start in range(0, xs.size, _BLOCK):
         lam_b = lam[start : start + _BLOCK]
-        phi, dphi = influence.value_and_slope(lam_b * (xs[start : start + _BLOCK] - x))
+        with np.errstate(over="ignore"):
+            z = lam_b * (xs[start : start + _BLOCK] - x)
+        phi, dphi = influence.value_and_slope(z)
         f += float(np.sum(phi))
         slope -= float(np.dot(lam_b, dphi))
     return f, slope
@@ -298,6 +302,9 @@ def failure_budget(
     schedules used here eps_n decays polynomially and a floor of 1e-16
     (or 1e-12 for slowly decaying configs) makes the truncation
     negligible at the tolerances this quantity is consumed at.
+
+    Each chunk evaluates only its own window of lambda (schedule.span), so
+    the cost is O(terms) time and O(chunk) memory.
     """
     cv = config.c_p * config.v_p
     q = config.p - 1.0
@@ -306,13 +313,17 @@ def failure_budget(
     start = 1
     while start <= max_terms:
         stop = min(start + chunk - 1, max_terms)
-        lam = config.schedule.head(stop)[start - 1 :]
         if callable(config.t):
             t_factor = 1.0 + np.array([config.t_at(i) for i in range(start, stop + 1)]) ** -q
         else:
             t_factor = 1.0 + float(config.t) ** -q
-        expos = expo + np.cumsum(cv * lam**config.p * t_factor)
-        terms = config.alpha * np.exp(-expos)
+        expos = config.schedule.span(start, stop) ** config.p
+        expos *= cv
+        expos *= t_factor
+        np.cumsum(expos, out=expos)
+        expos += expo
+        terms = np.exp(-expos)
+        terms *= config.alpha
         total += float(np.sum(terms))
         expo = float(expos[-1])
         if terms[-1] < term_floor:

@@ -122,9 +122,13 @@ def sample_stream(dist: DistributionSpec, seed: int, n: int, rep: int = 0) -> np
     if dist.kind == GAUSSIAN:
         return rng.normal(dist.mean, dist.sigma, n)
     if dist.kind == CENTERED_PARETO:
-        u = rng.random(n)
-        raw_mean = dist.shape * dist.scale / (dist.shape - 1.0)
-        return dist.scale * (1.0 - u) ** (-1.0 / dist.shape) - raw_mean
+        # scale * (1 - u)^(-1/shape) - raw_mean, in place on the draws.
+        x = rng.random(n)
+        np.subtract(1.0, x, out=x)
+        x **= -1.0 / dist.shape
+        x *= dist.scale
+        x -= dist.shape * dist.scale / (dist.shape - 1.0)
+        return x
     if dist.kind == STUDENT_T:
         return dist.mean + rng.standard_t(dist.df, n)
     return rng.choice(np.asarray(dist.values), size=n, p=np.asarray(dist.probs))
@@ -303,12 +307,12 @@ def run_coverage(
             return bool(np.any(np.abs(f_mu[idx]) > band[idx]))
 
     else:
-        cum_lam = np.cumsum(lam)
+        mu_cum_lam = mu * np.cumsum(lam)
         radius_scaled = ds.ds_a(cfg) + cfg.b * vp * np.cumsum(lam**p)
 
         def one_rep(r: int) -> bool:
             x = sample_stream(dist, seed, n_max, rep=r)
-            dev = np.abs(np.cumsum(lam * x) - mu * cum_lam)
+            dev = np.abs(np.cumsum(lam * x) - mu_cum_lam)
             return bool(np.any(dev[idx] > radius_scaled[idx]))
 
     misses = _run_reps(one_rep, reps, threads)

@@ -70,24 +70,21 @@ class InfluenceFunction:
 
     def __call__(self, x):
         """Evaluate phi at x (scalar or ndarray); finite for all finite x."""
-        arr = np.asarray(x, dtype=np.float64)
-        out = _phi(arr, self.p, self.c_p)
+        out = _phi_parts(np.asarray(x, dtype=np.float64), self.p, self.c_p, want_slope=False)[0]
         if np.ndim(x) == 0:
             return float(out)
         return out
 
     def value_and_slope(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(phi(x), phi'(x)) as ndarrays (0-d for a scalar x), sharing one pass over |x|^p.
+        """(phi(x), phi'(x)) as numpy values of x's shape, sharing one pass over |x|^p.
 
         phi'(x) = (1 + p C_p |x|^(p-1)) / (1 + |x| + C_p |x|^p), where
         C_p |x|^(p-1) is read off phi's log argument t = |x| + C_p |x|^p as
-        (t - |x|) / |x|, and is 0 at x = 0.  Where |x|^p overflows, phi is
-        +-inf and the slope NaN, without a warning.
+        (t - |x|) / |x|, and is 0 at x = 0.  Both are finite for every
+        finite x; at x = +-inf phi is +-inf and the slope NaN, without a
+        warning.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            phi, ax, t = _phi_parts(np.asarray(x, dtype=np.float64), self.p, self.c_p)
-            slope = (1.0 + self.p * (t - ax) / np.maximum(ax, _TINY)) / (1.0 + t)
-        return phi, slope
+        return _phi_parts(np.asarray(x, dtype=np.float64), self.p, self.c_p, want_slope=True)
 
     def upper_envelope(self, x):
         """log(1 + x + C_p |x|^p); defined for every real x."""
@@ -129,19 +126,58 @@ class InfluenceFunction:
 
 #: Stands in for |x| = 0 in the slope's (t - |x|) / |x|, whose numerator is then 0.
 _TINY = np.finfo(np.float64).tiny
+#: Up to this |x| (p <= 2, C_p <= 1) neither C|x|^p nor the slope's p (t - |x|) overflows.
+_X_SAFE = 1e150
 
 
-def _phi(x: np.ndarray, p: float, c_p: float) -> np.ndarray:
-    return _phi_parts(x, p, c_p)[0]
+def _phi_parts(x: np.ndarray, p: float, c_p: float, want_slope: bool):
+    """(phi(x), phi'(x) or None), finite for every finite x.
 
-
-def _phi_parts(x: np.ndarray, p: float, c_p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """phi(x), with |x| and the log argument t = |x| + C|x|^p that phi' reuses."""
-    # log(1 + x + C|x|^p) for x >= 0, -log(1 - x + C|x|^p) for x < 0.
-    # Both branches vanish at 0 and glue to an odd, strictly increasing map.
+    Where some |x| exceeds _X_SAFE (or x is not finite), the log1p form is
+    evaluated without warnings, and the finite x at which it overflowed
+    take their values from _log_form; every other element keeps its bits.
+    """
     ax = np.abs(x)
-    t = ax + c_p * ax**p
-    return np.sign(x) * np.log1p(t), ax, t
+    if not ax.size or ax.max() <= _X_SAFE:
+        return _log1p_form(x, ax, p, c_p, want_slope)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phi, slope = _log1p_form(x, ax, p, c_p, want_slope)
+        finite = np.isfinite(x)
+        mag, big_slope = _log_form(ax, p, c_p)
+        phi = np.where(np.isinf(phi) & finite, np.copysign(mag, x), phi)
+        if want_slope:
+            slope = np.where(~np.isfinite(slope) & finite, big_slope, slope)
+    return phi, slope
+
+
+def _log1p_form(x: np.ndarray, ax: np.ndarray, p: float, c_p: float, want_slope: bool):
+    """phi = copysign(log1p(t), x), computed in place in the buffer t = |x| + C|x|^p.
+
+    phi is log(1 + x + C|x|^p) for x >= 0 and -log(1 - x + C|x|^p) for
+    x < 0: both branches vanish at 0 and glue to an odd, strictly
+    increasing map.  The slope, when wanted, is read off t before the log
+    overwrites it.  A 0-d x stays on numpy scalars, which have no buffer.
+    """
+    t = ax**p
+    t *= c_p
+    t += ax
+    slope = (1.0 + p * (t - ax) / np.maximum(ax, _TINY)) / (1.0 + t) if want_slope else None
+    if np.ndim(t) == 0:
+        return np.copysign(np.log1p(t), x), slope
+    np.log1p(t, out=t)
+    return np.copysign(t, x, out=t), slope
+
+
+def _log_form(ax: np.ndarray, p: float, c_p: float) -> tuple[np.ndarray, np.ndarray]:
+    """|phi| and phi' at |x| = ax, with 1 + ax + C ax^p divided through by ax^p.
+
+    log1p(ax + C ax^p) = p log(ax) + log(C + ax^(1-p) + ax^-p) and
+    phi' = (ax^-p + p C / ax) / (ax^-p + ax^(1-p) + C): finite wherever
+    ax is, for the large ax at which C ax^p overflows.
+    """
+    inv_p = ax**-p
+    inv_q = ax ** (1.0 - p)
+    return p * np.log(ax) + np.log(c_p + inv_q + inv_p), (inv_p + p * c_p / ax) / (inv_p + inv_q + c_p)
 
 
 def make_influence(p: float, variant: str = TIGHT_UPPER_GENERAL_P) -> InfluenceFunction:

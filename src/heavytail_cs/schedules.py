@@ -54,13 +54,23 @@ class LambdaSchedule:
         """lambda_1 .. lambda_n as a float64 array."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
+        return self.span(1, n)
+
+    def span(self, start: int, stop: int) -> np.ndarray:
+        """lambda_start .. lambda_stop (inclusive) as a float64 array; empty when stop < start.
+
+        Each value is computed from its own index, so a late window costs
+        O(stop - start) and equals the same slice of head(stop) bit for bit.
+        """
+        if start < 1:
+            raise ValueError(f"schedule index must be >= 1, got {start}")
         if self.kind != CUSTOM_LIST:
-            return self._closed_form(np.arange(1, n + 1, dtype=np.float64))
-        if n > len(self.values):
+            return self._closed_form(np.arange(start, stop + 1, dtype=np.float64))
+        if stop > len(self.values):
             raise ValueError(
-                f"custom_list schedule has {len(self.values)} values, {n} requested"
+                f"custom_list schedule has {len(self.values)} values, {stop} requested"
             )
-        return np.asarray(self.values[:n], dtype=np.float64)
+        return np.asarray(self.values[start - 1 : stop], dtype=np.float64)
 
     def _closed_form(self, t):
         """lambda_t of a power_law or ds_optimal schedule, t a float or float64 array."""

@@ -251,6 +251,63 @@ class TestEpsilonN:
         assert 0.0 < budget15 < 0.05
 
 
+def failure_budget_prefix_rebuild(config, term_floor, chunk=1 << 20, max_terms=1 << 34):
+    """Reference: failure_budget as first written, each chunk sliced out of head(stop)."""
+    cv = config.c_p * config.v_p
+    q = config.p - 1.0
+    total = 0.0
+    expo = 0.0
+    start = 1
+    while start <= max_terms:
+        stop = min(start + chunk - 1, max_terms)
+        lam = config.schedule.head(stop)[start - 1 :]
+        if callable(config.t):
+            t_factor = 1.0 + np.array([config.t_at(i) for i in range(start, stop + 1)]) ** -q
+        else:
+            t_factor = 1.0 + float(config.t) ** -q
+        expos = expo + np.cumsum(cv * lam**config.p * t_factor)
+        terms = config.alpha * np.exp(-expos)
+        total += float(np.sum(terms))
+        expo = float(expos[-1])
+        if terms[-1] < term_floor:
+            return config.alpha * total
+        start = stop + 1
+    raise RuntimeError("reference did not reach term_floor")
+
+
+class TestFailureBudget:
+    """failure_budget reads each chunk's window of lambda; the sum is unchanged bit for bit."""
+
+    @pytest.mark.parametrize(
+        "cfg, term_floor, chunk",
+        [
+            (config_p2(v_p=4.0), 1e-16, 1 << 20),
+            (config_p2(v_p=4.0), 1e-16, 50),
+            (cat.CatoniConfig(p=1.5, v_p=2.0, alpha=0.05, schedule=power_law(1.0, 1.5)), 1e-16, 1 << 20),
+            (config_p2(v_p=4.0, t=lambda i: 0.5 + 0.4 / (i + 1)), 1e-16, 50),
+        ],
+        ids=["p2", "p2-small-chunks", "p1.5", "callable-t"],
+    )
+    def test_equals_prefix_rebuilding_reference(self, cfg, term_floor, chunk):
+        got = cat.failure_budget(cfg, term_floor=term_floor, chunk=chunk)
+        assert got == failure_budget_prefix_rebuild(cfg, term_floor, chunk)
+
+    def test_bound_validity_config_memory(self):
+        """gaussian, p = 2, alpha = 0.05: about 8.4e6 terms in 2^20-term chunks.
+        Rebuilding lambda_1..lambda_stop per chunk peaked near 200 MB."""
+        import tracemalloc
+
+        cfg = config_p2(v_p=true_vp(gaussian(), 2.0))
+        tracemalloc.start()
+        try:
+            got = cat.failure_budget(cfg, term_floor=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert got == failure_budget_prefix_rebuild(cfg, 1e-12)
+
+
 class TestCondition:
     def test_tiny_lambda_fails(self):
         cfg = config_p2(schedule=custom_list([1e-3]))

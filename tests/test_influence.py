@@ -1,6 +1,7 @@
 """Influence function construction, sandwich envelopes, inversion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,56 @@ class TestEvaluation:
         assert np.array_equal(phi, f(x))
         np.testing.assert_allclose(slope, closed_form, rtol=1e-12, atol=0.0)
         assert slope[x.size // 2] == 1.0  # phi'(0)
+
+    @pytest.mark.parametrize("p", [1.01] + P_GRID)
+    def test_matches_reference_formula(self, p):
+        """phi and phi' equal sign(z) log1p(|z| + C|z|^p) and
+        (1 + p (t - |z|) / |z|) / (1 + t) bit for bit, arrays and 0-d alike
+        (phi(-0.0) may differ in the sign of its zero only)."""
+        f = default_influence(p)
+        rng = np.random.default_rng(17)
+        z = np.clip(rng.standard_cauchy(4000) * 10.0 ** rng.uniform(-300.0, 150.0, 4000), -1e150, 1e150)
+        z[:8] = [0.0, -0.0, 1e-300, -1e-300, 1e150, -1e150, 1.0, -2.5]
+
+        def reference(z):
+            az = np.abs(z)
+            t = az + f.c_p * az**p
+            slope = (1.0 + p * (t - az) / np.maximum(az, np.finfo(np.float64).tiny)) / (1.0 + t)
+            return np.sign(z) * np.log1p(t), slope
+
+        ref_phi, ref_slope = reference(z)
+        # One element past the overflow point sends the array down the guarded path.
+        for arr in (z, np.append(z, -1e300)):
+            phi, slope = f.value_and_slope(arr)
+            assert np.array_equal(f(arr)[: z.size], ref_phi)
+            assert np.array_equal(phi[: z.size], ref_phi) and np.array_equal(slope[: z.size], ref_slope)
+        for zi in z[:40]:
+            ref_phi, ref_slope = reference(np.asarray(zi))
+            phi, slope = f.value_and_slope(zi)
+            assert f(zi) == float(ref_phi)
+            assert (float(phi), float(slope)) == (float(ref_phi), float(ref_slope))
+
+    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0])
+    def test_finite_where_power_overflows(self, p):
+        """Against 40-digit mpmath at |z| = 1e200, 1e300, where C|z|^p overflows
+        for p = 1.5 and 2; no warning is raised."""
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        f = default_influence(p)
+        z = np.array([1e200, -1e200, 1e300, -1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi, slope = f.value_and_slope(z)
+            values = f(z)
+            scalar = [f(float(zi)) for zi in z]
+        mp_p, mp_c = mpmath.mpf(p), mpmath.mpf(f.c_p)
+        for i, zi in enumerate(z):
+            az = abs(mpmath.mpf(float(zi)))
+            exact_phi = mpmath.sign(zi) * mpmath.log1p(az + mp_c * az**mp_p)
+            exact_slope = (1 + mp_p * mp_c * az ** (mp_p - 1)) / (1 + az + mp_c * az**mp_p)
+            for got in (phi[i], values[i], scalar[i]):
+                assert abs(got - exact_phi) <= 1e-15 * abs(exact_phi)
+            assert abs(slope[i] - exact_slope) <= 1e-13 * exact_slope
 
 
 class TestInvert:

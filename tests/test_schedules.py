@@ -52,6 +52,34 @@ class TestLambdaAt:
             custom_list([0.5, -0.1])
 
 
+SPAN_SCHEDULES = {
+    "power_law": power_law(0.7, 1.5),
+    "ds_optimal": ds_optimal(5.0, 1.0, 2.0, 1.5),
+    "custom_list": custom_list([0.5 / t for t in range(1, 41)]),
+}
+
+
+class TestSpan:
+    @pytest.mark.parametrize("kind", SPAN_SCHEDULES)
+    @pytest.mark.parametrize("start, stop", [(1, 40), (1, 1), (7, 23), (40, 40), (12, 11), (1, 0)])
+    def test_equals_head_slice_bitwise(self, kind, start, stop):
+        s = SPAN_SCHEDULES[kind]
+        assert s.span(start, stop).tobytes() == s.head(stop)[start - 1 :].tobytes()
+
+    @pytest.mark.parametrize("kind", ["power_law", "ds_optimal"])
+    def test_late_window_bitwise(self, kind):
+        s = SPAN_SCHEDULES[kind]
+        start, stop = 3 * (1 << 18) + 1, 1 << 20
+        assert s.span(start, stop).tobytes() == s.head(stop)[start - 1 :].tobytes()
+
+    def test_custom_overrun_rejected(self):
+        s = SPAN_SCHEDULES["custom_list"]
+        with pytest.raises(ValueError):
+            s.span(30, 41)
+        with pytest.raises(ValueError):
+            s.span(0, 3)
+
+
 def pushed(schedule, n, p=2.0):
     """PrefixSums after pushing lambda_1 .. lambda_n of schedule."""
     ps = PrefixSums(p=p)
