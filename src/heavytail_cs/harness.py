@@ -296,24 +296,25 @@ def run_coverage(
     vp, sched, cfg = _method_setup(method, dist, p, alpha, v_p, schedule, t, tau, b)
     mu = dist.true_mean
     lam = sched.head(n_max)
-    idx = _checked_indices(n_max, stride)
+    # A plain slice is a view, so stride 1 indexes without a copy.
+    idx = slice(None) if stride == 1 else _checked_indices(n_max, stride)
     if method == CATONI:
-        band = math.log(2.0 / alpha) + cfg.c_p * vp * np.cumsum(lam**p)
+        band = (math.log(2.0 / alpha) + cfg.c_p * vp * np.cumsum(lam**p))[idx]
         influence = cfg.influence
 
         def one_rep(r: int) -> bool:
             x = sample_stream(dist, seed, n_max, rep=r)
             f_mu = np.cumsum(influence(lam * (x - mu)))
-            return bool(np.any(np.abs(f_mu[idx]) > band[idx]))
+            return bool(np.any(np.abs(f_mu[idx]) > band))
 
     else:
         mu_cum_lam = mu * np.cumsum(lam)
-        radius_scaled = ds.ds_a(cfg) + cfg.b * vp * np.cumsum(lam**p)
+        radius_scaled = (ds.ds_a(cfg) + cfg.b * vp * np.cumsum(lam**p))[idx]
 
         def one_rep(r: int) -> bool:
             x = sample_stream(dist, seed, n_max, rep=r)
             dev = np.abs(np.cumsum(lam * x) - mu_cum_lam)
-            return bool(np.any(dev[idx] > radius_scaled[idx]))
+            return bool(np.any(dev[idx] > radius_scaled))
 
     misses = _run_reps(one_rep, reps, threads)
     count = int(sum(misses))
@@ -493,6 +494,52 @@ class BoundValidityReport:
     exact_solves: int          # fallback endpoint solves that were needed
 
 
+#: Geometric blocks per decade of n in run_bound_validity's sufficient test.
+BLOCKS_PER_DECADE = 12
+
+
+def _bound_blocks(n0: int, n_max: int) -> list[tuple[int, int]]:
+    """Geometric blocks (a, b) of n covering [n0, n_max]; adjacent blocks share an edge n."""
+    count = max(2, int(BLOCKS_PER_DECADE * math.log10(max(n_max / n0, 10)) + 1))
+    edges = np.unique(np.geomspace(n0, n_max, count).astype(int))
+    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])] or [(n0, n_max)]
+
+
+def _bound_suspects(influence, lam, mu, band, bounds, blocks):
+    """suspects(x): the sorted n of `blocks` at which run_bound_validity's sufficient test fails.
+
+    Block k tests f_n(mu + w_k) <= -band_n and f_n(mu - w_k) >= band_n for
+    its n, with w_k = min(bounds over the block) / 2, from prefixes carried
+    over from block k-1 (see run_bound_validity).
+    """
+    w = [0.5 * float(np.min(bounds[a - 1 : b])) for a, b in blocks]
+    # The next block starts at n = b, so its prefix is lambda_1..lambda_{b-1}.
+    lam_before = np.cumsum(lam)[[b - 2 for _, b in blocks[:-1]]]
+    drift = influence.slope_bound * np.abs(np.diff(w)) * lam_before
+
+    def suspects(x: np.ndarray) -> list[int]:
+        out: list[int] = []
+        carry_hi = carry_lo = 0.0
+        for k, (a, b) in enumerate(blocks):
+            start = 0 if k == 0 else a - 1
+            hi = influence(lam[start:b] * (x[start:b] - (mu + w[k])))
+            lo = influence(lam[start:b] * (x[start:b] - (mu - w[k])))
+            hi[0] += carry_hi
+            lo[0] += carry_lo
+            np.cumsum(hi, out=hi)
+            np.cumsum(lo, out=lo)
+            seg = slice(a - 1, b)
+            ok = (hi[a - 1 - start :] <= -band[seg]) & (lo[a - 1 - start :] >= band[seg])
+            if not ok.all():
+                out.extend((np.nonzero(~ok)[0] + a).tolist())
+            if k < len(drift):
+                carry_hi = hi[-2] + drift[k]
+                carry_lo = lo[-2] - drift[k]
+        return sorted(set(out))
+
+    return suspects
+
+
 def run_bound_validity(
     dist: DistributionSpec,
     p: float,
@@ -506,17 +553,30 @@ def run_bound_validity(
     t: float = 0.5,
     tau: float = 0.1,
     threads: int = 1,
-    blocks_per_decade: int = 12,
 ) -> BoundValidityReport:
     """Check {width_n <= width_bound(n) for every applicable n <= n_max} per rep.
 
     Widths at every n are too expensive to root-solve directly, so each
-    replication first runs a conservative sufficient test: over a block of
-    n with blockwise-constant offset w <= width_bound(n)/2, the event
-    f_n(mu + w) <= -band_n and f_n(mu - w) >= +band_n implies
-    |I_n| <= width_bound(n); both sides are plain cumulative sums.  Only
-    the (rare) n where the conservative test fails get exact endpoint
-    solves.  The verdict per n is therefore exact.
+    replication first runs a sufficient test over geometric blocks of n
+    (BLOCKS_PER_DECADE per decade from n0).  With a blockwise-constant
+    offset w_k <= width_bound(n)/2, the event f_n(mu + w_k) <= -band_n and
+    f_n(mu - w_k) >= +band_n puts both endpoints in [mu - w_k, mu + w_k],
+    so |I_n| <= width_bound(n).  Both sides are cumulative sums.
+
+    Block k evaluates phi only over its own elements (the first block from
+    n = 1) and starts each cumulative sum from a prefix carried over from
+    block k-1.  phi is L-Lipschitz with L = slope_bound (1 at p = 2), so
+    moving the offset from w_{k-1} to w_k changes each prefix term by at
+    most L lambda_i |w_{k-1} - w_k|: the carried + side is raised by
+    L |w_{k-1} - w_k| sum_{i < a_k} lambda_i and the - side lowered by as
+    much.  By induction the carried + prefix is never below the exact one
+    at w_k and the - prefix never above it, so an n that passes with
+    carried prefixes passes with exact ones, up to the rounding any
+    cumulative sum has.  Each side evaluates phi about n_max times per
+    replication: O(n_max) time, and memory of one block.
+
+    Only the (rare) n where the test fails get exact endpoint solves, so
+    the verdict per n is exact.
     """
     vp, sched, cfg = _method_setup(CATONI, dist, p, alpha, v_p, schedule, t, tau, 1.0)
     mu = dist.true_mean
@@ -529,30 +589,19 @@ def run_bound_validity(
     permanent = bool(condition[n0 - 1 :].all())
     if not permanent:
         raise ValueError("the width-bound condition is not permanent over [n0, n_max]; blocks assume it")
-    edges = np.unique(
-        np.geomspace(n0, n_max, max(2, int(blocks_per_decade * math.log10(max(n_max / n0, 10)) + 1))).astype(int)
-    )
-    blocks = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])] or [(n0, n_max)]
     influence = cfg.influence
+    suspects = _bound_suspects(influence, lam, mu, band, bounds, _bound_blocks(n0, n_max))
 
     def one_rep(r: int) -> tuple[bool, int]:
         x = sample_stream(dist, seed, n_max, rep=r)
-        suspect: list[int] = []
-        for a, b in blocks:
-            w = 0.5 * float(np.min(bounds[a - 1 : b]))
-            hi = np.cumsum(influence(lam[:b] * (x[:b] - (mu + w))))[a - 1 : b]
-            lo = np.cumsum(influence(lam[:b] * (x[:b] - (mu - w))))[a - 1 : b]
-            seg = slice(a - 1, b)
-            ok = (hi <= -band[seg]) & (lo >= band[seg])
-            if not ok.all():
-                suspect.extend((np.nonzero(~ok)[0] + a).tolist())
+        suspect = suspects(x)
         violated = False
-        for n in sorted(set(suspect)):
+        for n in suspect:
             lo_x, hi_x = cat.solve_interval_arrays(influence, lam[:n], x[:n], band[n - 1])
             if hi_x - lo_x > bounds[n - 1]:
                 violated = True
                 break
-        return violated, len(set(suspect))
+        return violated, len(suspect)
 
     results = _run_reps(one_rep, reps, threads)
     count = int(sum(v for v, _ in results))

@@ -86,6 +86,21 @@ class InfluenceFunction:
         """
         return _phi_parts(np.asarray(x, dtype=np.float64), self.p, self.c_p, want_slope=True)
 
+    @property
+    def slope_bound(self) -> float:
+        """L_p >= sup phi', so |phi(a) - phi(b)| <= L_p |a - b| for all a, b.
+
+        1 at p = 2, else 1 + (2-p)/(p-1) u* with u* = (p (p-1) C_p)^(1/(2-p)).
+        phi is odd, and for u >= 0
+        phi'(u) = 1 + (p C u^(p-1) - u - C u^p) / (1 + u + C u^p)
+        <= 1 + max_u (p C u^(p-1) - u), which is reached at u*.
+        """
+        p = self.p
+        if p == 2.0:
+            return 1.0
+        u_star = (p * (p - 1.0) * self.c_p) ** (1.0 / (2.0 - p))
+        return 1.0 + (2.0 - p) / (p - 1.0) * u_star
+
     def upper_envelope(self, x):
         """log(1 + x + C_p |x|^p); defined for every real x."""
         arr = np.asarray(x, dtype=np.float64)

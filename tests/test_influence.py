@@ -188,6 +188,25 @@ class TestEvaluation:
             assert abs(slope[i] - exact_slope) <= 1e-13 * exact_slope
 
 
+class TestSlopeBound:
+    @pytest.mark.parametrize("p", [1.01, 1.1, 1.5, 1.9, 1.99, 2.0])
+    def test_bounds_the_slope_closely(self, p):
+        """slope_bound >= max phi' over a dense grid around u* and at most 10% above it.
+
+        The computed phi' carries a few ulps of rounding (it reads
+        1 + 2^-52 at tiny |x| for p = 2, where the true slope is <= 1).
+        """
+        f = default_influence(p)
+        u_star = (p * (p - 1.0) * f.c_p) ** (1.0 / (2.0 - p)) if p < 2.0 else 1.0
+        x = np.concatenate([sign_grid(hi=1e6, m=20_000), np.linspace(0.0, 10.0 * u_star, 100_001)])
+        top = float(np.max(f.value_and_slope(x)[1]))
+        assert top <= f.slope_bound * (1.0 + 4.0 * np.finfo(np.float64).eps)
+        assert f.slope_bound <= 1.1 * top
+
+    def test_one_at_p2(self):
+        assert default_influence(2.0).slope_bound == 1.0
+
+
 class TestInvert:
     def test_zero(self):
         assert make_influence(2.0, CATONI_CLASSIC_P2).invert(0.0) == 0.0
