@@ -95,22 +95,42 @@ class CatoniConfig:
     def c_p(self) -> float:
         return self.influence.c_p
 
-    def t_at(self, i: int) -> float:
-        ti = self.t(i) if callable(self.t) else float(self.t)
-        if not 0.0 < ti < 1.0:
-            raise ValueError(f"t_{i} = {ti} outside (0, 1)")
-        return ti
+    def t_values(self, start: int, stop: int) -> np.ndarray:
+        """t_i for i = start..stop as float64; a constant t is one element, which broadcasts.
 
-    def t_array(self, n: int) -> np.ndarray:
+        Raises ValueError naming the first callable t_i outside (0, 1).
+        """
         if callable(self.t):
-            return np.array([self.t_at(i) for i in range(1, n + 1)])
-        return np.full(n, float(self.t))
+            in_range = lambda v: (v > 0.0) & (v < 1.0)
+            return _callable_values(self.t, range(start, stop + 1), "t", in_range, "outside (0, 1)")
+        return np.full(1, float(self.t))
+
+    def t_at(self, i: int) -> float:
+        return float(self.t_values(i, i)[0])
+
+    def tau_values(self, ns: Sequence[int]) -> np.ndarray:
+        """tau_n at each n in ns as float64; raises ValueError naming the first tau_n <= 0."""
+        if callable(self.tau):
+            return _callable_values(self.tau, ns, "tau", lambda v: v > 0.0, "must be positive")
+        return np.full(len(ns), float(self.tau))
 
     def tau_at(self, n: int) -> float:
-        tau = self.tau(n) if callable(self.tau) else float(self.tau)
-        if tau <= 0.0:
-            raise ValueError(f"tau_{n} = {tau} must be positive")
-        return tau
+        return float(self.tau_values([n])[0])
+
+
+def _callable_values(
+    fn: Callable[[int], float], idx: Sequence[int], name: str, ok: Callable[[np.ndarray], np.ndarray], requirement: str
+) -> np.ndarray:
+    """fn(i) for every i in idx, as one float64 array checked by one vectorized test `ok`.
+
+    Raises ValueError naming the first i whose value fails `ok` (NaN fails).
+    """
+    out = np.fromiter((fn(i) for i in idx), dtype=np.float64, count=len(idx))
+    bad = ~ok(out)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(f"{name}_{idx[j]} = {out[j]} {requirement}")
+    return out
 
 
 @dataclass
@@ -176,16 +196,31 @@ def target(config: CatoniConfig, sum_lambda_p: float) -> float:
 #: stay in cache, and at most this many elements are summed by one np.sum.
 _BLOCK = 1 << 15
 
+#: 2^-52, twice float64's unit roundoff: the rounding bounds below count in it.
+_EPS = float(np.finfo(np.float64).eps)
+#: Relative rounding of one phi or phi' term, with room to spare: forming
+#: z_i (a subtraction and a product) and the kernel's pow, product, sum and
+#: log1p or quotient, each within an ulp or two.
+_TERM_ULPS = 16
+#: Roundings a term sees in numpy's pairwise np.sum of at most _BLOCK
+#: elements: 15 in an 8-way unrolled leaf of <= 128, 3 joining the 8
+#: partials, 7 for the leftovers and 8 halvings from 2^15 down to 128.
+_SUM_DEPTH = 40
+#: The certificate gives up on Newton steps this long (|d|^p must not overflow).
+_MAX_REACH = 1e150
 
-def _f_and_slope(influence: InfluenceFunction, lam: np.ndarray, xs: np.ndarray, x: float) -> tuple[float, float]:
+
+def _f_and_slope(influence: InfluenceFunction, lam: np.ndarray, xs: np.ndarray, x: float, sums: bool = False):
     """(f_n(x), f_n'(x)) = (sum phi(z_i), -sum lambda_i phi'(z_i)), z_i = lambda_i (X_i - x).
 
     One pass over the arrays in blocks of _BLOCK elements.  Up to _BLOCK
     elements the value equals np.sum(influence(lam * (xs - x))) exactly.
     A z_i beyond the float range is +-inf without a warning; f_n is then
-    infinite, which solve_monotone reads as an overflow.
+    infinite, which solve_monotone reads as an overflow.  With `sums` the
+    same pass also returns sum |z_i| and sum lambda_i^2, the inputs of
+    _TaylorCertificate.
     """
-    f = slope = 0.0
+    f = slope = abs_z = lam_sq = 0.0
     for start in range(0, xs.size, _BLOCK):
         lam_b = lam[start : start + _BLOCK]
         with np.errstate(over="ignore"):
@@ -193,7 +228,92 @@ def _f_and_slope(influence: InfluenceFunction, lam: np.ndarray, xs: np.ndarray, 
         phi, dphi = influence.value_and_slope(z)
         f += float(np.sum(phi))
         slope -= float(np.dot(lam_b, dphi))
-    return f, slope
+        if sums:
+            abs_z += float(np.sum(np.abs(z, out=z)))
+            lam_sq += float(np.dot(lam_b, lam_b))
+    return (f, slope, abs_z, lam_sq) if sums else (f, slope)
+
+
+def _rounding_error(influence: InfluenceFunction, size: int, abs_z: float, slope: float) -> tuple[float, float]:
+    """Bounds on |computed - exact| of _f_and_slope's (f_n, f_n'): `size` terms, sum |z_i| <= abs_z.
+
+    f_n: a term is off by at most _TERM_ULPS eps L |z_i|, since
+    |phi(z)| <= L |z| (L = slope_bound), and summing adds at most
+    (_SUM_DEPTH + blocks) eps sum |phi_i|: pairwise within a block, then one
+    addition per block (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 4.2).  f_n': every term lambda_i phi'(z_i)
+    is positive and off by at most _TERM_ULPS eps of itself, and np.dot may
+    add in any order, so a block counts its length:
+    (_TERM_ULPS + min(size, _BLOCK) + blocks) eps |f_n'|.
+    """
+    blocks = -(-size // _BLOCK)
+    err_f = (_TERM_ULPS + _SUM_DEPTH + blocks) * _EPS * influence.slope_bound * abs_z
+    err_slope = (_TERM_ULPS + min(size, _BLOCK) + blocks) * _EPS * abs(slope)
+    return err_f, err_slope
+
+
+@dataclass(frozen=True)
+class _TaylorCertificate:
+    """Proves from one computed (f_n(x), f_n'(x)) that a root of f_n = level lies near the Newton point.
+
+    Remainder: for every x and d,
+    |f_n(x + d) - f_n(x) - f_n'(x) d| <= R(d) = (H_p / p) |d|^p sum lambda_i^p,
+    where H_p is InfluenceFunction.holder_bound: apply
+    |int_0^delta (phi'(z - s) - phi'(z)) ds| <= H_p |delta|^p / p to each
+    term, delta = lambda_i d.  Hoelder's inequality with exponents
+    1/(p-1) and 1/(2-p) gives
+    sum lambda_i^p <= (sum lambda_i^2)^(p-1) (sum lambda_i)^(2-p),
+    equal at p = 2 and for one term, so R needs no pow per element.
+    Rounding: sum |z_i(x)| <= abs_z0 + |x - xhat| sum lambda_i by the
+    triangle inequality, with abs_z0 the sum at xhat, so _rounding_error
+    bounds the float error at any x at no cost per pass.  An instance is a
+    solve_monotone certifier.
+    """
+
+    influence: InfluenceFunction
+    size: int
+    xhat: float
+    abs_z0: float
+    sum_lam: float
+    remainder: float  # H_p / p times an upper bound on sum lambda_i^p
+
+    @classmethod
+    def build(cls, influence: InfluenceFunction, size: int, xhat: float, abs_z0: float, sum_lam: float,
+              sum_lam_sq: float) -> _TaylorCertificate:
+        q = influence.p - 1.0
+        sum_lam_p = sum_lam_sq**q * sum_lam ** (1.0 - q)
+        sum_lam_p *= 1.0 + (_TERM_ULPS + size) * _EPS  # rounding of the sums of positive terms and the pows
+        return cls(influence, size, xhat, abs_z0, sum_lam, influence.holder_bound / influence.p * sum_lam_p)
+
+    def bound(self, x: float, g: float, s: float, reach: float) -> float:
+        """Bound on |f_n(x + d) - level - (g + s d)| over |d| <= reach.
+
+        g and s are the computed f_n(x) - level and f_n'(x).  The bound adds
+        their float errors (_rounding_error, plus the rounding of
+        subtracting level) and the Taylor remainder R(reach).
+        """
+        abs_z = self.abs_z0 + abs(x - self.xhat) * self.sum_lam
+        err_f, err_s = _rounding_error(self.influence, self.size, abs_z, s)
+        return err_f + _EPS * abs(g) + err_s * reach + self.remainder * reach**self.influence.p
+
+    def __call__(self, x: float, g: float, s: float, radius: float) -> tuple[float, float] | None:
+        """[m - radius, m + radius] around m = x - g/s if it provably holds the root, else None.
+
+        Let e bound the rounding of m and of the bracket ends and
+        D = |m - x| + radius + e.  At either end y, g + s (y - x) is
+        -s (radius - e) or more away from 0 on its side, so the exact
+        f_n - level is > 0 at m - radius and < 0 at m + radius when
+        -s (radius - e) > bound(x, g, s, D).  Anything non-finite, s >= 0 or
+        D >= _MAX_REACH gives None.
+        """
+        if not (s < 0.0 and math.isfinite(x) and math.isfinite(g)):
+            return None
+        m = x - g / s
+        e = 4.0 * _EPS * (abs(m) + abs(x) + radius)
+        reach = abs(m - x) + radius + e
+        if reach < _MAX_REACH and -s * (radius - e) > self.bound(x, g, s, reach):
+            return m - radius, m + radius
+        return None
 
 
 def solve_interval_arrays(
@@ -208,10 +328,15 @@ def solve_interval_arrays(
     Both endpoints start safeguarded Newton (solve_monotone) from one shared
     evaluation of f_n and f_n' at the weighted mean
     xhat = sum(lambda_i X_i)/sum(lambda_i); each evaluation is one fused
-    pass (_f_and_slope).  Returns (lower, upper); lower <= upper since f_n
-    is decreasing and the +tgt root is the smaller one.
+    pass (_f_and_slope).  The shared pass also takes sum |z_i| and
+    sum lambda_i^2 for a _TaylorCertificate, which ends a solve once the
+    Taylor remainder and the float error prove the Newton point within
+    root_tol/4 of the root: typically 3 passes per interval at p = 2 and
+    5 at p = 1.5 for n >= 10^4.  Returns (lower, upper); lower <= upper
+    since f_n is decreasing and the +tgt root is the smaller one.
     """
-    xhat = float(np.dot(lam, xs)) / float(np.sum(lam))
+    sum_lam = float(np.sum(lam))
+    xhat = float(np.dot(lam, xs)) / sum_lam
     if root_tol is None:
         root_tol = 1e-9 * max(1.0, abs(xhat))
 
@@ -221,9 +346,10 @@ def solve_interval_arrays(
             return f - level, slope
         return g
 
-    f0, slope0 = _f_and_slope(influence, lam, xs, xhat)
-    lower = solve_monotone(shifted(tgt), xhat, root_tol, (f0 - tgt, slope0))
-    upper = solve_monotone(shifted(-tgt), xhat, root_tol, (f0 + tgt, slope0))
+    f0, slope0, abs_z0, sum_lam_sq = _f_and_slope(influence, lam, xs, xhat, True)
+    cert = _TaylorCertificate.build(influence, xs.size, xhat, abs_z0, sum_lam, sum_lam_sq)
+    lower = solve_monotone(shifted(tgt), xhat, root_tol, (f0 - tgt, slope0), certify=cert)
+    upper = solve_monotone(shifted(-tgt), xhat, root_tol, (f0 + tgt, slope0), certify=cert)
     return lower, upper
 
 
@@ -268,12 +394,14 @@ def _schedule_sums(config: CatoniConfig, n: int) -> tuple[np.ndarray, np.ndarray
     """Cumulative sum lam, sum lam^p (1 + t^-(p-1)), sum lam^p (1-t)^-(p-1) over 1..n."""
     lam = config.schedule.head(n)
     lam_p = lam**config.p
-    tv = config.t_array(n)
+    tv = config.t_values(1, n)
     q = config.p - 1.0
     s1 = np.cumsum(lam)
-    s_plus = np.cumsum(lam_p * (1.0 + tv**-q))
-    s_minus = np.cumsum(lam_p * (1.0 - tv) ** -q)
-    return s1, s_plus, s_minus
+    del lam  # in place from here on: at most three n-arrays live at once
+    s_plus = lam_p * (1.0 + tv**-q)
+    np.cumsum(s_plus, out=s_plus)
+    lam_p *= (1.0 - tv) ** -q
+    return s1, s_plus, np.cumsum(lam_p, out=lam_p)
 
 
 def epsilon_n(config: CatoniConfig, n: int) -> float:
@@ -314,7 +442,7 @@ def failure_budget(
     while start <= max_terms:
         stop = min(start + chunk - 1, max_terms)
         if callable(config.t):
-            t_factor = 1.0 + np.array([config.t_at(i) for i in range(start, stop + 1)]) ** -q
+            t_factor = 1.0 + config.t_values(start, stop) ** -q
         else:
             t_factor = 1.0 + float(config.t) ** -q
         expos = config.schedule.span(start, stop) ** config.p
@@ -336,30 +464,35 @@ def width_bound(config: CatoniConfig, n: int) -> float | None:
     """width_bound_curve at n; None (not applicable) where its condition fails."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    bound = width_bound_curve(config, n)[0][n - 1]
+    bound = width_bound_curve(config, n, at=[n])[0][0]
     return None if math.isnan(bound) else float(bound)
 
 
-def width_bound_curve(config: CatoniConfig, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(bounds, condition) for every n = 1..n_max in one vectorized pass.
+def width_bound_curve(
+    config: CatoniConfig, n_max: int, at: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(bounds, condition) for every n = 1..n_max, or only for the n in `at`.
 
-    bounds[n-1] = 4 (1+tau_n) (C_p v_p sum lam^p (1+t^-(p-1)) + log 2/alpha) / sum lam,
-    and the bound applies at n (condition[n-1]) iff
+    bounds = 4 (1+tau_n) (C_p v_p sum lam^p (1+t^-(p-1)) + log 2/alpha) / sum lam,
+    and the bound applies at n (condition) iff
 
         C_p v_p sum lam^p (1 + t^-(p-1)) + log(2/alpha) + log(2/eps_n)
         <= tau_n^(1/(p-1)) / (1+tau_n)^(p/(p-1))
            * (sum lam)^(p/(p-1)) / (C_p sum lam^p (1-t)^-(p-1))^(1/(p-1)),
 
     where log(2/eps_n) = log(2/alpha) + C_p v_p sum lam^p (1 + t^-(p-1)).
-    bounds[n-1] is NaN where the condition fails.  A callable tau costs
-    one scalar evaluation per n; everything else is vectorized.
+    bounds is NaN where the condition fails.  The cumulative sums run over
+    1..n_max once; the rest, and a callable tau, is evaluated only at the
+    requested n (each in [1, n_max]), and gives the same bits there as the
+    full curve.
     """
     q = config.p - 1.0
     s1, s_plus, s_minus = _schedule_sums(config, n_max)
-    if callable(config.tau):
-        tau = np.array([config.tau_at(i) for i in range(1, n_max + 1)])
-    else:
-        tau = np.full(n_max, float(config.tau))
+    ns = range(1, n_max + 1) if at is None else at
+    if at is not None:
+        idx = np.asarray(at, dtype=np.intp) - 1
+        s1, s_plus, s_minus = s1[idx], s_plus[idx], s_minus[idx]
+    tau = config.tau_values(ns)
     log2a = math.log(2.0 / config.alpha)
     cv_splus = config.c_p * config.v_p * s_plus
     lhs = 2.0 * cv_splus + 2.0 * log2a
@@ -405,7 +538,7 @@ def log_supermartingale(
     lam_p = lam**config.p
     q = config.p - 1.0
     if use_t:
-        tv = config.t_array(state.n)
+        tv = config.t_values(1, state.n)
         s_t = float(np.sum(lam_p * tv**-q))
         s_omt = float(np.sum(lam_p * (1.0 - tv) ** -q))
     else:
@@ -448,7 +581,7 @@ def b_plus(config: CatoniConfig, n: int, x: float, mu: float) -> float:
     """
     lam = config.schedule.head(n)
     lam_p = lam**config.p
-    tv = config.t_array(n)
+    tv = config.t_values(1, n)
     q = config.p - 1.0
     s1 = float(np.sum(lam))
     s_t = float(np.sum(lam_p * tv**-q))

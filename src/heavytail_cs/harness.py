@@ -420,7 +420,6 @@ def run_width(
         raise ValueError(f"checkpoints must lie in [1, {n_max}], got {cps[0]}..{cps[-1]}")
     vp, sched, cfg = _method_setup(method, dist, p, alpha, v_p, schedule, t, tau, b)
     lam = sched.head(n_max)
-    cum_lam = np.cumsum(lam)
     cum_lam_p = np.cumsum(lam**p)
 
     if method == CATONI:
@@ -433,11 +432,12 @@ def run_width(
                 out.append(hi - lo)
             return out
 
-        bounds_curve, cond_curve = cat.width_bound_curve(cfg, cps[-1])
-        bounds = [None if math.isnan(bounds_curve[n - 1]) else float(bounds_curve[n - 1]) for n in cps]
-        conds = [bool(cond_curve[n - 1]) for n in cps]
+        bounds_at, cond_at = cat.width_bound_curve(cfg, cps[-1], at=cps)
+        bounds = [None if math.isnan(b) else float(b) for b in bounds_at]
+        conds = [bool(c) for c in cond_at]
         widths = np.asarray(_run_reps(one_rep, reps, threads))
     else:
+        cum_lam = np.cumsum(lam)
         w = [2.0 * ds.ds_radius(cfg, cum_lam[n - 1], cum_lam_p[n - 1]) for n in cps]
         widths = np.tile(np.asarray(w), (reps, 1))
         bounds = [2.0 * cfg.b * vp * cum_lam_p[n - 1] / cum_lam[n - 1] for n in cps]

@@ -60,6 +60,10 @@ def catoni_constant(p: float) -> float:
 class InfluenceFunction:
     """A nondecreasing influence function phi with its order p and constant C_p.
 
+    Besides phi and phi' it carries two closed-form constants that the
+    solvers' certificates rest on: slope_bound (L_p >= sup phi') and
+    holder_bound (H_p, the (p-1)-Hoelder constant of phi').
+
     Immutable; evaluation and inversion are pure, so instances are safe to
     share across threads.
     """
@@ -100,6 +104,29 @@ class InfluenceFunction:
             return 1.0
         u_star = (p * (p - 1.0) * self.c_p) ** (1.0 / (2.0 - p))
         return 1.0 + (2.0 - p) / (p - 1.0) * u_star
+
+    @property
+    def holder_bound(self) -> float:
+        """H_p with |phi'(u) - phi'(v)| <= H_p |u - v|^(p-1) for all u, v.
+
+        p = 2: H_2 = 1/4 = sup |phi''|.  With D = 1 + |x| + x^2/2 >= 1,
+        |phi''| = (D - 1)/D^2, and (D - 1)/D^2 <= 1/4 is (D - 2)^2 >= 0.
+
+        p < 2: H_p = max(p C_p, (p-1)^(p-1) (2-p)^(2-p) L_p^p), with
+        L_p = slope_bound.  phi' is even and |u - |v|| <= |u - v|, so it
+        suffices to take 0 <= v < u, h = u - v.  With D = 1 + u + C u^p,
+        phi' = D'/D and phi'' = p (p-1) C u^(p-2) / D - phi'^2.
+        Rise: the first term integrates to at most
+        p C (u^(p-1) - v^(p-1)) <= p C h^(p-1).
+        Fall: phi'' >= -phi'^2 means (1/phi')' <= 1, so
+        phi'(v) - phi'(u) <= phi'(v)^2 h / (1 + phi'(v) h) <= L^2 h / (1 + L h),
+        whose ratio to h^(p-1) peaks at h = (2-p) / ((p-1) L).
+        """
+        p = self.p
+        if p == 2.0:
+            return 0.25
+        fall = (p - 1.0) ** (p - 1.0) * (2.0 - p) ** (2.0 - p) * self.slope_bound**p
+        return max(p * self.c_p, fall)
 
     def upper_envelope(self, x):
         """log(1 + x + C_p |x|^p); defined for every real x."""

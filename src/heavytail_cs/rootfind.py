@@ -5,7 +5,8 @@ objective that returns its value and slope.  It keeps a sign-change bracket
 at all times and falls back to bisection (or, while one side is still open,
 to geometric growth of the bracket) whenever a Newton step cannot be
 trusted, so it terminates like bisection and stops only on a certified
-bracket.  `expand_bracket` and `bisect` are the plain value-only methods;
+bracket: one whose ends it evaluated, or one an optional certifier proves
+from the latest value and slope.  `expand_bracket` and `bisect` are the plain value-only methods;
 they remain as the slow reference the solver is tested against.
 """
 
@@ -17,6 +18,12 @@ from typing import Callable
 
 class BracketError(RuntimeError):
     """No sign change within the allowed doublings, nor out to +-inf."""
+
+
+#: certify(x, f(x), f'(x), radius) -> a bracket [a, b] of half-width radius
+#: (up to the rounding of its ends) proved to hold the root, or None; see
+#: solve_monotone.
+Certifier = Callable[[float, float, float, float], tuple[float, float] | None]
 
 
 def _value(f: Callable[[float], float], x: float) -> float:
@@ -117,6 +124,7 @@ def solve_monotone(
     xtol: float,
     fx: tuple[float, float] | None = None,
     max_doublings: int = 200,
+    certify: Certifier | None = None,
 ) -> float:
     """Root of a strictly decreasing f to within `xtol`, by safeguarded Newton.
 
@@ -130,6 +138,12 @@ def solve_monotone(
     `max_doublings` steps on an open side, the next probe is that side's
     infinite end.  A Newton step shorter than xtol/4 is lengthened by
     xtol/4, so it lands just past the root and closes the bracket.
+
+    `certify`, when given, is asked at every iterate, with x and its
+    (fx, dfx), for a bracket [a, b] of half-width xtol/4 around the Newton
+    point x - fx/dfx that it proves holds the root (for example from a
+    bound on f's Taylor remainder).  A proved bracket ends the solve
+    without evaluating f at its ends; None lets the loop go on unchanged.
 
     Returns the midpoint of the first bracket no wider than `xtol` (or of
     one whose ends are adjacent floats), so the root lies within xtol/2 of
@@ -169,6 +183,10 @@ def solve_monotone(
                 return mid
         elif math.isinf(x):
             raise BracketError(f"no sign change out to x = {x}: f = {fx}")
+        proved = certify(x, fx, dfx, 0.25 * xtol) if certify is not None else None
+        if proved is not None:
+            lo, hi = proved
+            return 0.5 * lo + 0.5 * hi
         toward = 1.0 if fx > 0.0 else -1.0  # the side of x the root is on
         step = -fx / dfx if dfx < 0.0 else math.nan
         if abs(step) < 0.25 * xtol:

@@ -53,6 +53,16 @@ class TestConfig:
         assert cfg.t_at(1) == pytest.approx(0.5 / 1.01)
         assert cfg.tau_at(2) == pytest.approx(0.6)
 
+    def test_callable_values_name_the_first_bad_index(self):
+        cfg = config_p2(t=lambda i: 0.5 if i < 7 else 1.0 + i, tau=lambda n: 1.0 - n / 5.0)
+        assert cfg.t_values(1, 6).tolist() == [0.5] * 6
+        with pytest.raises(ValueError, match=r"t_7 = 8\.0 outside"):
+            cfg.t_values(1, 20)
+        with pytest.raises(ValueError, match=r"tau_5 = 0\.0 must be positive"):
+            cfg.tau_values([2, 5, 9])
+        with pytest.raises(ValueError, match="t_7"):
+            cat.failure_budget(cfg)
+
 
 class TestState:
     def test_update_appends(self):
@@ -306,6 +316,33 @@ class TestFailureBudget:
             tracemalloc.stop()
         assert peak < 64e6
         assert got == failure_budget_prefix_rebuild(cfg, 1e-12)
+
+
+class TestWidthBoundAt:
+    """width_bound_curve(cfg, n_max, at=ns) is the full curve read at ns, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            config_p2(),
+            cat.CatoniConfig(p=1.5, v_p=2.0, alpha=0.05, schedule=power_law(1.0, 1.5), t=0.3, tau=0.7),
+            config_p2(t=lambda i: 0.5 + 0.4 / (i + 1), tau=lambda n: 0.1 + 1.0 / n),
+        ],
+        ids=["p2", "p1.5", "callable"],
+    )
+    def test_equals_full_curve(self, cfg):
+        ns = [1, 2, 643, 644, 1000, 4999, 5000]
+        full_b, full_c = cat.width_bound_curve(cfg, 5000)
+        at_b, at_c = cat.width_bound_curve(cfg, 5000, at=ns)
+        idx = np.asarray(ns) - 1
+        np.testing.assert_array_equal(at_b, full_b[idx])
+        np.testing.assert_array_equal(at_c, full_c[idx])
+
+    def test_callable_tau_only_at_requested_n(self):
+        seen = []
+        cfg = config_p2(tau=lambda n: seen.append(n) or 0.1)
+        cat.width_bound_curve(cfg, 10**5, at=[10, 10**5])
+        assert seen == [10, 10**5]
 
 
 class TestCondition:

@@ -207,6 +207,49 @@ class TestSlopeBound:
         assert default_influence(2.0).slope_bound == 1.0
 
 
+class TestHolderBound:
+    @staticmethod
+    def points(f):
+        """|x| log-spaced to 1e6, dense around 0 and u* (the slope's peak), both signs and 0."""
+        p = f.p
+        u_star = (p * (p - 1.0) * f.c_p) ** (1.0 / (2.0 - p)) if p < 2.0 else 1.0
+        pos = np.concatenate([
+            np.geomspace(1e-12, 1e6, 600),
+            np.linspace(0.0, 5.0 * max(u_star, 1.0), 600),
+            u_star * np.linspace(0.5, 1.5, 201),
+        ])
+        return np.unique(np.concatenate([-pos, [0.0], pos]))
+
+    @pytest.mark.parametrize("p", [1.01, 1.1, 1.5, 1.9, 1.99, 2.0])
+    def test_bounds_the_hoelder_quotient_closely(self, p):
+        """|phi'(u) - phi'(v)| <= H_p |u - v|^(p-1) on all pairs of a grid, pairs across 0 included.
+
+        Each computed phi' carries a few ulps, allowed for as 8 eps L.  H_p is
+        within 10% of the grid's largest quotient, except at p = 1.99: there
+        p C_p is reached only at |u - v| far below what float64 resolves.
+        """
+        f = default_influence(p)
+        x = self.points(f)
+        slope = f.value_and_slope(x)[1]
+        diff = np.abs(slope[:, None] - slope[None, :])
+        h = np.abs(x[:, None] - x[None, :])
+        allowance = 8.0 * np.finfo(np.float64).eps * f.slope_bound
+        assert np.all(diff <= f.holder_bound * h ** (p - 1.0) + allowance)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            top = float(np.max(np.where(h > 0.0, diff / h ** (p - 1.0), 0.0)))
+        if p != 1.99:
+            assert f.holder_bound <= 1.1 * top
+
+    def test_quarter_at_p2(self):
+        """sup |phi''| = 1/4, reached where 1 + x + x^2/2 = 2, x = sqrt(3) - 1."""
+        f = default_influence(2.0)
+        assert f.holder_bound == 0.25
+        x = math.sqrt(3.0) - 1.0
+        h = 1e-6
+        curvature = (f.value_and_slope(x + h)[1] - f.value_and_slope(x - h)[1]) / (2.0 * h)
+        assert curvature == pytest.approx(-0.25, rel=1e-6)
+
+
 class TestInvert:
     def test_zero(self):
         assert make_influence(2.0, CATONI_CLASSIC_P2).invert(0.0) == 0.0
