@@ -15,11 +15,8 @@ Monte Carlo coverage/width experiments, cli the command-line front end.
 from .catoni_cs import (
     CatoniConfig,
     CatoniState,
-    epsilon_n,
     interval,
     new_state,
-    psi_sum,
-    supermartingale,
     update,
     width_bound,
 )
@@ -39,7 +36,7 @@ from .harness import (
 )
 from .influence import InfluenceFunction, catoni_constant, make_influence
 from .interval import ConfidenceInterval
-from .lower_bound import LilConfig, lil_floor, theta_n, y_variance_check
+from .lower_bound import LilConfig
 from .schedules import LambdaSchedule, PrefixSums, custom_list, power_law
 
 __version__ = "0.1.0"
@@ -64,24 +61,18 @@ __all__ = [
     "ds_tail_bound",
     "ds_update",
     "ds_width",
-    "epsilon_n",
     "gaussian",
     "interval",
-    "lil_floor",
     "m_p",
     "make_influence",
     "new_state",
     "power_law",
-    "psi_sum",
     "run_coverage",
     "run_width",
     "sample_stream",
     "student_t",
-    "supermartingale",
-    "theta_n",
     "true_vp",
     "two_point",
     "update",
     "width_bound",
-    "y_variance_check",
 ]

@@ -44,7 +44,7 @@ import numpy as np
 
 from .influence import InfluenceFunction, default_influence
 from .interval import ConfidenceInterval
-from .rootfind import bisect, solve_monotone
+from .rootfind import solve_monotone
 from .schedules import LambdaSchedule, PrefixSums
 
 TSpec = float | Callable[[int], float]
@@ -66,10 +66,10 @@ class CatoniConfig:
     v_p: float
     alpha: float
     schedule: LambdaSchedule
-    influence: InfluenceFunction | None = None
     t: TSpec = 0.5
     tau: TSpec = 0.1
     root_tol: float | None = None
+    influence: InfluenceFunction = field(init=False)
 
     def __post_init__(self):
         if not 1.0 < self.p <= 2.0:
@@ -78,12 +78,7 @@ class CatoniConfig:
             raise ValueError(f"v_p must be positive, got {self.v_p}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.influence is None:
-            object.__setattr__(self, "influence", default_influence(self.p))
-        if self.influence.p != self.p:
-            raise ValueError(
-                f"influence order {self.influence.p} does not match config p {self.p}"
-            )
+        object.__setattr__(self, "influence", default_influence(self.p))
         if isinstance(self.t, (int, float)) and not 0.0 < float(self.t) < 1.0:
             raise ValueError(f"t must lie in (0, 1), got {self.t}")
         if isinstance(self.tau, (int, float)) and not float(self.tau) > 0.0:
@@ -105,17 +100,11 @@ class CatoniConfig:
             return _callable_values(self.t, range(start, stop + 1), "t", in_range, "outside (0, 1)")
         return np.full(1, float(self.t))
 
-    def t_at(self, i: int) -> float:
-        return float(self.t_values(i, i)[0])
-
     def tau_values(self, ns: Sequence[int]) -> np.ndarray:
         """tau_n at each n in ns as float64; raises ValueError naming the first tau_n <= 0."""
         if callable(self.tau):
             return _callable_values(self.tau, ns, "tau", lambda v: v > 0.0, "must be positive")
         return np.full(len(ns), float(self.tau))
-
-    def tau_at(self, n: int) -> float:
-        return float(self.tau_values([n])[0])
 
 
 def _callable_values(
@@ -139,18 +128,14 @@ class CatoniState:
 
     All observations are kept: f_n(x) has no finite sufficient statistic
     across x, so memory is O(n) and an interval query costs O(n) per
-    root-finder iteration.  Single-owner mutable; the read-only queries
-    (psi_sum, interval) may run concurrently against a frozen snapshot.
+    root-finder iteration.  Single-owner mutable; interval may run
+    concurrently against a frozen snapshot.
     """
 
     schedule: LambdaSchedule
+    prefix: PrefixSums
     observations: list[float] = field(default_factory=list)
     lambdas: list[float] = field(default_factory=list)
-    prefix: PrefixSums | None = None
-
-    def __post_init__(self):
-        if self.prefix is None:
-            self.prefix = PrefixSums(p=self.schedule.p)
 
     @property
     def n(self) -> int:
@@ -164,7 +149,7 @@ class CatoniState:
 
 
 def new_state(config: CatoniConfig) -> CatoniState:
-    return CatoniState(schedule=config.schedule)
+    return CatoniState(schedule=config.schedule, prefix=PrefixSums(p=config.p))
 
 
 def update(state: CatoniState, x: float) -> CatoniState:
@@ -177,14 +162,6 @@ def update(state: CatoniState, x: float) -> CatoniState:
     state.lambdas.append(lam)
     state.prefix.push(lam)
     return state
-
-
-def psi_sum(state: CatoniState, config: CatoniConfig, x: float) -> float:
-    """f_n(x) = sum_i phi(lambda_i (X_i - x)); strictly decreasing in x."""
-    if state.n == 0:
-        raise ValueError("psi_sum requires at least one observation")
-    lam, xs = state.arrays()
-    return float(np.sum(config.influence(lam * (xs - x))))
 
 
 def target(config: CatoniConfig, sum_lambda_p: float) -> float:
@@ -357,32 +334,17 @@ def interval(state: CatoniState, config: CatoniConfig) -> ConfidenceInterval:
     """Confidence interval at the current n (n >= 1).
 
     lower solves f_n(x) = +target, upper solves f_n(x) = -target, each to
-    endpoint accuracy root_tol.  Intervals are reported raw (not
-    intersected over n); see running_intersection for the optional mode.
+    endpoint accuracy root_tol; not intersected over n.  Raises ValueError
+    on an empty state or one that sums lambda_i^p at another p than config.
     """
     if state.n == 0:
         raise ValueError("interval requires at least one observation")
+    if state.prefix.p != config.p:
+        raise ValueError(f"state sums lambda^p at p = {state.prefix.p}, config has p = {config.p}")
     lam, xs = state.arrays()
     tgt = target(config, state.prefix.sum_lambda_p)
     lower, upper = solve_interval_arrays(config.influence, lam, xs, tgt, config.root_tol)
     return ConfidenceInterval(lower, upper)
-
-
-def running_intersection(
-    intervals: Sequence[ConfidenceInterval],
-) -> list[tuple[float, float]]:
-    """Intersect intervals over n; preserves the coverage guarantee.
-
-    Returns raw (lower, upper) tuples because the intersection can become
-    empty (lower > upper) on the miscoverage event of probability <= alpha.
-    """
-    out: list[tuple[float, float]] = []
-    lo, hi = -math.inf, math.inf
-    for iv in intervals:
-        lo = max(lo, iv.lower)
-        hi = min(hi, iv.upper)
-        out.append((lo, hi))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +364,6 @@ def _schedule_sums(config: CatoniConfig, n: int) -> tuple[np.ndarray, np.ndarray
     np.cumsum(s_plus, out=s_plus)
     lam_p *= (1.0 - tv) ** -q
     return s1, s_plus, np.cumsum(lam_p, out=lam_p)
-
-
-def epsilon_n(config: CatoniConfig, n: int) -> float:
-    """eps_n = alpha * exp(-C_p v_p sum_i lambda_i^p (1 + t_i^-(p-1))).
-
-    Lies in (0, alpha], decreasing in n; eps_n = alpha exactly when the
-    exponent sum vanishes.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _, s_plus, _ = _schedule_sums(config, n)
-    return config.alpha * math.exp(-config.c_p * config.v_p * float(s_plus[-1]))
 
 
 def failure_budget(
@@ -506,114 +456,3 @@ def width_bound_curve(
     bounds = 4.0 * (1.0 + tau) * (cv_splus + log2a) / s1
     bounds[~condition] = np.nan
     return bounds, condition
-
-
-# ---------------------------------------------------------------------------
-# Supporting processes behind the width bound, exposed for the test harness
-# ---------------------------------------------------------------------------
-
-
-def log_supermartingale(
-    state: CatoniState,
-    config: CatoniConfig,
-    sign: int,
-    x: float,
-    mu: float | None = None,
-    use_t: bool = True,
-) -> float:
-    """log M_n^+(x) (sign=+1) or log M_n^-(x) (sign=-1).
-
-    mu is the true mean; it defaults to x, the case in which M_n^+- reduce
-    (together with t_i = 1, i.e. use_t=False) to the basic processes
-    exp(+-f_n(mu) - C_p v_p sum lambda_i^p).  Finite for every finite
-    input except the degenerate combination use_t=False with x != mu,
-    where the (1-t)^-(p-1) weight is infinite and the process is 0.
-    """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if state.n == 0:
-        return 0.0
-    mu = x if mu is None else float(mu)
-    lam, xs = state.arrays()
-    lam_p = lam**config.p
-    q = config.p - 1.0
-    if use_t:
-        tv = config.t_values(1, state.n)
-        s_t = float(np.sum(lam_p * tv**-q))
-        s_omt = float(np.sum(lam_p * (1.0 - tv) ** -q))
-    else:
-        s_t = float(np.sum(lam_p))
-        s_omt = math.inf
-    phi_sum = float(np.sum(config.influence(lam * (xs - x))))
-    sum_lam = float(np.sum(lam))
-    out = sign * phi_sum - sign * (mu - x) * sum_lam - config.c_p * config.v_p * s_t
-    gap = abs(mu - x) ** config.p
-    if gap > 0.0:
-        out -= config.c_p * gap * s_omt
-    return out
-
-
-def supermartingale(
-    state: CatoniState,
-    config: CatoniConfig,
-    sign: int,
-    x: float,
-    mu: float | None = None,
-    use_t: bool = True,
-) -> float:
-    """M_n^+-(x); nonnegative, mean at most 1 under the truth.
-
-    Computed in log space and exponentiated; +inf signals an overflow of
-    the final exp (the log value from log_supermartingale stays finite).
-    n = 0 gives the empty product 1.
-    """
-    logm = log_supermartingale(state, config, sign, x, mu, use_t)
-    with np.errstate(over="ignore"):
-        return float(np.exp(logm))
-
-
-def b_plus(config: CatoniConfig, n: int, x: float, mu: float) -> float:
-    """Deterministic bounding curve B_n^+(x); no data enters.
-
-    B_n^+(x) = (mu - x) sum lam + C_p v_p sum lam^p t^-(p-1)
-               + C_p |mu - x|^p sum lam^p (1-t)^-(p-1) + log(2/eps_n);
-    strictly convex in x with a unique minimum right of mu.
-    """
-    lam = config.schedule.head(n)
-    lam_p = lam**config.p
-    tv = config.t_values(1, n)
-    q = config.p - 1.0
-    s1 = float(np.sum(lam))
-    s_t = float(np.sum(lam_p * tv**-q))
-    s_omt = float(np.sum(lam_p * (1.0 - tv) ** -q))
-    log2eps = math.log(2.0 / epsilon_n(config, n))
-    return (
-        (mu - x) * s1
-        + config.c_p * config.v_p * s_t
-        + config.c_p * abs(mu - x) ** config.p * s_omt
-        + log2eps
-    )
-
-
-def b_plus_minimizer(config: CatoniConfig, n: int, mu: float) -> float:
-    """argmin of B_n^+: mu + (sum lam / (p C_p sum lam^p (1-t)^-(p-1)))^(1/(p-1))."""
-    s1, _, s_omt = _schedule_sums(config, n)
-    q = config.p - 1.0
-    return mu + (float(s1[-1]) / (config.p * config.c_p * float(s_omt[-1]))) ** (1.0 / q)
-
-
-def reduced_root(d: float, p: float, tol: float = 1e-14) -> float:
-    """Smallest positive root of y^p - y + D = 0, for D in (0, (p-1)/p * p^(-1/(p-1))].
-
-    The left-hand side decreases from D at y = 0 to its minimum at
-    y* = (1/p)^(1/(p-1)) and increases afterwards; the smallest root lies
-    in (0, y*].  Satisfies y(D) <= (1+tau) D whenever
-    D <= tau^(1/(p-1)) / (1+tau)^(p/(p-1)).
-    """
-    if d <= 0.0:
-        raise ValueError(f"D must be positive, got {d}")
-    y_star = (1.0 / p) ** (1.0 / (p - 1.0))
-    g = lambda y: y**p - y + d
-    if g(y_star) > 0.0:
-        raise ValueError(f"no real root: min of y^p - y + D is {g(y_star)} > 0")
-    return bisect(g, 0.0, y_star, tol)

@@ -58,6 +58,12 @@ _HARD_DEFAULTS = {
     "lil_a": None,
 }
 
+#: Keys whose config-file value must be a JSON integer or a JSON number; the
+#: rest take strings.  argparse gives the flags the same types.
+_INT_KEYS = {"n", "reps", "stride", "threads", "seed"}
+_NUMBER_KEYS = {"mean", "sigma", "shape", "scale", "df", "location", "p", "alpha", "schedule_c", "t", "tau", "b",
+                "lil_a"}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -124,12 +130,26 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key, hard in _HARD_DEFAULTS.items():
         cli_val = getattr(args, key, None)
         cfg[key] = cli_val if cli_val is not None else from_file.get(key, hard)
+        if key in from_file:
+            _check_file_value(key, from_file[key])
     cfg["command"] = args.command
     if args.command == "width" and getattr(args, "reps", None) is None and "reps" not in from_file:
         cfg["reps"] = 5  # root solves per checkpoint; keep the default run cheap
     if cfg["seed"] is None:
         cfg["seed"] = int(os.environ.get("HEAVYTAIL_CS_SEED", "0"))
     return cfg
+
+
+def _check_file_value(key: str, value) -> None:
+    """ValueError naming key unless value has the JSON type key takes (or is null where the default is None)."""
+    if key in _INT_KEYS:
+        ok, kind = type(value) is int, "an integer"  # not bool, an int subclass
+    elif key in _NUMBER_KEYS:
+        ok, kind = type(value) in (int, float), "a number"
+    else:
+        ok, kind = type(value) is str, "a string"
+    if not ok and not (value is None and _HARD_DEFAULTS[key] is None):
+        raise ValueError(f"config file: {key} must be {kind}, got {json.dumps(value)}")
 
 
 def _validate(cfg: dict) -> None:

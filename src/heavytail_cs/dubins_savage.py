@@ -125,10 +125,13 @@ def ds_interval(state: DsState, cfg: DsConfig) -> ConfidenceInterval:
     Rounds outward: where the float centre - radius (centre + radius)
     rounded inward, cutting into the radius, that endpoint moves one float
     down (up), so the interval always contains [centre - radius,
-    centre + radius] in exact arithmetic.
+    centre + radius] in exact arithmetic.  Raises ValueError on an empty
+    state, or on one that sums lambda_i^p at another p than the config's.
     """
     if state.n == 0:
         raise ValueError("ds_interval requires at least one observation")
+    if state.p != cfg.p:
+        raise ValueError(f"state sums lambda^p at p = {state.p}, config has p = {cfg.p}")
     center = state.sum_lambda_x / state.sum_lambda
     radius = ds_radius(cfg, state.sum_lambda, state.sum_lambda_p)
     lower, upper = center - radius, center + radius

@@ -16,32 +16,21 @@ with tangency at u* = sqrt(p(2-p))/(p-1).  In particular both envelope
 arguments stay strictly positive on the whole real line, so every
 function here is finite everywhere.
 
-Two variants are provided:
-
-* ``catoni_classic_p2`` -- the classical p = 2 form
-  log(1 + x + x^2/2) for x >= 0, -log(1 - x + x^2/2) for x < 0.
-  This function is odd, strictly increasing and 1-Lipschitz.
-* ``tight_upper_general_p`` -- phi equal to the upper envelope for
-  x >= 0 and, by odd symmetry, to the lower envelope for x < 0.  The
-  tightest admissible choice: it makes downstream confidence intervals
-  as narrow as the sandwich allows and is strictly increasing, so
-  interval endpoints are unique roots at every sample size.
-
-At p = 2 the two variants coincide.
+phi equals the upper envelope for x >= 0 and, by odd symmetry, the
+lower envelope for x < 0: the tightest admissible choice.  It makes
+confidence intervals as narrow as the sandwich allows, and it is strictly
+increasing, so interval endpoints are unique roots at every sample size.
+At p = 2 it is Catoni's classical log(1 + x + x^2/2) form, which is odd,
+strictly increasing and 1-Lipschitz.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .rootfind import solve_monotone
-
-CATONI_CLASSIC_P2 = "catoni_classic_p2"
-TIGHT_UPPER_GENERAL_P = "tight_upper_general_p"
-
-_VARIANTS = (CATONI_CLASSIC_P2, TIGHT_UPPER_GENERAL_P)
 
 #: Absolute tolerance of invert()'s root solve.
 INVERT_TOL = 1e-12
@@ -58,7 +47,7 @@ def catoni_constant(p: float) -> float:
 
 @dataclass(frozen=True)
 class InfluenceFunction:
-    """A nondecreasing influence function phi with its order p and constant C_p.
+    """The influence function phi of order p, with its constant C_p = catoni_constant(p).
 
     Besides phi and phi' it carries two closed-form constants that the
     solvers' certificates rest on: slope_bound (L_p >= sup phi') and
@@ -69,8 +58,10 @@ class InfluenceFunction:
     """
 
     p: float
-    c_p: float
-    variant: str
+    c_p: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "c_p", catoni_constant(self.p))
 
     def __call__(self, x):
         """Evaluate phi at x (scalar or ndarray); finite for all finite x."""
@@ -222,22 +213,20 @@ def _log_form(ax: np.ndarray, p: float, c_p: float) -> tuple[np.ndarray, np.ndar
     return p * np.log(ax) + np.log(c_p + inv_q + inv_p), (inv_p + p * c_p / ax) / (inv_p + inv_q + c_p)
 
 
-def make_influence(p: float, variant: str = TIGHT_UPPER_GENERAL_P) -> InfluenceFunction:
-    """Build an InfluenceFunction of order p.
+def make_influence(p: float, variant: str = "tight_upper_general_p") -> InfluenceFunction:
+    """The influence function of order p, under either of its two names.
 
-    `catoni_classic_p2` requires p = 2; `tight_upper_general_p` accepts any
-    p in (1, 2].  Raises ValueError on a p outside (1, 2] or a variant/p
-    mismatch.
+    `catoni_classic_p2` names its p = 2 form and `tight_upper_general_p`
+    the form at any p in (1, 2].  Raises ValueError on a p outside (1, 2],
+    an unknown name, or `catoni_classic_p2` with p != 2.
     """
-    if variant not in _VARIANTS:
+    if variant not in ("catoni_classic_p2", "tight_upper_general_p"):
         raise ValueError(f"unknown influence variant {variant!r}")
-    c_p = catoni_constant(p)  # also validates p
-    if variant == CATONI_CLASSIC_P2 and p != 2.0:
-        raise ValueError(f"variant {CATONI_CLASSIC_P2} requires p = 2, got p = {p}")
-    return InfluenceFunction(p=p, c_p=c_p, variant=variant)
+    if variant == "catoni_classic_p2" and p != 2.0:
+        raise ValueError(f"variant catoni_classic_p2 requires p = 2, got p = {p}")
+    return InfluenceFunction(p)
 
 
 def default_influence(p: float) -> InfluenceFunction:
-    """Classic form at p = 2, tight general form otherwise (they agree at 2)."""
-    variant = CATONI_CLASSIC_P2 if p == 2.0 else TIGHT_UPPER_GENERAL_P
-    return make_influence(p, variant)
+    """The influence function of order p; raises ValueError on a p outside (1, 2]."""
+    return InfluenceFunction(p)

@@ -1,5 +1,5 @@
 """Catoni confidence sequence: state, endpoints, width-bound machinery,
-supermartingales."""
+supermartingale means."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 
 from heavytail_cs import catoni_cs as cat
 from heavytail_cs.harness import centered_pareto, gaussian, sample_stream, true_vp
-from heavytail_cs.influence import CATONI_CLASSIC_P2, make_influence
+from heavytail_cs.rootfind import bisect
 from heavytail_cs.schedules import custom_list, power_law
 
 ALPHA = 0.05
@@ -28,6 +28,12 @@ def state_with(config, xs):
     return st
 
 
+def f_n(state, config, x):
+    """f_n(x) = sum_i phi(lambda_i (X_i - x)), as the endpoint solver evaluates it."""
+    lam, xs = state.arrays()
+    return cat._f_and_slope(config.influence, lam, xs, x)[0]
+
+
 class TestConfig:
     def test_alpha_validated(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -42,16 +48,16 @@ class TestConfig:
             config_p2(tau=0.0)
 
     def test_influence_order_must_match(self):
-        with pytest.raises(ValueError, match="influence order"):
-            cat.CatoniConfig(
-                p=1.5, v_p=1.0, alpha=0.1, schedule=power_law(1.0, 1.5),
-                influence=make_influence(2.0, CATONI_CLASSIC_P2),
-            )
+        """The influence function is set from p; it is not an argument."""
+        cfg = cat.CatoniConfig(p=1.5, v_p=1.0, alpha=0.1, schedule=power_law(1.0, 2.0))
+        assert cfg.influence.p == 1.5
+        with pytest.raises(TypeError):
+            cat.CatoniConfig(p=1.5, v_p=1.0, alpha=0.1, schedule=power_law(1.0, 1.5), influence=None)
 
     def test_callable_t_and_tau(self):
         cfg = config_p2(t=lambda i: 0.5 / (1 + 0.01 * i), tau=lambda n: 0.1 + 1.0 / n)
-        assert cfg.t_at(1) == pytest.approx(0.5 / 1.01)
-        assert cfg.tau_at(2) == pytest.approx(0.6)
+        assert cfg.t_values(1, 1)[0] == pytest.approx(0.5 / 1.01)
+        assert cfg.tau_values([2])[0] == pytest.approx(0.6)
 
     def test_callable_values_name_the_first_bad_index(self):
         cfg = config_p2(t=lambda i: 0.5 if i < 7 else 1.0 + i, tau=lambda n: 1.0 - n / 5.0)
@@ -91,28 +97,30 @@ class TestState:
 
 
 class TestPsiSum:
+    """f_n, the sum whose level crossings are the endpoints."""
+
     def test_zero_at_observation(self):
         cfg = config_p2(schedule=custom_list([1.0]))
         st = state_with(cfg, [2.0])
-        assert cat.psi_sum(st, cfg, 2.0) == 0.0
+        assert f_n(st, cfg, 2.0) == 0.0
 
     def test_single_obs_value(self):
         cfg = config_p2(schedule=custom_list([0.5]))
         st = state_with(cfg, [2.0])
-        assert cat.psi_sum(st, cfg, 0.0) == pytest.approx(math.log(2.5), rel=1e-15)
+        assert f_n(st, cfg, 0.0) == pytest.approx(math.log(2.5), rel=1e-15)
 
     def test_strictly_decreasing(self):
         cfg = config_p2()
         rng = np.random.default_rng(7)
         st = state_with(cfg, rng.standard_t(3, size=40).tolist())
         xs = np.linspace(-5, 5, 21)
-        vals = [cat.psi_sum(st, cfg, float(x)) for x in xs]
+        vals = [f_n(st, cfg, float(x)) for x in xs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_empty_state_rejected(self):
         cfg = config_p2()
-        with pytest.raises(ValueError):
-            cat.psi_sum(cat.new_state(cfg), cfg, 0.0)
+        with pytest.raises(ValueError, match="at least one observation"):
+            cat.interval(cat.new_state(cfg), cfg)
 
 
 class TestInterval:
@@ -134,8 +142,8 @@ class TestInterval:
         iv = cat.interval(st, cfg)
         # mapped tolerance: |f(root) - target| <= |f'| * root_tol <= sum(lam) * tol
         slack = st.prefix.sum_lambda * 1e-8
-        assert cat.psi_sum(st, cfg, iv.lower) == pytest.approx(tgt, abs=slack)
-        assert cat.psi_sum(st, cfg, iv.upper) == pytest.approx(-tgt, abs=slack)
+        assert f_n(st, cfg, iv.lower) == pytest.approx(tgt, abs=slack)
+        assert f_n(st, cfg, iv.upper) == pytest.approx(-tgt, abs=slack)
         assert iv.lower <= iv.upper
 
     def test_near_degenerate_targets(self):
@@ -170,20 +178,7 @@ class TestInterval:
         assert iv.lower < iv.upper
         tgt = cat.target(cfg, st.prefix.sum_lambda_p)
         slack = st.prefix.sum_lambda * 1e-7
-        assert cat.psi_sum(st, cfg, iv.lower) == pytest.approx(tgt, abs=slack)
-
-    def test_running_intersection(self):
-        cfg = config_p2()
-        st = cat.new_state(cfg)
-        ivs = []
-        for x in (0.3, -0.2, 0.9, 0.1):
-            cat.update(st, x)
-            ivs.append(cat.interval(st, cfg))
-        inter = cat.running_intersection(ivs)
-        los, his = zip(*inter)
-        assert all(a <= b for a, b in zip(los, los[1:]))  # lowers nondecreasing
-        assert all(a >= b for a, b in zip(his, his[1:]))  # uppers nonincreasing
-        assert all(lo >= iv.lower and hi <= iv.upper for (lo, hi), iv in zip(inter, ivs))
+        assert f_n(st, cfg, iv.lower) == pytest.approx(tgt, abs=slack)
 
     def test_endpoints_beyond_float_range_are_infinite(self):
         """The ds_optimal weights at p = 1.5 make the band exceed f_n at every
@@ -194,6 +189,28 @@ class TestInterval:
                                schedule=ds_optimal_schedule(DsConfig(1.5, 1.0, 0.05)))
         iv = cat.interval(state_with(cfg, [0.1, -0.2, 0.3]), cfg)
         assert (iv.lower, iv.upper) == (-math.inf, math.inf)
+
+    def test_band_sums_lambda_at_config_p(self):
+        """A p = 2 schedule under a p = 1.5 config: the band takes
+        sum lambda_i^1.5 (target 32.27), not sum lambda_i^2 (13.72), and the
+        streaming interval (width 0.694, not 0.295) equals the batch solve."""
+        dist = centered_pareto(1.9)
+        cfg = cat.CatoniConfig(p=1.5, v_p=true_vp(dist, 1.5), alpha=0.05, schedule=power_law(1.0, 2.0))
+        x = sample_stream(dist, 3, 2000)
+        st = state_with(cfg, x.tolist())
+        lam = cfg.schedule.head(2000)
+        tgt = cat.target(cfg, float(np.sum(lam**1.5)))
+        assert st.prefix.sum_lambda_p == pytest.approx(float(np.sum(lam**1.5)), rel=1e-13)
+        assert tgt == pytest.approx(32.27, abs=0.01)
+        iv = cat.interval(st, cfg)
+        lower, upper = cat.solve_interval_arrays(cfg.influence, lam, x, tgt)
+        assert (iv.lower, iv.upper) == pytest.approx((lower, upper), rel=1e-12)
+
+    def test_state_p_must_match_config(self):
+        cfg = config_p2()
+        st = state_with(cat.CatoniConfig(p=1.5, v_p=1.0, alpha=ALPHA, schedule=power_law(1.0, 2.0)), [0.1, 0.2])
+        with pytest.raises(ValueError, match="p = 1.5, config has p = 2.0"):
+            cat.interval(st, cfg)
 
 
 class TestSolveBudget:
@@ -237,19 +254,7 @@ class TestSolveBudget:
 
 
 class TestEpsilonN:
-    def test_single_step_value(self):
-        cfg = config_p2(schedule=custom_list([1.0]), t=0.5)
-        assert cat.epsilon_n(cfg, 1) == pytest.approx(ALPHA * math.exp(-1.5), rel=1e-14)
-
-    def test_vacuous_exponent_gives_alpha(self):
-        cfg = config_p2(schedule=power_law(1e-200, 2.0))
-        assert cat.epsilon_n(cfg, 3) == pytest.approx(ALPHA, rel=1e-15)
-
-    def test_in_range_and_decreasing(self):
-        cfg = config_p2()
-        vals = [cat.epsilon_n(cfg, n) for n in (1, 2, 5, 10, 100)]
-        assert all(0.0 < v <= ALPHA for v in vals)
-        assert all(a > b for a, b in zip(vals, vals[1:]))
+    """failure_budget, the sum of eps_n."""
 
     def test_failure_budget_finite_power_law(self):
         """alpha * sum eps_n converges; summed to term < 1e-16."""
@@ -272,7 +277,7 @@ def failure_budget_prefix_rebuild(config, term_floor, chunk=1 << 20, max_terms=1
         stop = min(start + chunk - 1, max_terms)
         lam = config.schedule.head(stop)[start - 1 :]
         if callable(config.t):
-            t_factor = 1.0 + np.array([config.t_at(i) for i in range(start, stop + 1)]) ** -q
+            t_factor = 1.0 + np.array([config.t_values(i, i)[0] for i in range(start, stop + 1)]) ** -q
         else:
             t_factor = 1.0 + float(config.t) ** -q
         expos = expo + np.cumsum(cv * lam**config.p * t_factor)
@@ -403,32 +408,6 @@ class TestWidthBound:
 
 
 class TestSupermartingale:
-    def test_empty_product(self):
-        cfg = config_p2()
-        st = cat.new_state(cfg)
-        assert cat.supermartingale(st, cfg, +1, 0.0) == 1.0
-
-    def test_single_obs_basic_form(self):
-        cfg = config_p2(schedule=custom_list([1.0]))
-        st = state_with(cfg, [2.0])
-        out = cat.supermartingale(st, cfg, +1, 2.0, use_t=False)
-        assert out == pytest.approx(math.exp(0.0 - 0.5 * 1.0 * 1.0), rel=1e-14)
-
-    def test_general_x_terms(self):
-        """Hand-built single-observation evaluation of the general process."""
-        cfg = config_p2(schedule=custom_list([0.5]), t=0.25)
-        st = state_with(cfg, [1.0])
-        mu, x = 0.2, -0.3
-        lam = 0.5
-        phi = cfg.influence(lam * (1.0 - x))
-        expect = math.exp(
-            -phi
-            + (mu - x) * lam
-            - 0.5 * 1.0 * lam**2 * (1.0 / 0.25)
-            - 0.5 * abs(mu - x) ** 2 * lam**2 * (1.0 / 0.75)
-        )
-        assert cat.supermartingale(st, cfg, -1, x, mu=mu) == pytest.approx(expect, rel=1e-12)
-
     def test_mc_mean_at_most_one(self):
         """Sample means of M_n^+ and M_n^- stay within 1 + 3 se (small run;
         the acceptance suite runs the full 1e4-replication version)."""
@@ -443,44 +422,24 @@ class TestSupermartingale:
             se = m.std() / math.sqrt(m.size)
             assert m.mean() <= 1.0 + 3.0 * se
 
-    def test_state_path_matches_vectorized(self):
-        cfg = config_p2()
-        rng = np.random.default_rng(31)
-        xs = rng.normal(size=50)
-        st = state_with(cfg, xs.tolist())
-        lam = cfg.schedule.head(50)
-        expect = float(np.exp(np.sum(cfg.influence(lam * xs)) - 0.5 * np.sum(lam**2)))
-        assert cat.supermartingale(st, cfg, +1, 0.0, use_t=False) == pytest.approx(expect, rel=1e-12)
-
 
 class TestWidthBoundInternals:
     """Supporting quantities behind the width bound."""
 
-    def test_b_plus_convex_with_closed_form_minimizer(self):
-        cfg = cat.CatoniConfig(p=1.5, v_p=1.3, alpha=0.1, schedule=power_law(1.0, 1.5))
-        n, mu = 50, 0.7
-        z = cat.b_plus_minimizer(cfg, n, mu)
-        assert z > mu
-        grid = np.linspace(z - 0.5, z + 0.5, 101)
-        vals = [cat.b_plus(cfg, n, float(g), mu) for g in grid]
-        assert min(vals) >= cat.b_plus(cfg, n, z, mu) - 1e-9
-        d2 = np.diff(vals, 2)
-        assert np.all(d2 > -1e-9)  # convex along the grid
-
     @pytest.mark.parametrize("p", [1.3, 1.5, 2.0])
     @pytest.mark.parametrize("tau", [0.05, 0.1, 0.5, 1.0])
     def test_reduced_root_bound(self, p, tau):
-        """y(D) <= (1 + tau) D whenever D <= tau^(1/(p-1))/(1+tau)^(p/(p-1))."""
+        """The lemma behind width_bound_curve's condition: the smallest positive
+        root y(D) of y^p - y + D = 0 (in (0, y*], y* = p^(-1/(p-1)) the
+        minimizer) obeys y(D) <= (1 + tau) D whenever
+        D <= tau^(1/(p-1)) / (1+tau)^(p/(p-1))."""
         d_max = tau ** (1.0 / (p - 1.0)) / (1.0 + tau) ** (p / (p - 1.0))
+        y_star = (1.0 / p) ** (1.0 / (p - 1.0))
         for frac in (0.1, 0.5, 0.9, 1.0):
             d = frac * d_max
-            y = cat.reduced_root(d, p)
+            y = bisect(lambda v: v**p - v + d, 0.0, y_star, 1e-14)
             assert y ** p - y + d == pytest.approx(0.0, abs=1e-12)
             assert y <= (1.0 + tau) * d * (1.0 + 1e-9)
-
-    def test_reduced_root_rejects_large_d(self):
-        with pytest.raises(ValueError):
-            cat.reduced_root(1.0, 2.0)  # min of y^2 - y + 1 is 3/4 > 0
 
     def test_endpoint_inside_b_plus_root_bound(self):
         """On the conservative event, the upper endpoint stays below

@@ -199,6 +199,16 @@ class TestConfigFileAndEnv:
     def test_missing_config_file(self, capsys):
         assert run_cli(["coverage", "--dist", "gaussian", "--config", "/no/such.json"]) == 2
 
+    @pytest.mark.parametrize("entry", [{"n": "100"}, {"threads": "2"}, {"p": "1.5"}, {"reps": 2.5},
+                                       {"alpha": True}, {"method": None}],
+                             ids=["n", "threads", "p", "reps", "alpha", "method"])
+    def test_wrong_type_in_config_file_is_usage_error(self, tmp_path, capsys, entry):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"n": 50, "reps": 2, **entry}))
+        assert run_cli(["coverage", "--dist", "gaussian", "--config", str(cfg_path)]) == 2
+        (key,) = entry
+        assert f"error: config file: {key} must be" in capsys.readouterr().err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["csv", "json"])

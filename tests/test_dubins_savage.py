@@ -103,6 +103,13 @@ class TestInterval:
         with pytest.raises(ValueError):
             ds.ds_interval(ds.DsState(p=2.0), ds.DsConfig(2.0, 1.0, 0.05))
 
+    def test_state_p_must_match_config(self):
+        """A DsState summing lambda^2 under a p = 1.5 config would give a
+        radius built from the wrong moment sum."""
+        st = ds.ds_update(ds.DsState(p=2.0), custom_list([0.5]), 0.0)
+        with pytest.raises(ValueError, match="p = 2.0, config has p = 1.5"):
+            ds.ds_interval(st, ds.DsConfig(1.5, 1.0, 0.05))
+
     def test_lambda_scaling_identity(self):
         """Scaling lambda by kappa: centre unchanged; the a part of the
         radius scales by 1/kappa and the moment part by kappa^(p-1)."""

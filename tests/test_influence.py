@@ -6,13 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from heavytail_cs.influence import (
-    CATONI_CLASSIC_P2,
-    TIGHT_UPPER_GENERAL_P,
-    catoni_constant,
-    default_influence,
-    make_influence,
-)
+from heavytail_cs.influence import catoni_constant, default_influence, make_influence
 
 P_GRID = [1.1, 1.5, 1.9, 2.0]
 
@@ -55,26 +49,27 @@ class TestConstant:
 class TestConstruction:
     def test_classic_requires_p2(self):
         with pytest.raises(ValueError):
-            make_influence(1.5, CATONI_CLASSIC_P2)
+            make_influence(1.5, "catoni_classic_p2")
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             make_influence(2.0, "huber")
 
     def test_variants_coincide_at_p2(self):
-        classic = make_influence(2.0, CATONI_CLASSIC_P2)
-        tight = make_influence(2.0, TIGHT_UPPER_GENERAL_P)
+        classic = make_influence(2.0, "catoni_classic_p2")
+        tight = make_influence(2.0, "tight_upper_general_p")
         x = sign_grid()
         np.testing.assert_allclose(classic(x), tight(x), rtol=0, atol=0)
 
     def test_default_variant_selection(self):
-        assert default_influence(2.0).variant == CATONI_CLASSIC_P2
-        assert default_influence(1.5).variant == TIGHT_UPPER_GENERAL_P
+        assert default_influence(2.0) == make_influence(2.0, "catoni_classic_p2")
+        assert default_influence(1.5) == make_influence(1.5, "tight_upper_general_p")
+        assert default_influence(1.5).c_p == catoni_constant(1.5)
 
 
 class TestEvaluation:
     def test_classic_at_one(self):
-        f = make_influence(2.0, CATONI_CLASSIC_P2)
+        f = make_influence(2.0, "catoni_classic_p2")
         assert f(1.0) == pytest.approx(math.log(2.5), rel=1e-15)
 
     def test_zero(self):
@@ -116,7 +111,7 @@ class TestEvaluation:
         assert np.all(np.diff(v) >= 0.0)
 
     def test_classic_is_one_lipschitz(self):
-        f = make_influence(2.0, CATONI_CLASSIC_P2)
+        f = make_influence(2.0, "catoni_classic_p2")
         x = sign_grid()
         v = f(x)
         # all grid pairs x1 < x2, not only neighbours
@@ -252,19 +247,19 @@ class TestHolderBound:
 
 class TestInvert:
     def test_zero(self):
-        assert make_influence(2.0, CATONI_CLASSIC_P2).invert(0.0) == 0.0
+        assert make_influence(2.0, "catoni_classic_p2").invert(0.0) == 0.0
 
     @pytest.mark.parametrize("y", [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
     def test_p2_closed_form_oracle(self, y):
         """Bisection path against x = -1 + sqrt(2 e^y - 1)."""
-        f = make_influence(2.0, CATONI_CLASSIC_P2)
+        f = make_influence(2.0, "catoni_classic_p2")
         assert f.invert(y) == pytest.approx(-1.0 + math.sqrt(2.0 * math.exp(y) - 1.0), abs=1e-11)
         # odd symmetry carries the oracle to negative targets
         assert f.invert(-y) == pytest.approx(1.0 - math.sqrt(2.0 * math.exp(y) - 1.0), abs=1e-11)
 
     def test_closed_form_value(self):
         # frozen: -1 + sqrt(2 e^2 - 1) at 40 digits
-        f = make_influence(2.0, CATONI_CLASSIC_P2)
+        f = make_influence(2.0, "catoni_classic_p2")
         assert f.invert(2.0) == pytest.approx(2.7118879559950756216, abs=1e-11)
 
     @pytest.mark.parametrize("p", P_GRID)

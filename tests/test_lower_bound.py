@@ -1,27 +1,27 @@
 """Iterated-logarithm width floor and the Y-moment asymptotics."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from heavytail_cs import catoni_cs as cat
-from heavytail_cs.harness import gaussian, two_point
-from heavytail_cs.lower_bound import (
-    LilConfig,
-    lil_floor,
-    lil_floor_curve,
-    lil_trace,
-    theta_n,
-    y_variance_check,
-)
-from heavytail_cs.schedules import power_law
+from heavytail_cs.harness import gaussian, sample_stream, true_std, two_point
+from heavytail_cs.influence import default_influence
+from heavytail_cs.lower_bound import LilConfig, lil_floor_curve, lil_trace
+from heavytail_cs.schedules import custom_list, power_law
 
 
 def lil_config(**kw):
     base = dict(sigma=1.0, schedule=power_law(1.0, 2.0))
     base.update(kw)
     return LilConfig(**base)
+
+
+def floor_at(cfg, n):
+    """The floor at n, read off the curve; NaN while it does not apply."""
+    return float(lil_floor_curve(cfg, n)[n - 1])
 
 
 class TestConfig:
@@ -34,84 +34,93 @@ class TestConfig:
         with pytest.raises(ValueError):
             lil_config(a=0.0)
 
-    def test_vartheta_range(self):
-        with pytest.raises(ValueError):
-            lil_config(vartheta=1.5)
-
-
 class TestFloor:
     def test_not_applicable_while_sum_below_e(self):
         # harmonic sums: H_8 = 2.71786 < e < H_9 = 2.82897
-        cfg = lil_config()
-        assert lil_floor(cfg, 8) is None
-        assert lil_floor(cfg, 9) is not None
+        curve = lil_floor_curve(lil_config(), 9)
+        assert math.isnan(curve[7])
+        assert not math.isnan(curve[8])
 
     def test_harmonic_sum_oracle_at_1e4(self):
         """Frozen 40-digit evaluation: H_1e4 = 9.78761, sum(1/sqrt<i>) =
         198.54465, floor(a = sqrt(2)) = 0.0202364."""
         cfg = lil_config()
-        assert lil_floor(cfg, 10**4) == pytest.approx(0.020236429581193454, rel=1e-12)
+        assert floor_at(cfg, 10**4) == pytest.approx(0.020236429581193454, rel=1e-12)
 
     def test_linear_in_a(self):
-        lo = lil_floor(lil_config(a=0.5), 1000)
-        hi = lil_floor(lil_config(a=1.5), 1000)
+        lo = floor_at(lil_config(a=0.5), 1000)
+        hi = floor_at(lil_config(a=1.5), 1000)
         assert hi == pytest.approx(3.0 * lo, rel=1e-12)
 
     def test_curve_matches_scalar(self):
+        """The floor at n does not depend on how far the curve runs."""
         cfg = lil_config()
         curve = lil_floor_curve(cfg, 200)
         for n in (1, 8, 9, 50, 200):
-            scalar = lil_floor(cfg, n)
-            if scalar is None:
-                assert math.isnan(curve[n - 1])
-            else:
-                assert scalar == pytest.approx(curve[n - 1], rel=1e-12)
+            np.testing.assert_array_equal(lil_floor_curve(cfg, n), curve[:n])
 
 
 class TestTheta:
+    """theta_n = s_n (2 log log s_n^2)^(1/2) as lil_trace divides by it: one
+    +-1 draw (sigma = 1) with lambda_1 = s_1."""
+
+    @staticmethod
+    def one_step_trace(lam):
+        dist = two_point([-1, 1], [0.5, 0.5])
+        y = default_influence(2.0)(lam * sample_stream(dist, 113, 1)[0])
+        return y, lil_trace(dist, custom_list([lam]), 1, seed=113)["ratio"][0]
+
     def test_e_squared_value(self):
         # s_n^2 = e^2: theta = e sqrt(2 log 2) = 3.20053226884937
-        assert theta_n(math.e) == pytest.approx(3.2005322688493702, rel=1e-13)
+        y, ratio = self.one_step_trace(math.e)
+        assert y / ratio == pytest.approx(3.2005322688493702, rel=1e-13)
 
     def test_not_applicable(self):
-        assert theta_n(1.6) is None  # 1.6^2 = 2.56 < e
-        assert theta_n(1.0) is None
+        assert math.isnan(self.one_step_trace(1.6)[1])  # 1.6^2 = 2.56 < e
+        assert math.isnan(self.one_step_trace(1.0)[1])
 
-    def test_monotone_increasing(self):
-        grid = np.linspace(math.sqrt(math.e) + 0.05, 50.0, 60)
-        vals = [theta_n(float(s)) for s in grid]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            theta_n(0.0)
+YRow = namedtuple("YRow", "lam var_ratio mean_abs mean_bound mean_std_err")
+
+
+def y_moments(dist, i_max, reps, seed):
+    """Monte Carlo moments of Y = psi(lambda_i (X - mu)), psi the p = 2 influence
+    function and lambda_i = i^(-1/2), at i on a 6-point log grid up to i_max:
+    `reps` draws (replication k for the k-th grid point) per row."""
+    psi = default_influence(2.0)
+    sigma2 = true_std(dist) ** 2
+    grid = sorted(set(np.geomspace(1, i_max, 6).astype(int).tolist()))
+    rows = []
+    for k, i in enumerate(grid):
+        lam = power_law(1.0, 2.0).at(i)
+        y = psi(lam * (sample_stream(dist, seed, reps, rep=k) - dist.true_mean))
+        rows.append(YRow(lam, float(np.var(y)) / (lam * lam * sigma2), abs(float(np.mean(y))),
+                         lam * lam * sigma2 / 2.0, float(np.std(y)) / math.sqrt(reps)))
+    return rows
 
 
 class TestYMoments:
+    """Var(Y_i) ~ lambda_i^2 sigma^2 as lambda_i -> 0, the premise of theta_n."""
+
     def test_small_lambda_ratio_near_one(self):
         """Var(psi(lambda X)) / (lambda^2 sigma^2) in [0.99, 1.01] at
         lambda = 1e-3 with 1e6 Gaussian samples (Taylor regime)."""
-        rows = y_variance_check(gaussian(0, 1), power_law(1.0, 2.0), i_max=10**6, reps=10**6, seed=101)
-        tail = rows[-1]
+        tail = y_moments(gaussian(0, 1), i_max=10**6, reps=10**6, seed=101)[-1]
         assert tail.lam == pytest.approx(1e-3, rel=1e-12)
         assert 0.99 <= tail.var_ratio <= 1.01
 
     def test_large_lambda_damps_variance(self):
-        rows = y_variance_check(gaussian(0, 1), power_law(1.0, 2.0), i_max=10**6, reps=10**5, seed=103)
-        head = rows[0]
+        head = y_moments(gaussian(0, 1), i_max=10**6, reps=10**5, seed=103)[0]
         assert head.lam == 1.0
         assert head.var_ratio < 0.9  # psi clips the tails
 
     def test_ratio_climbs_toward_one(self):
-        rows = y_variance_check(gaussian(0, 1), power_law(1.0, 2.0), i_max=10**6, reps=10**5, seed=105)
-        ratios = [r.var_ratio for r in rows]
-        assert ratios[0] < ratios[-1]
+        rows = y_moments(gaussian(0, 1), i_max=10**6, reps=10**5, seed=105)
+        assert rows[0].var_ratio < rows[-1].var_ratio
 
     def test_mean_bound(self):
         """|E Y| <= lambda^2 sigma^2 / 2 up to 3 MC standard errors."""
-        rows = y_variance_check(two_point([-1, 1], [0.5, 0.5]), power_law(1.0, 2.0),
-                                i_max=10**4, reps=2 * 10**5, seed=107)
-        for r in rows:
+        for r in y_moments(two_point([-1, 1], [0.5, 0.5]), i_max=10**4, reps=2 * 10**5, seed=107):
             assert r.mean_abs <= r.mean_bound + 3.0 * r.mean_std_err
 
 
@@ -138,14 +147,14 @@ class TestFloorVsWidth:
         the two scale as sqrt(S2 loglog S2)/S1 vs (S2 + const)/S1."""
         cfg = cat.CatoniConfig(p=2.0, v_p=1.0, alpha=0.05, schedule=power_law(1.0, 2.0))
         lil = lil_config()
+        floor = lil_floor_curve(lil, 10**5)
         for n in (1000, 10**4, 10**5):
-            floor = lil_floor(lil, n)
             bound = cat.width_bound(cfg, n)
-            assert floor is not None and bound is not None
-            assert 0.0 < floor / bound <= 1.0
+            assert bound is not None
+            assert 0.0 < floor[n - 1] / bound <= 1.0
         # shape: the bound/floor ratio grows like sqrt(S2)/sqrt(loglog S2)
-        r1 = cat.width_bound(cfg, 10**3) / lil_floor(lil, 10**3)
-        r2 = cat.width_bound(cfg, 10**5) / lil_floor(lil, 10**5)
+        r1 = cat.width_bound(cfg, 10**3) / floor[10**3 - 1]
+        r2 = cat.width_bound(cfg, 10**5) / floor[10**5 - 1]
         assert r2 > r1 > 1.0
 
     def test_empirical_widths_beat_floor_at_checkpoints(self):
