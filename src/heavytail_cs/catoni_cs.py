@@ -58,8 +58,7 @@ class CatoniConfig:
     defaults t = 1/2, tau = 0.1 keep (t_n) bounded away from 0 and tau_n a
     small positive constant, which makes the width-bound condition (see
     `width_bound_curve`) true for all large n.  v_p is a trusted upper
-    bound on E|X - mu|^p; no estimation is attempted.  root_tol = None
-    means 1e-9 * max(1, |weighted mean|), resolved per interval query.
+    bound on E|X - mu|^p; no estimation is attempted.
     """
 
     p: float
@@ -68,7 +67,6 @@ class CatoniConfig:
     schedule: LambdaSchedule
     t: TSpec = 0.5
     tau: TSpec = 0.1
-    root_tol: float | None = None
     influence: InfluenceFunction = field(init=False)
 
     def __post_init__(self):
@@ -83,8 +81,6 @@ class CatoniConfig:
             raise ValueError(f"t must lie in (0, 1), got {self.t}")
         if isinstance(self.tau, (int, float)) and not float(self.tau) > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.root_tol is not None and self.root_tol <= 0.0:
-            raise ValueError(f"root_tol must be positive, got {self.root_tol}")
 
     @property
     def c_p(self) -> float:
@@ -164,8 +160,8 @@ def update(state: CatoniState, x: float) -> CatoniState:
     return state
 
 
-def target(config: CatoniConfig, sum_lambda_p: float) -> float:
-    """Band half-height log(2/alpha) + C_p v_p sum(lambda_i^p)."""
+def target(config: CatoniConfig, sum_lambda_p):
+    """Band half-height log(2/alpha) + C_p v_p sum(lambda_i^p); elementwise over an array of sums."""
     return math.log(2.0 / config.alpha) + config.c_p * config.v_p * sum_lambda_p
 
 
@@ -300,7 +296,8 @@ def solve_interval_arrays(
     tgt: float,
     root_tol: float | None = None,
 ) -> tuple[float, float]:
-    """Both endpoint roots of sum phi(lambda_i (X_i - x)) = +-tgt, each to within root_tol.
+    """Both endpoint roots of sum phi(lambda_i (X_i - x)) = +-tgt, each to within
+    root_tol (None: 1e-9 * max(1, |xhat|)).
 
     Both endpoints start safeguarded Newton (solve_monotone) from one shared
     evaluation of f_n and f_n' at the weighted mean
@@ -334,8 +331,9 @@ def interval(state: CatoniState, config: CatoniConfig) -> ConfidenceInterval:
     """Confidence interval at the current n (n >= 1).
 
     lower solves f_n(x) = +target, upper solves f_n(x) = -target, each to
-    endpoint accuracy root_tol; not intersected over n.  Raises ValueError
-    on an empty state or one that sums lambda_i^p at another p than config.
+    solve_interval_arrays' default root_tol; not intersected over n.
+    Raises ValueError on an empty state or one that sums lambda_i^p at
+    another p than config.
     """
     if state.n == 0:
         raise ValueError("interval requires at least one observation")
@@ -343,7 +341,7 @@ def interval(state: CatoniState, config: CatoniConfig) -> ConfidenceInterval:
         raise ValueError(f"state sums lambda^p at p = {state.prefix.p}, config has p = {config.p}")
     lam, xs = state.arrays()
     tgt = target(config, state.prefix.sum_lambda_p)
-    lower, upper = solve_interval_arrays(config.influence, lam, xs, tgt, config.root_tol)
+    lower, upper = solve_interval_arrays(config.influence, lam, xs, tgt)
     return ConfidenceInterval(lower, upper)
 
 

@@ -6,6 +6,10 @@ JSON as a top-level "config" object).  The thread count is an execution
 detail, not configuration, and is deliberately not embedded: identical
 (config, seed) must produce byte-identical files at any --threads.
 
+Each setting is stated once, in `_OPTIONS`.  Flags override `--config`
+JSON file values, which override the table defaults; a file value gets its
+flag's checks (known key, taken by the command, JSON type, choices).
+
 Exit codes: 0 success, 2 usage or validation error, 1 runtime error.
 """
 
@@ -18,6 +22,7 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,42 +32,54 @@ from .lower_bound import LilConfig, lil_floor_curve, lil_trace
 from .schedules import LambdaSchedule, custom_list, power_law
 from .svg import line_chart
 
-_HARD_DEFAULTS = {
-    "method": "catoni",
-    "dist": None,
-    "mean": 0.0,
-    "sigma": 1.0,
-    "shape": 1.9,
-    "scale": 1.0,
-    "df": 1.8,
-    "location": 0.0,
-    "values": "-1,1",
-    "probs": "0.5,0.5",
-    "p": 2.0,
-    "alpha": 0.05,
-    "n": 10000,
-    "reps": 100,
-    "seed": None,
-    "schedule": None,
-    "schedule_c": 1.0,
-    "schedule_values": None,
-    "t": 0.5,
-    "tau": 0.1,
-    "b": 1.0,
-    "stride": 1,
-    "threads": 1,
-    "format": "csv",
-    "out": None,
-    "svg": None,
-    "checkpoints": None,
-    "lil_a": None,
+_COMMANDS = {
+    "coverage": "uniform-in-time miscoverage experiment",
+    "width": "interval widths, bounds and shrinkage slope",
+    "lil-check": "Catoni width against the iterated-logarithm floor (p = 2)",
 }
 
-#: Keys whose config-file value must be a JSON integer or a JSON number; the
-#: rest take strings.  argparse gives the flags the same types.
-_INT_KEYS = {"n", "reps", "stride", "threads", "seed"}
-_NUMBER_KEYS = {"mean", "sigma", "shape", "scale", "df", "location", "p", "alpha", "schedule_c", "t", "tau", "b",
-                "lil_a"}
+
+class _Option(NamedTuple):
+    type: type
+    default: object
+    commands: tuple[str, ...] = tuple(_COMMANDS)
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+
+#: Every setting: type, default, commands that take it, choices, help.  The
+#: flag is "--" + key with "_" as "-" and defaults to None, so that a
+#: config-file value can be told from an unset flag.
+_OPTIONS = {
+    "method": _Option(str, "catoni", ("coverage", "width"), ("catoni", "ds", "both")),
+    "dist": _Option(str, None, choices=("gaussian", "centered_pareto", "student_t", "two_point")),
+    "mean": _Option(float, 0.0, help="gaussian mean"),
+    "sigma": _Option(float, 1.0, help="gaussian std dev"),
+    "shape": _Option(float, 1.9, help="pareto tail index in (1,2]"),
+    "scale": _Option(float, 1.0, help="pareto scale"),
+    "df": _Option(float, 1.8, help="student-t degrees of freedom in (1,2]"),
+    "location": _Option(float, 0.0, help="student-t location"),
+    "values": _Option(str, "-1,1", help="two-point values, comma separated"),
+    "probs": _Option(str, "0.5,0.5", help="two-point probabilities, comma separated"),
+    "p": _Option(float, 2.0, help="moment order in (1,2]"),
+    "alpha": _Option(float, 0.05),
+    "n": _Option(int, 10000, help="stream horizon N"),
+    "reps": _Option(int, 100, ("coverage", "width"), help="replications (width: per checkpoint, default 5)"),
+    "seed": _Option(int, None, help="defaults to $HEAVYTAIL_CS_SEED, else 0"),
+    "schedule": _Option(str, None, choices=("power_law", "ds_optimal", "custom_list")),
+    "schedule_c": _Option(float, 1.0, help="power-law scale c"),
+    "schedule_values": _Option(str, None, help="custom schedule values"),
+    "t": _Option(float, 0.5, help="width-analysis constant t in (0,1)"),
+    "tau": _Option(float, 0.1, help="width-analysis constant tau > 0"),
+    "b": _Option(float, 1.0, help="Dubins-Savage b > 0"),
+    "stride": _Option(int, 1, ("coverage",), help="check every stride-th n"),
+    "threads": _Option(int, 1, help="max parallel replications"),
+    "format": _Option(str, "csv", choices=("csv", "json")),
+    "out": _Option(str, None, help="output path (default stdout)"),
+    "svg": _Option(str, None, ("width", "lil-check"), help="write a chart of the report here"),
+    "checkpoints": _Option(str, None, ("width", "lil-check"), help="comma-separated checkpoint n values"),
+    "lil_a": _Option(float, None, ("lil-check",), help="floor constant a in (0, 2*sigma*sqrt(2))"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,99 +88,70 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Anytime-valid confidence sequences for heavy-tailed streams",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, with_method=True):
-        if with_method:
-            sp.add_argument("--method", choices=["catoni", "ds", "both"])
-        sp.add_argument("--dist", choices=["gaussian", "centered_pareto", "student_t", "two_point"], required=True)
-        sp.add_argument("--mean", type=float, help="gaussian mean")
-        sp.add_argument("--sigma", type=float, help="gaussian std dev")
-        sp.add_argument("--shape", type=float, help="pareto tail index in (1,2]")
-        sp.add_argument("--scale", type=float, help="pareto scale")
-        sp.add_argument("--df", type=float, help="student-t degrees of freedom in (1,2]")
-        sp.add_argument("--location", type=float, help="student-t location")
-        sp.add_argument("--values", type=str, help="two-point values, comma separated")
-        sp.add_argument("--probs", type=str, help="two-point probabilities, comma separated")
-        sp.add_argument("--p", type=float, help="moment order in (1,2]")
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--n", type=int, help="stream horizon N")
-        sp.add_argument("--seed", type=int, help="defaults to $HEAVYTAIL_CS_SEED, else 0")
-        sp.add_argument("--schedule", choices=["power_law", "ds_optimal", "custom_list"])
-        sp.add_argument("--schedule-c", dest="schedule_c", type=float, help="power-law scale c")
-        sp.add_argument("--schedule-values", dest="schedule_values", type=str, help="custom schedule values")
-        sp.add_argument("--t", type=float, help="width-analysis constant t in (0,1)")
-        sp.add_argument("--tau", type=float, help="width-analysis constant tau > 0")
-        sp.add_argument("--b", type=float, help="Dubins-Savage b > 0")
-        sp.add_argument("--threads", type=int, help="max parallel replications")
-        sp.add_argument("--format", choices=["csv", "json"])
-        sp.add_argument("--out", type=str, help="output path (default stdout)")
+    for command, text in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        for key, opt in _OPTIONS.items():
+            if command in opt.commands:
+                sp.add_argument("--" + key.replace("_", "-"), dest=key, type=opt.type,
+                                choices=opt.choices, help=opt.help)
         sp.add_argument("--config", type=str, help="JSON config file; flags override it")
-
-    cov = sub.add_parser("coverage", help="uniform-in-time miscoverage experiment")
-    add_common(cov)
-    cov.add_argument("--reps", type=int, help="replications R")
-    cov.add_argument("--stride", type=int, help="check every stride-th n")
-
-    wid = sub.add_parser("width", help="interval widths, bounds and shrinkage slope")
-    add_common(wid)
-    wid.add_argument("--reps", type=int, help="replications per checkpoint")
-    wid.add_argument("--checkpoints", type=str, help="comma-separated checkpoint n values")
-    wid.add_argument("--svg", type=str, help="write a log-log width chart here")
-
-    lil = sub.add_parser("lil-check", help="Catoni width against the iterated-logarithm floor (p = 2)")
-    add_common(lil, with_method=False)
-    lil.add_argument("--checkpoints", type=str, help="comma-separated checkpoint n values")
-    lil.add_argument("--lil-a", dest="lil_a", type=float, help="floor constant a in (0, 2*sigma*sqrt(2))")
-    lil.add_argument("--svg", type=str, help="write a width-vs-floor chart here")
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """CLI flags override config-file values override hard defaults."""
+    """CLI flags override config-file values override the table defaults."""
     from_file: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             from_file = json.load(fh)
         if not isinstance(from_file, dict):
             raise ValueError(f"config file must hold a JSON object, got {type(from_file).__name__}")
-    cfg = {}
-    for key, hard in _HARD_DEFAULTS.items():
-        cli_val = getattr(args, key, None)
-        cfg[key] = cli_val if cli_val is not None else from_file.get(key, hard)
-        if key in from_file:
-            _check_file_value(key, from_file[key])
-    cfg["command"] = args.command
-    if args.command == "width" and getattr(args, "reps", None) is None and "reps" not in from_file:
+    for key, value in from_file.items():
+        _check_file_value(args.command, key, value)
+    cfg = {"command": args.command}
+    for key, opt in _OPTIONS.items():
+        flag = getattr(args, key, None)
+        cfg[key] = flag if flag is not None else from_file.get(key, opt.default)
+    if args.command == "width" and args.reps is None and "reps" not in from_file:
         cfg["reps"] = 5  # root solves per checkpoint; keep the default run cheap
     if cfg["seed"] is None:
         cfg["seed"] = int(os.environ.get("HEAVYTAIL_CS_SEED", "0"))
     return cfg
 
 
-def _check_file_value(key: str, value) -> None:
-    """ValueError naming key unless value has the JSON type key takes (or is null where the default is None)."""
-    if key in _INT_KEYS:
+def _check_file_value(command: str, key: str, value) -> None:
+    """ValueError naming key unless --key takes value in command; null passes where the default is None."""
+    opt = _OPTIONS.get(key)
+    if opt is None:
+        raise ValueError(f"config file: {key} is not a known setting")
+    if command not in opt.commands:
+        raise ValueError(f"config file: {key} is not a setting of {command}")
+    if value is None and opt.default is None:
+        return
+    if opt.type is int:
         ok, kind = type(value) is int, "an integer"  # not bool, an int subclass
-    elif key in _NUMBER_KEYS:
+    elif opt.type is float:
         ok, kind = type(value) in (int, float), "a number"
     else:
         ok, kind = type(value) is str, "a string"
-    if not ok and not (value is None and _HARD_DEFAULTS[key] is None):
+    if not ok:
         raise ValueError(f"config file: {key} must be {kind}, got {json.dumps(value)}")
+    if opt.choices and value not in opt.choices:
+        raise ValueError(f"config file: {key} must be one of {', '.join(opt.choices)}, got {json.dumps(value)}")
 
 
 def _validate(cfg: dict) -> None:
     if cfg["dist"] is None:
-        raise ValueError("dist is required (choose gaussian, centered_pareto, student_t or two_point)")
+        raise ValueError(f"--dist is required (choose one of {', '.join(_OPTIONS['dist'].choices)})")
     if not 1.0 < cfg["p"] <= 2.0:
         raise ValueError(f"p must lie in (1, 2], got {cfg['p']}")
     if not 0.0 < cfg["alpha"] < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {cfg['alpha']}")
     if cfg["n"] < 1:
         raise ValueError(f"n must be >= 1, got {cfg['n']}")
-    if cfg.get("reps", 1) < 1:
+    if cfg["reps"] < 1:
         raise ValueError(f"reps must be >= 1, got {cfg['reps']}")
-    if cfg.get("stride", 1) < 1:
+    if cfg["stride"] < 1:
         raise ValueError(f"stride must be >= 1, got {cfg['stride']}")
     if cfg["threads"] < 1:
         raise ValueError(f"threads must be >= 1, got {cfg['threads']}")
@@ -264,6 +252,11 @@ def _emit(cfg: dict, rows: list[dict], fields: list[str], summary: dict, config:
         sys.stdout.write(text)
 
 
+def _checkpoints(cfg: dict) -> list[int] | None:
+    """The --checkpoints list, or None for harness.default_checkpoints."""
+    return [int(v) for v in _parse_floats(cfg["checkpoints"])] if cfg["checkpoints"] else None
+
+
 def _methods(cfg: dict) -> list[str]:
     return ["catoni", "ds"] if cfg["method"] == "both" else [cfg["method"]]
 
@@ -301,11 +294,10 @@ def _cmd_coverage(cfg: dict) -> int:
 def _cmd_width(cfg: dict) -> int:
     dist = _dist_from(cfg)
     schedule = _schedule_from(cfg, dist)
-    checkpoints = [int(v) for v in _parse_floats(cfg["checkpoints"])] if cfg["checkpoints"] else None
     methods = _methods(cfg)
     reports = {
         m: harness.run_width(
-            m, dist, cfg["p"], cfg["alpha"], cfg["n"], cfg["seed"], checkpoints,
+            m, dist, cfg["p"], cfg["alpha"], cfg["n"], cfg["seed"], _checkpoints(cfg),
             reps=cfg["reps"], schedule=schedule, t=cfg["t"], tau=cfg["tau"], b=cfg["b"],
             threads=cfg["threads"],
         )
@@ -344,13 +336,8 @@ def _cmd_lil_check(cfg: dict) -> int:
     sigma = harness.true_std(dist)
     schedule = _schedule_from(cfg, dist) or power_law(cfg["schedule_c"], 2.0)
     lil = LilConfig(sigma=sigma, schedule=schedule, a=cfg["lil_a"])
-    checkpoints = (
-        [int(v) for v in _parse_floats(cfg["checkpoints"])]
-        if cfg["checkpoints"]
-        else harness.default_checkpoints(cfg["n"])
-    )
     width_rep = harness.run_width(
-        "catoni", dist, 2.0, cfg["alpha"], cfg["n"], cfg["seed"], checkpoints,
+        "catoni", dist, 2.0, cfg["alpha"], cfg["n"], cfg["seed"], _checkpoints(cfg),
         schedule=schedule, t=cfg["t"], tau=cfg["tau"], threads=cfg["threads"],
     )
     floor = lil_floor_curve(lil, cfg["n"])
@@ -366,14 +353,14 @@ def _cmd_lil_check(cfg: dict) -> int:
                 "lil_ratio": None if math.isnan(trace[ck.n - 1]) else float(trace[ck.n - 1]),
             }
         )
+    # The first checkpoint with a floor from which the width stays at or above
+    # every floor; a NaN width fails `>=`, so it disqualifies its checkpoint.
     n0 = None
-    for j in range(len(rows)):
-        fl = rows[j]["lil_floor"]
-        if fl is not None and all(
-            r["lil_floor"] is None or r["width"] >= r["lil_floor"] for r in rows[j:]
-        ) and rows[j]["width"] >= fl:
-            n0 = rows[j]["n"]
-            break
+    for r in reversed(rows):
+        if r["lil_floor"] is not None:
+            if not r["width"] >= r["lil_floor"]:
+                break
+            n0 = r["n"]
     summary = {"sigma": sigma, "a": lil.a, "n0_first_checkpoint_floor_below_width": n0}
     config = _embedded_config(cfg, dist)
     _emit(cfg, rows, ["n", "width", "lil_floor", "lil_ratio"], summary, config)

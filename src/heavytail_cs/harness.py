@@ -299,7 +299,7 @@ def run_coverage(
     # A plain slice is a view, so stride 1 indexes without a copy.
     idx = slice(None) if stride == 1 else _checked_indices(n_max, stride)
     if method == CATONI:
-        band = (math.log(2.0 / alpha) + cfg.c_p * vp * np.cumsum(lam**p))[idx]
+        band = cat.target(cfg, np.cumsum(lam**p))[idx]
         influence = cfg.influence
 
         def one_rep(r: int) -> bool:
@@ -427,7 +427,7 @@ def run_width(
             x = sample_stream(dist, seed, n_max, rep=r)
             out = []
             for n in cps:
-                tgt = math.log(2.0 / alpha) + cfg.c_p * vp * cum_lam_p[n - 1]
+                tgt = cat.target(cfg, cum_lam_p[n - 1])
                 lo, hi = cat.solve_interval_arrays(cfg.influence, lam[:n], x[:n], tgt)
                 out.append(hi - lo)
             return out
@@ -581,7 +581,7 @@ def run_bound_validity(
     vp, sched, cfg = _method_setup(CATONI, dist, p, alpha, v_p, schedule, t, tau, 1.0)
     mu = dist.true_mean
     lam = sched.head(n_max)
-    band = math.log(2.0 / alpha) + cfg.c_p * vp * np.cumsum(lam**p)
+    band = cat.target(cfg, np.cumsum(lam**p))
     bounds, condition = cat.width_bound_curve(cfg, n_max)
     if not condition.any():
         raise ValueError(f"width bound never applies up to n_max={n_max}")

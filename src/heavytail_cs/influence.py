@@ -126,16 +126,9 @@ class InfluenceFunction:
         return float(out) if np.ndim(x) == 0 else out
 
     def lower_envelope(self, x):
-        """-log(1 - x + C_p |x|^p), or -inf where the argument is <= 0.
-
-        With the tangency constant the argument is strictly positive
-        everywhere, so the -inf branch guards only against user-supplied
-        smaller constants.
-        """
+        """-log(1 - x + C_p |x|^p); with the tangency C_p the argument is positive for every real x."""
         arr = np.asarray(x, dtype=np.float64)
-        arg = 1.0 - arr + self.c_p * np.abs(arr) ** self.p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(arg > 0.0, -np.log(np.maximum(arg, 1e-300)), -np.inf)
+        out = -np.log(1.0 - arr + self.c_p * np.abs(arr) ** self.p)
         return float(out) if np.ndim(x) == 0 else out
 
     def invert(self, y: float, tol: float = INVERT_TOL) -> float:

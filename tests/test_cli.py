@@ -2,11 +2,13 @@
 
 import csv
 import json
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
-from heavytail_cs.cli import main
+from heavytail_cs.cli import _COMMANDS, _OPTIONS, main
 
 
 def run_cli(args):
@@ -208,6 +210,56 @@ class TestConfigFileAndEnv:
         assert run_cli(["coverage", "--dist", "gaussian", "--config", str(cfg_path)]) == 2
         (key,) = entry
         assert f"error: config file: {key} must be" in capsys.readouterr().err
+
+
+class TestConfigFileChecks:
+    """A config-file value gets the checks its flag gets: key, command, type, choices."""
+
+    def run_with(self, tmp_path, command, entry, *flags):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(entry))
+        return run_cli([command, "--config", str(cfg_path), "--n", "300", *flags])
+
+    @pytest.mark.parametrize("entry", [{"format": "xml"}, {"schedule": "bogus"}, {"method": "nope"},
+                                       {"dist": "cauchy"}], ids=["format", "schedule", "method", "dist"])
+    def test_value_outside_choices(self, tmp_path, capsys, entry):
+        assert self.run_with(tmp_path, "coverage", {"dist": "gaussian", **entry}, "--reps", "2") == 2
+        (key,) = entry
+        assert f"error: config file: {key} must be one of" in capsys.readouterr().err
+
+    def test_unknown_key(self, tmp_path, capsys):
+        assert self.run_with(tmp_path, "coverage", {"alpah": 0.5}, "--dist", "gaussian", "--reps", "2") == 2
+        assert "config file: alpah" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, entry", [("width", {"stride": 2}), ("lil-check", {"reps": 3})],
+                             ids=["stride-width", "reps-lil-check"])
+    def test_key_the_command_does_not_take(self, tmp_path, capsys, command, entry):
+        assert self.run_with(tmp_path, command, entry, "--dist", "gaussian") == 2
+        (key,) = entry
+        assert f"config file: {key} is not a setting of {command}" in capsys.readouterr().err
+
+    def test_dist_from_file_alone(self, tmp_path):
+        out = tmp_path / "r.json"
+        entry = {"dist": "student_t", "df": 1.8, "p": 1.5}
+        assert self.run_with(tmp_path, "coverage", entry, "--reps", "5", "--format", "json", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["config"]["dist"] == "student_t(df=1.8,location=0.0)"
+
+
+class TestOptionTable:
+    @staticmethod
+    def flags(command):
+        return {"--" + key.replace("_", "-") for key, opt in _OPTIONS.items() if command in opt.commands}
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_help_lists_exactly_the_table_flags(self, command, capsys):
+        assert run_cli([command, "--help"]) == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == self.flags(command) | {"--config", "--help"}
+
+    def test_readme_documents_every_flag(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        for flag in sorted(set().union(*map(self.flags, _COMMANDS)) | {"--config"}):
+            assert re.search(re.escape(flag) + r"(?![a-z-])", readme), flag
 
 
 class TestDeterminism:

@@ -92,15 +92,14 @@ class TestEvaluation:
     def test_sandwich(self, p):
         """-log(1 - x + C|x|^p) <= phi(x) <= log(1 + x + C|x|^p) within 1e-12.
 
-        With the tangency constant the lower-envelope argument is strictly
-        positive everywhere, so the vacuous branch never triggers; the
-        guard is kept to mirror the contract.
+        C_p is the tangency constant, so the lower-envelope argument is
+        positive everywhere and the lower envelope is finite on the grid.
         """
         f = default_influence(p)
         x = sign_grid()
         val = f(x)
         upper = f.upper_envelope(x)
-        lower = f.lower_envelope(x)  # -inf where its argument were <= 0
+        lower = f.lower_envelope(x)
         assert np.all(val <= upper + 1e-12)
         assert np.all(lower - 1e-12 <= val)
 
