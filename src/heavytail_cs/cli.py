@@ -1,10 +1,12 @@
 """Command-line front end: coverage / width / lil-check experiments.
 
-Reports are self-describing: every emitted file embeds the fully resolved
-run configuration and seed (CSV as a leading `# config:` comment line,
-JSON as a top-level "config" object).  The thread count is an execution
-detail, not configuration, and is deliberately not embedded: identical
-(config, seed) must produce byte-identical files at any --threads.
+Reports are self-describing: every emitted file embeds the resolved
+settings its command takes, seed included (CSV as a leading `# config:`
+comment line, JSON as a top-level "config" object).  The distribution's
+parameters appear only in its `dist` label.  The thread count is an
+execution detail, not configuration, and is deliberately not embedded, nor
+are the output paths: identical (config, seed) must produce byte-identical
+files at any --threads.
 
 Each setting is stated once, in `_OPTIONS`.  Flags override `--config`
 JSON file values, which override the table defaults; a file value gets its
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -157,8 +160,12 @@ def _validate(cfg: dict) -> None:
         raise ValueError(f"threads must be >= 1, got {cfg['threads']}")
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in str(text).split(",") if v != ""]
+def _parse_floats(cfg: dict, key: str) -> list[float]:
+    """cfg[key] as a comma-separated list of numbers; a ValueError names key."""
+    try:
+        return [float(v) for v in str(cfg[key]).split(",") if v != ""]
+    except ValueError:
+        raise ValueError(f"{key} must be comma-separated numbers, got {cfg[key]!r}") from None
 
 
 def _dist_from(cfg: dict) -> harness.DistributionSpec:
@@ -169,7 +176,7 @@ def _dist_from(cfg: dict) -> harness.DistributionSpec:
         return harness.centered_pareto(cfg["shape"], cfg["scale"])
     if kind == "student_t":
         return harness.student_t(cfg["df"], cfg["location"])
-    return harness.two_point(_parse_floats(cfg["values"]), _parse_floats(cfg["probs"]))
+    return harness.two_point(_parse_floats(cfg, "values"), _parse_floats(cfg, "probs"))
 
 
 def _schedule_from(cfg: dict, dist: harness.DistributionSpec) -> LambdaSchedule | None:
@@ -190,15 +197,19 @@ def _schedule_from(cfg: dict, dist: harness.DistributionSpec) -> LambdaSchedule 
         return power_law(cfg["schedule_c"], cfg["p"])
     if not cfg["schedule_values"]:
         raise ValueError("schedule_values is required for a custom_list schedule")
-    return custom_list(_parse_floats(cfg["schedule_values"]), p=cfg["p"])
+    return custom_list(_parse_floats(cfg, "schedule_values"), p=cfg["p"])
+
+
+#: Settings a report does not embed: execution detail, output paths, and the
+#: distribution's parameters, which its `dist` label carries.
+_NOT_EMBEDDED = ("threads", "out", "svg", "mean", "sigma", "shape", "scale", "df",
+                 "location", "values", "probs")
 
 
 def _embedded_config(cfg: dict, dist: harness.DistributionSpec) -> dict:
-    keep = ["command", "method", "p", "alpha", "n", "reps", "seed", "t", "tau", "b",
-            "stride", "format", "schedule", "schedule_c", "schedule_values",
-            "checkpoints", "lil_a"]
-    out = {k: cfg[k] for k in keep if k in cfg}
-    out["dist"] = dist.label()
+    command = cfg["command"]
+    out = {k: cfg[k] for k, opt in _OPTIONS.items() if command in opt.commands and k not in _NOT_EMBEDDED}
+    out.update(command=command, dist=dist.label())
     return out
 
 
@@ -254,7 +265,12 @@ def _emit(cfg: dict, rows: list[dict], fields: list[str], summary: dict, config:
 
 def _checkpoints(cfg: dict) -> list[int] | None:
     """The --checkpoints list, or None for harness.default_checkpoints."""
-    return [int(v) for v in _parse_floats(cfg["checkpoints"])] if cfg["checkpoints"] else None
+    if not cfg["checkpoints"]:
+        return None
+    values = _parse_floats(cfg, "checkpoints")
+    if not all(v.is_integer() for v in values):
+        raise ValueError(f"checkpoints must be integers, got {cfg['checkpoints']!r}")
+    return [int(v) for v in values]
 
 
 def _methods(cfg: dict) -> list[str]:
@@ -264,30 +280,15 @@ def _methods(cfg: dict) -> list[str]:
 def _cmd_coverage(cfg: dict) -> int:
     dist = _dist_from(cfg)
     schedule = _schedule_from(cfg, dist)
-    rows = []
-    for method in _methods(cfg):
-        rep = harness.run_coverage(
+    rows = [
+        dataclasses.asdict(harness.run_coverage(
             method, dist, cfg["p"], cfg["alpha"], cfg["n"], cfg["reps"], cfg["seed"],
             schedule=schedule, t=cfg["t"], tau=cfg["tau"], b=cfg["b"],
             stride=cfg["stride"], threads=cfg["threads"],
-        )
-        rows.append(
-            {
-                "method": method,
-                "dist": rep.dist,
-                "p": rep.p,
-                "alpha": rep.alpha,
-                "v_p": rep.v_p,
-                "n": rep.n_max,
-                "reps": rep.reps,
-                "stride": rep.stride,
-                "miscoverage_count": rep.miscoverage_count,
-                "miscoverage_rate": rep.miscoverage_rate,
-                "mc_std_err": rep.mc_std_err,
-            }
-        )
-    fields = list(rows[0].keys())
-    _emit(cfg, rows, fields, {}, _embedded_config(cfg, dist))
+        ))
+        for method in _methods(cfg)
+    ]
+    _emit(cfg, rows, list(rows[0]), {}, _embedded_config(cfg, dist))
     return 0
 
 
@@ -316,8 +317,7 @@ def _cmd_width(cfg: dict) -> int:
     fields = ["n"] + [f"{kind}_{m}" for m in methods for kind in ("width", "bound", "condition")]
     summary = {f"slope_{m}": reports[m].slope for m in methods}
     summary.update({f"v_p_{m}": reports[m].v_p for m in methods})
-    config = _embedded_config(cfg, dist)
-    _emit(cfg, rows, fields, summary, config)
+    _emit(cfg, rows, fields, summary, _embedded_config(cfg, dist))
     if cfg.get("svg"):
         series = []
         for m in methods:
@@ -341,7 +341,7 @@ def _cmd_lil_check(cfg: dict) -> int:
         schedule=schedule, t=cfg["t"], tau=cfg["tau"], threads=cfg["threads"],
     )
     floor = lil_floor_curve(lil, cfg["n"])
-    trace = lil_trace(dist, schedule, cfg["n"], cfg["seed"])["ratio"]
+    trace = lil_trace(dist, schedule, cfg["n"], cfg["seed"])
     rows = []
     for ck in width_rep.checkpoints:
         fl = floor[ck.n - 1]
@@ -362,8 +362,7 @@ def _cmd_lil_check(cfg: dict) -> int:
                 break
             n0 = r["n"]
     summary = {"sigma": sigma, "a": lil.a, "n0_first_checkpoint_floor_below_width": n0}
-    config = _embedded_config(cfg, dist)
-    _emit(cfg, rows, ["n", "width", "lil_floor", "lil_ratio"], summary, config)
+    _emit(cfg, rows, ["n", "width", "lil_floor", "lil_ratio"], summary, _embedded_config(cfg, dist))
     if cfg.get("svg"):
         ns = [float(r["n"]) for r in rows]
         line_chart(

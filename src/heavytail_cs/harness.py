@@ -255,11 +255,9 @@ class CoverageReport:
     p: float
     alpha: float
     v_p: float
-    n_max: int
+    n: int
     reps: int
     stride: int
-    seed: int
-    schedule: dict
     miscoverage_count: int
     miscoverage_rate: float
     mc_std_err: float
@@ -325,11 +323,9 @@ def run_coverage(
         p=p,
         alpha=alpha,
         v_p=vp,
-        n_max=n_max,
+        n=n_max,
         reps=reps,
         stride=stride,
-        seed=seed,
-        schedule=sched.descriptor(),
         miscoverage_count=count,
         miscoverage_rate=rate,
         mc_std_err=math.sqrt(rate * (1.0 - rate) / reps),
@@ -345,31 +341,20 @@ def run_coverage(
 class WidthCheckpoint:
     n: int
     mean_width: float
-    q10: float
-    q50: float
-    q90: float
     bound: float | None      # Catoni: analytic width bound or None; DS: display width
     condition: bool | None   # Catoni applicability flag; None for DS
 
 
 @dataclass(frozen=True)
 class WidthReport:
-    method: str
-    dist: str
-    p: float
-    alpha: float
     v_p: float
-    n_max: int
-    reps: int
-    seed: int
-    schedule: dict
     checkpoints: list[WidthCheckpoint]
     slope: float
 
 
-def default_checkpoints(n_max: int, per_decade: int = 8) -> list[int]:
+def default_checkpoints(n_max: int) -> list[int]:
     lo = min(10, n_max)
-    pts = np.geomspace(lo, n_max, max(2, int(per_decade * math.log10(max(n_max / lo, 10)))))
+    pts = np.geomspace(lo, n_max, max(2, int(CHECKPOINTS_PER_DECADE * math.log10(max(n_max / lo, 10)))))
     return sorted(set(int(round(v)) for v in pts))
 
 
@@ -443,49 +428,19 @@ def run_width(
         bounds = [2.0 * cfg.b * vp * cum_lam_p[n - 1] / cum_lam[n - 1] for n in cps]
         conds = [None] * len(cps)
 
-    # A width is inf where an endpoint is +-inf; the statistics over it are
-    # then inf or NaN, which the reports print as NA, so no warning is due.
+    # A width is inf where an endpoint is +-inf; the mean and slope over it
+    # are then inf or NaN, which the reports print as NA, so no warning is due.
     with np.errstate(invalid="ignore"):
         mean_w = widths.mean(axis=0)
-        q10, q50, q90 = np.quantile(widths, [0.1, 0.5, 0.9], axis=0)
         slope = fit_loglog_slope(cps, mean_w, n_max)
-    rows = [
-        WidthCheckpoint(
-            n=n,
-            mean_width=float(mean_w[j]),
-            q10=float(q10[j]),
-            q50=float(q50[j]),
-            q90=float(q90[j]),
-            bound=bounds[j],
-            condition=conds[j],
-        )
-        for j, n in enumerate(cps)
-    ]
-    return WidthReport(
-        method=method,
-        dist=dist.label(),
-        p=p,
-        alpha=alpha,
-        v_p=vp,
-        n_max=n_max,
-        reps=reps,
-        seed=seed,
-        schedule=sched.descriptor(),
-        checkpoints=rows,
-        slope=slope,
-    )
+    rows = [WidthCheckpoint(n, float(mean_w[j]), bounds[j], conds[j]) for j, n in enumerate(cps)]
+    return WidthReport(v_p=vp, checkpoints=rows, slope=slope)
 
 
 @dataclass(frozen=True)
 class BoundValidityReport:
-    dist: str
-    p: float
-    alpha: float
     v_p: float
-    n_max: int
     reps: int
-    seed: int
-    schedule: dict
     n0: int                    # first n at which the width bound applies
     condition_permanent: bool  # condition stays true from n0 through n_max
     violating_reps: int        # reps where some applicable n has width > bound
@@ -494,6 +449,8 @@ class BoundValidityReport:
     exact_solves: int          # fallback endpoint solves that were needed
 
 
+#: Geometric checkpoints per decade of n in default_checkpoints.
+CHECKPOINTS_PER_DECADE = 8
 #: Geometric blocks per decade of n in run_bound_validity's sufficient test.
 BLOCKS_PER_DECADE = 12
 
@@ -607,14 +564,8 @@ def run_bound_validity(
     count = int(sum(v for v, _ in results))
     exact_solves = int(sum(k for _, k in results))
     return BoundValidityReport(
-        dist=dist.label(),
-        p=p,
-        alpha=alpha,
         v_p=vp,
-        n_max=n_max,
         reps=reps,
-        seed=seed,
-        schedule=sched.descriptor(),
         n0=n0,
         condition_permanent=permanent,
         violating_reps=count,

@@ -70,14 +70,14 @@ def lil_floor_curve(cfg: LilConfig, n_max: int) -> np.ndarray:
     return out
 
 
-def lil_trace(dist, schedule: LambdaSchedule, n: int, seed: int) -> dict[str, np.ndarray]:
-    """Diagnostic trace sum_{i<=n} Y_i / theta_n against n.
+def lil_trace(dist, schedule: LambdaSchedule, n: int, seed: int) -> np.ndarray:
+    """Diagnostic trace sum_{i<=m} Y_i / theta_m for m = 1..n.
 
     The limsup of this ratio tends to 1 almost surely under the LIL; at
     finite n it is a plotted diagnostic, never an assertion.  E Y_i is not
     subtracted: |E Y_i| <= lambda_i^2 sigma^2 / 2 makes the centring
     correction O(sum lambda_i^2 / theta_n), negligible on the trace scale.
-    Returns arrays "n", "ratio" (NaN while theta is undefined).
+    The ratio is NaN while theta is undefined.
     """
     psi = default_influence(2.0)
     sigma = true_std(dist)
@@ -91,4 +91,4 @@ def lil_trace(dist, schedule: LambdaSchedule, n: int, seed: int) -> dict[str, np
     ok = s2 > math.e
     theta = np.sqrt(s2[ok]) * np.sqrt(2.0 * np.log(np.log(s2[ok])))
     ratio[ok] = sums[ok] / theta
-    return {"n": np.arange(1, n + 1), "ratio": ratio}
+    return ratio

@@ -78,17 +78,6 @@ class LambdaSchedule:
             return self.c * t ** (-1.0 / self.p)
         return (self.a / (t * self.b * self.v_p * (self.p - 1.0))) ** (1.0 / self.p)
 
-    def descriptor(self) -> dict:
-        """The schedule's kind and parameters, as recorded in reports."""
-        d: dict = {"kind": self.kind, "p": self.p}
-        if self.kind == POWER_LAW:
-            d["c"] = self.c
-        elif self.kind == DS_OPTIMAL:
-            d.update(a=self.a, b=self.b, v_p=self.v_p)
-        else:
-            d["values"] = list(self.values)
-        return d
-
 
 def power_law(c: float = 1.0, p: float = 2.0) -> LambdaSchedule:
     if c <= 0.0:

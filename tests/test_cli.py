@@ -177,6 +177,47 @@ class TestEmptyCheckpoints:
         assert "error: checkpoints must not be empty" in capsys.readouterr().err
 
 
+class TestCheckpointValues:
+    def test_fraction_rejected(self, capsys):
+        code = run_cli(["width", "--dist", "gaussian", "--n", "200", "--reps", "1", "--checkpoints", "10.5,100"])
+        assert code == 2
+        assert "error: checkpoints must be integers" in capsys.readouterr().err
+
+    def test_integral_spellings_accepted(self, tmp_path):
+        out = tmp_path / "w.csv"
+        code = run_cli(["width", "--dist", "gaussian", "--n", "1000", "--reps", "1",
+                        "--checkpoints", "1e3,100.0,50", "--out", str(out)])
+        assert code == 0
+        _, rows = read_report_csv(out)
+        assert [int(r["n"]) for r in rows] == [50, 100, 1000]
+
+
+class TestListParseErrors:
+    @pytest.mark.parametrize("args, key", [
+        (["coverage", "--dist", "two_point", "--values", "a,b"], "values"),
+        (["coverage", "--dist", "two_point", "--probs", "0.5,x"], "probs"),
+        (["coverage", "--dist", "gaussian", "--schedule", "custom_list", "--schedule-values", "1,a"],
+         "schedule_values"),
+        (["width", "--dist", "gaussian", "--checkpoints", "10,a"], "checkpoints"),
+    ], ids=["values", "probs", "schedule_values", "checkpoints"])
+    def test_error_names_setting(self, capsys, args, key):
+        assert run_cli(args + ["--n", "100", "--reps", "1"]) == 2
+        assert f"error: {key} must be comma-separated numbers" in capsys.readouterr().err
+
+
+class TestEmbeddedConfig:
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_embeds_only_settings_the_command_takes(self, tmp_path, command):
+        out = tmp_path / "r.json"
+        reps = [] if command == "lil-check" else ["--reps", "2"]
+        code = run_cli([command, "--dist", "gaussian", "--n", "300", *reps, "--format", "json", "--out", str(out)])
+        assert code == 0
+        config = json.loads(out.read_text())["config"]
+        assert config["command"] == command
+        taken = {key for key, opt in _OPTIONS.items() if command in opt.commands}
+        assert set(config) - {"command"} <= taken
+
+
 class TestConfigFileAndEnv:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "run.json"

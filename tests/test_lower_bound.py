@@ -68,7 +68,7 @@ class TestTheta:
     def one_step_trace(lam):
         dist = two_point([-1, 1], [0.5, 0.5])
         y = default_influence(2.0)(lam * sample_stream(dist, 113, 1)[0])
-        return y, lil_trace(dist, custom_list([lam]), 1, seed=113)["ratio"][0]
+        return y, lil_trace(dist, custom_list([lam]), 1, seed=113)[0]
 
     def test_e_squared_value(self):
         # s_n^2 = e^2: theta = e sqrt(2 log 2) = 3.20053226884937
@@ -175,7 +175,7 @@ class TestFloorVsWidth:
 
 class TestTrace:
     def test_shape_and_nan_head(self):
-        out = lil_trace(gaussian(0, 1), power_law(1.0, 2.0), 500, seed=111)
-        assert out["n"].shape == (500,) and out["ratio"].shape == (500,)
-        assert np.all(np.isnan(out["ratio"][:8]))  # theta undefined until n = 9
-        assert np.all(np.isfinite(out["ratio"][8:]))
+        ratio = lil_trace(gaussian(0, 1), power_law(1.0, 2.0), 500, seed=111)
+        assert ratio.shape == (500,)
+        assert np.all(np.isnan(ratio[:8]))  # theta undefined until n = 9
+        assert np.all(np.isfinite(ratio[8:]))
