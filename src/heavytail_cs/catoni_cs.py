@@ -124,24 +124,21 @@ class CatoniState:
 
     All observations are kept: f_n(x) has no finite sufficient statistic
     across x, so memory is O(n) and an interval query costs O(n) per
-    root-finder iteration.  Single-owner mutable; interval may run
+    root-finder iteration.  The weights are schedule.head(n), bit for bit the
+    values update pushed.  Single-owner mutable; interval may run
     concurrently against a frozen snapshot.
     """
 
     schedule: LambdaSchedule
     prefix: PrefixSums
     observations: list[float] = field(default_factory=list)
-    lambdas: list[float] = field(default_factory=list)
 
     @property
     def n(self) -> int:
         return len(self.observations)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.asarray(self.lambdas, dtype=np.float64),
-            np.asarray(self.observations, dtype=np.float64),
-        )
+        return self.schedule.head(self.n), np.asarray(self.observations, dtype=np.float64)
 
 
 def new_state(config: CatoniConfig) -> CatoniState:
@@ -153,10 +150,8 @@ def update(state: CatoniState, x: float) -> CatoniState:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"observations must be finite, got {x}")
-    lam = state.schedule.at(state.n + 1)
+    state.prefix.push(state.schedule.at(state.n + 1))
     state.observations.append(x)
-    state.lambdas.append(lam)
-    state.prefix.push(lam)
     return state
 
 

@@ -195,9 +195,7 @@ def _schedule_from(cfg: dict, dist: harness.DistributionSpec) -> LambdaSchedule 
         return ds_optimal_schedule(dcfg)
     if kind == "power_law":
         return power_law(cfg["schedule_c"], cfg["p"])
-    if not cfg["schedule_values"]:
-        raise ValueError("schedule_values is required for a custom_list schedule")
-    return custom_list(_parse_floats(cfg, "schedule_values"), p=cfg["p"])
+    return custom_list(_parse_floats(cfg, "schedule_values"))
 
 
 #: Settings a report does not embed: execution detail, output paths, and the

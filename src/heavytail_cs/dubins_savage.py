@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .interval import ConfidenceInterval
-from .schedules import LambdaSchedule, PrefixSums, _KahanSum, ds_optimal
+from .schedules import LambdaSchedule, PrefixSums, _KahanSum, power_law
 
 
 def m_p(p: float) -> float:
@@ -58,18 +58,25 @@ class DsConfig:
             raise ValueError(f"v_p must be positive, got {self.v_p}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.b <= 0.0:
-            raise ValueError(f"b must be positive, got {self.b}")
+        if not 0.0 < self.b < math.inf:
+            raise ValueError(f"b must be positive and finite, got {self.b}")
 
 
 def ds_a(cfg: DsConfig) -> float:
     """a = (1 / (m_p b^(1/(p-1)))) ((2/alpha)^(1/(p-1)) - 1).
 
     Chosen so the one-sided tail bound equals alpha/2; positive and
-    decreasing in alpha, growing like alpha^(-1/(p-1)).
+    decreasing in alpha, growing like alpha^(-1/(p-1)).  ValueError where a is
+    not a positive finite float (near p = 1, (2/alpha)^(1/(p-1)) overflows).
     """
     q = 1.0 / (cfg.p - 1.0)
-    return ((2.0 / cfg.alpha) ** q - 1.0) / (m_p(cfg.p) * cfg.b**q)
+    try:
+        a = ((2.0 / cfg.alpha) ** q - 1.0) / (m_p(cfg.p) * cfg.b**q)
+    except (OverflowError, ZeroDivisionError):
+        a = math.inf
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"a is not a positive finite float at p = {cfg.p}, alpha = {cfg.alpha}, b = {cfg.b}")
+    return a
 
 
 def ds_tail_bound(a: float, b: float, p: float) -> float:
@@ -144,8 +151,11 @@ def ds_interval(state: DsState, cfg: DsConfig) -> ConfidenceInterval:
 
 
 def ds_optimal_schedule(cfg: DsConfig) -> LambdaSchedule:
-    """The width-minimizing schedule lambda_t = (a/(t b v_p (p-1)))^(1/p)."""
-    return ds_optimal(a=ds_a(cfg), b=cfg.b, v_p=cfg.v_p, p=cfg.p)
+    """The width-minimizing schedule lambda_t = (a/(t b v_p (p-1)))^(1/p).
+
+    That is the power law c t^(-1/p) with c = (a/(b v_p (p-1)))^(1/p).
+    """
+    return power_law((ds_a(cfg) / (cfg.b * cfg.v_p * (cfg.p - 1.0))) ** (1.0 / cfg.p), cfg.p)
 
 
 def ds_width(cfg: DsConfig, n: int, schedule: LambdaSchedule | None = None) -> float:

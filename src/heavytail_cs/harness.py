@@ -81,8 +81,10 @@ class DistributionSpec:
 
 
 def gaussian(mean: float = 0.0, sigma: float = 1.0) -> DistributionSpec:
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not math.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     return DistributionSpec(kind=GAUSSIAN, mean=mean, sigma=sigma)
 
 
@@ -90,14 +92,16 @@ def centered_pareto(shape: float, scale: float = 1.0) -> DistributionSpec:
     """Pareto(shape, scale) shifted by its mean scale*shape/(shape-1); mean 0."""
     if not 1.0 < shape <= 2.0:
         raise ValueError(f"pareto shape must lie in (1, 2], got {shape}")
-    if scale <= 0.0:
-        raise ValueError(f"pareto scale must be positive, got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"pareto scale must be positive and finite, got {scale}")
     return DistributionSpec(kind=CENTERED_PARETO, shape=shape, scale=scale)
 
 
 def student_t(df: float, location: float = 0.0) -> DistributionSpec:
     if not 1.0 < df <= 2.0:
         raise ValueError(f"student_t df must lie in (1, 2] here, got {df}")
+    if not math.isfinite(location):
+        raise ValueError(f"student_t location must be finite, got {location}")
     return DistributionSpec(kind=STUDENT_T, df=df, mean=location)
 
 
@@ -106,8 +110,10 @@ def two_point(values: Iterable[float], probs: Iterable[float]) -> DistributionSp
     ps = tuple(float(q) for q in probs)
     if len(vals) != len(ps) or not vals:
         raise ValueError("two_point needs matching nonempty values and probs")
-    if any(q < 0.0 for q in ps) or abs(sum(ps) - 1.0) > 1e-12:
-        raise ValueError(f"probs must be nonnegative and sum to 1, got {ps}")
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"two_point values must be finite, got {vals}")
+    if not all(0.0 <= q <= 1.0 for q in ps) or abs(sum(ps) - 1.0) > 1e-12:
+        raise ValueError(f"probs must lie in [0, 1] and sum to 1, got {ps}")
     return DistributionSpec(kind=TWO_POINT, values=vals, probs=ps)
 
 
@@ -359,8 +365,6 @@ def default_checkpoints(n_max: int) -> list[int]:
 
 
 def ols_slope(x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     xc = x - x.mean()
     return float(np.sum(xc * (y - y.mean())) / np.sum(xc * xc))
 

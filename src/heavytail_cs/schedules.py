@@ -1,54 +1,39 @@
 """Deterministic tuning sequences lambda_t and their running prefix sums.
 
-Valid schedules must satisfy lambda_t -> 0 and sum_t lambda_t^p = infinity;
-the power-law family lambda_t = c * t^(-1/p) meets both (its p-th powers
-sum like the harmonic series).  Prefix sums use compensated (Kahan)
-summation: downstream interval widths divide by sum(lambda_i) at n up to
-10^6, where naive accumulation drifts past the 1e-12 agreement the tests
-demand.
+A schedule is either the power law lambda_t = c * t^(-1/p) or an explicit
+finite list.  Valid schedules must satisfy lambda_t -> 0 and
+sum_t lambda_t^p = infinity; the power law meets both (its p-th powers sum
+like the harmonic series), and the Dubins-Savage width-optimal weights are
+one (`dubins_savage.ds_optimal_schedule`).  Prefix sums use compensated
+(Kahan) summation: downstream interval widths divide by sum(lambda_i) at n
+up to 10^6, where naive accumulation drifts past the 1e-12 agreement the
+tests demand.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-POWER_LAW = "power_law"
-DS_OPTIMAL = "ds_optimal"
-CUSTOM_LIST = "custom_list"
 
 
 @dataclass(frozen=True)
 class LambdaSchedule:
     """A positive deterministic sequence lambda_1, lambda_2, ...
 
-    kind:
-      power_law   -- lambda_t = c * t^(-1/p)
-      ds_optimal  -- lambda_t = (a / (t * b * v_p * (p-1)))^(1/p), the
-                     per-time width minimizer of b*v_p*lam^(p-1) + a/(t*lam)
-      custom_list -- explicit finite list of positive values
+    With `values` empty it is the power law lambda_t = c * t^(-1/p);
+    otherwise it is that explicit finite list (c and p unused).  Build one
+    with `power_law` or `custom_list`, which check the parameters.
     """
 
-    kind: str
-    p: float = 2.0
     c: float = 1.0
-    a: float = 0.0
-    b: float = 0.0
-    v_p: float = 0.0
+    p: float = 2.0
     values: tuple[float, ...] = ()
 
     def at(self, t: int) -> float:
-        """lambda_t for t >= 1."""
-        if t < 1:
-            raise ValueError(f"schedule index must be >= 1, got {t}")
-        if self.kind != CUSTOM_LIST:
-            return self._closed_form(float(t))
-        if t > len(self.values):
-            raise ValueError(
-                f"custom_list schedule has {len(self.values)} values, index {t} requested"
-            )
-        return self.values[t - 1]
+        """lambda_t for t >= 1: element t of span, so streaming and batch weights agree bit for bit."""
+        return float(self.span(t, t)[0])
 
     def head(self, n: int) -> np.ndarray:
         """lambda_1 .. lambda_n as a float64 array."""
@@ -64,42 +49,28 @@ class LambdaSchedule:
         """
         if start < 1:
             raise ValueError(f"schedule index must be >= 1, got {start}")
-        if self.kind != CUSTOM_LIST:
-            return self._closed_form(np.arange(start, stop + 1, dtype=np.float64))
+        if not self.values:
+            return self.c * np.arange(start, stop + 1, dtype=np.float64) ** (-1.0 / self.p)
         if stop > len(self.values):
             raise ValueError(
                 f"custom_list schedule has {len(self.values)} values, {stop} requested"
             )
         return np.asarray(self.values[start - 1 : stop], dtype=np.float64)
 
-    def _closed_form(self, t):
-        """lambda_t of a power_law or ds_optimal schedule, t a float or float64 array."""
-        if self.kind == POWER_LAW:
-            return self.c * t ** (-1.0 / self.p)
-        return (self.a / (t * self.b * self.v_p * (self.p - 1.0))) ** (1.0 / self.p)
-
 
 def power_law(c: float = 1.0, p: float = 2.0) -> LambdaSchedule:
-    if c <= 0.0:
-        raise ValueError(f"scale c must be positive, got {c}")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"scale c must be positive and finite, got {c}")
     if not 1.0 < p <= 2.0:
         raise ValueError(f"p must lie in (1, 2], got {p}")
-    return LambdaSchedule(kind=POWER_LAW, p=p, c=c)
+    return LambdaSchedule(c=c, p=p)
 
 
-def ds_optimal(a: float, b: float, v_p: float, p: float) -> LambdaSchedule:
-    if min(a, b, v_p) <= 0.0:
-        raise ValueError(f"a, b, v_p must be positive, got a={a}, b={b}, v_p={v_p}")
-    if not 1.0 < p <= 2.0:
-        raise ValueError(f"p must lie in (1, 2], got {p}")
-    return LambdaSchedule(kind=DS_OPTIMAL, p=p, a=a, b=b, v_p=v_p)
-
-
-def custom_list(values, p: float = 2.0) -> LambdaSchedule:
+def custom_list(values) -> LambdaSchedule:
     vals = tuple(float(v) for v in values)
-    if not vals or any(v <= 0.0 for v in vals):
-        raise ValueError("custom_list schedule needs a nonempty list of positive values")
-    return LambdaSchedule(kind=CUSTOM_LIST, p=p, values=vals)
+    if not vals or not all(0.0 < v < math.inf for v in vals):
+        raise ValueError("custom_list schedule needs a nonempty list of positive finite values")
+    return LambdaSchedule(values=vals)
 
 
 class _KahanSum:

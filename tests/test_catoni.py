@@ -206,6 +206,32 @@ class TestInterval:
         lower, upper = cat.solve_interval_arrays(cfg.influence, lam, x, tgt)
         assert (iv.lower, iv.upper) == pytest.approx((lower, upper), rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["power_law", "ds_optimal", "custom_list"])
+    def test_streaming_equals_batch_bitwise(self, kind):
+        """At every n the streaming interval is the batch solve over
+        schedule.head(n) and x[:n] at the state's band, bit for bit: update
+        and arrays() read one lambda formula."""
+        from heavytail_cs.dubins_savage import DsConfig, ds_optimal_schedule
+
+        n_max = 300
+        dist = centered_pareto(1.9)
+        v_p = true_vp(dist, 1.5)
+        schedule = {
+            "power_law": power_law(1.0, 1.5),
+            "ds_optimal": ds_optimal_schedule(DsConfig(1.5, v_p, 0.05, b=20.0)),
+            "custom_list": custom_list(0.9 / np.arange(1.0, n_max + 1.0) ** 0.6),
+        }[kind]
+        cfg = cat.CatoniConfig(p=1.5, v_p=v_p, alpha=0.05, schedule=schedule)
+        x = sample_stream(dist, 3, n_max)
+        st = cat.new_state(cfg)
+        for n in range(1, n_max + 1):
+            cat.update(st, x[n - 1])
+            iv = cat.interval(st, cfg)
+            tgt = cat.target(cfg, st.prefix.sum_lambda_p)
+            batch = cat.solve_interval_arrays(cfg.influence, schedule.head(n), x[:n], tgt)
+            assert (iv.lower, iv.upper) == batch, n
+        assert math.isfinite(iv.upper - iv.lower)
+
     def test_state_p_must_match_config(self):
         cfg = config_p2()
         st = state_with(cat.CatoniConfig(p=1.5, v_p=1.0, alpha=ALPHA, schedule=power_law(1.0, 2.0)), [0.1, 0.2])

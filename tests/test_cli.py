@@ -205,6 +205,26 @@ class TestListParseErrors:
         assert f"error: {key} must be comma-separated numbers" in capsys.readouterr().err
 
 
+class TestNonFiniteSettings:
+    """Non-finite parameters are usage errors (exit 2), not a run that reports 0 misses."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["coverage", "--dist", "two_point", "--values", "nan,1"], "two_point values must be finite"),
+        (["coverage", "--dist", "gaussian", "--sigma", "nan"], "sigma must be positive and finite"),
+        (["coverage", "--dist", "gaussian", "--mean", "inf"], "mean must be finite"),
+        (["coverage", "--dist", "gaussian", "--schedule", "custom_list", "--schedule-values", "nan,1"],
+         "positive finite values"),
+        (["coverage", "--dist", "gaussian", "--schedule", "power_law", "--schedule-c", "inf"],
+         "scale c must be positive and finite"),
+        (["coverage", "--method", "ds", "--dist", "gaussian", "--b", "nan"], "b must be positive and finite"),
+        (["width", "--method", "ds", "--dist", "gaussian", "--p", "1.01", "--alpha", "1e-5"],
+         "p = 1.01, alpha = 1e-05"),
+    ], ids=["two_point_values", "sigma", "mean", "schedule_values", "schedule_c", "b", "ds_a_overflow"])
+    def test_exit_2_naming_setting(self, capsys, args, message):
+        assert run_cli(args + ["--n", "100", "--reps", "1"]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestEmbeddedConfig:
     @pytest.mark.parametrize("command", list(_COMMANDS))
     def test_embeds_only_settings_the_command_takes(self, tmp_path, command):

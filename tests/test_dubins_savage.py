@@ -51,6 +51,20 @@ class TestDsA:
         vals = [ds.ds_a(ds.DsConfig(1.5, 1.0, a)) for a in alphas]
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("p, alpha", [(1.01, 1e-5), (1.001, 0.99)])
+    def test_beyond_float_range_rejected(self, p, alpha):
+        """Near p = 1, (2/alpha)^(1/(p-1)) overflows or m_p underflows to 0:
+        a typed error naming p and alpha, not an OverflowError."""
+        cfg = ds.DsConfig(p=p, v_p=1.0, alpha=alpha)
+        for fn in (ds.ds_a, ds.ds_optimal_schedule):
+            with pytest.raises(ValueError, match=f"p = {p}, alpha = {alpha}"):
+                fn(cfg)
+
+    @pytest.mark.parametrize("b", [0.0, math.nan, math.inf])
+    def test_b_must_be_positive_and_finite(self, b):
+        with pytest.raises(ValueError, match="b must be positive and finite"):
+            ds.DsConfig(p=2.0, v_p=1.0, alpha=0.05, b=b)
+
 
 class TestTailBound:
     def test_a_zero_is_one(self):
@@ -177,6 +191,11 @@ class TestWidth:
         cfg = ds.DsConfig(p=2.0, v_p=1.0, alpha=0.05)
         sched = ds.ds_optimal_schedule(cfg)
         assert sched.at(1) == pytest.approx(math.sqrt(39.0), rel=1e-14)
+        # The width minimizer (a/(t b v_p (p-1)))^(1/p) is the power law c t^(-1/p).
+        cfg15 = ds.DsConfig(p=1.5, v_p=2.0, alpha=0.01, b=0.7)
+        t = np.arange(1.0, 1001.0)
+        exact = (ds.ds_a(cfg15) / (t * 0.7 * 2.0 * 0.5)) ** (1.0 / 1.5)
+        np.testing.assert_allclose(ds.ds_optimal_schedule(cfg15).head(1000), exact, rtol=1e-15)
         assert ds.ds_width(cfg, 100) == pytest.approx(
             ds.ds_width(cfg, 100, schedule=sched), rel=1e-15
         )

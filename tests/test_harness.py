@@ -60,6 +60,22 @@ class TestSampling:
         assert abs(np.median(x) - 3.0) < 0.05  # median = location for symmetric t
 
 
+class TestDistributionValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: gaussian(mean=v), "mean"),
+        (lambda v: gaussian(sigma=v), "sigma"),
+        (lambda v: centered_pareto(1.9, scale=v), "scale"),
+        (lambda v: student_t(1.8, location=v), "location"),
+        (lambda v: two_point([v, 1.0], [0.5, 0.5]), "values"),
+        (lambda v: two_point([0.0, 1.0], [v, 0.5]), "probs"),
+    ], ids=["gaussian_mean", "gaussian_sigma", "pareto_scale", "student_t_location", "two_point_values",
+            "two_point_probs"])
+    def test_non_finite_parameter_rejected(self, make, name, bad):
+        with pytest.raises(ValueError, match=name):
+            make(bad)
+
+
 class TestTrueVp:
     def test_gaussian_p2_is_variance(self):
         assert true_vp(gaussian(0.0, 1.7), 2.0) == pytest.approx(1.7**2, rel=1e-14)

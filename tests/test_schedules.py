@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from heavytail_cs.schedules import PrefixSums, custom_list, ds_optimal, power_law
+from heavytail_cs.dubins_savage import DsConfig, ds_optimal_schedule
+from heavytail_cs.schedules import PrefixSums, custom_list, power_law
 
 
 class TestLambdaAt:
@@ -14,8 +15,9 @@ class TestLambdaAt:
 
     def test_ds_optimal_reference_value(self):
         # a = 39 is the p=2, b=1, alpha=0.05 constant; lambda_1 = sqrt(39)
-        s = ds_optimal(a=39.0, b=1.0, v_p=1.0, p=2.0)
+        s = ds_optimal_schedule(DsConfig(p=2.0, v_p=1.0, alpha=0.05))
         assert s.at(1) == pytest.approx(math.sqrt(39.0), rel=1e-15)
+        assert s == power_law(math.sqrt(39.0), 2.0)
 
     def test_custom_list(self):
         assert custom_list([0.3, 0.2]).at(2) == 0.2
@@ -29,12 +31,15 @@ class TestLambdaAt:
             custom_list([0.3]).at(2)
 
     def test_head_matches_at(self):
-        for s in (power_law(0.7, 1.5), ds_optimal(5.0, 1.0, 2.0, 1.5), custom_list([0.5, 0.25, 0.1])):
-            head = s.head(3)
-            np.testing.assert_allclose(head, [s.at(t) for t in (1, 2, 3)], rtol=0)
+        """Streaming weights (at) and batch weights (head) agree bit for bit."""
+        n = 2000
+        for s in (power_law(0.7, 1.5), power_law(1.0, 1.5), ds_optimal_schedule(DsConfig(1.5, 2.0, 0.05)),
+                  custom_list(0.5 / np.arange(1.0, n + 1.0) ** 0.6)):
+            streamed = np.array([s.at(t) for t in range(1, n + 1)])
+            assert streamed.tobytes() == s.head(n).tobytes()
 
     def test_positive_and_nonincreasing(self):
-        for s in (power_law(2.0, 1.1), ds_optimal(3.0, 0.5, 1.5, 2.0)):
+        for s in (power_law(2.0, 1.1), ds_optimal_schedule(DsConfig(2.0, 1.5, 0.01, b=0.5))):
             lam = s.head(1000)
             assert np.all(lam > 0)
             assert np.all(np.diff(lam) <= 0)
@@ -45,16 +50,21 @@ class TestLambdaAt:
         with pytest.raises(ValueError):
             power_law(p=2.5)
         with pytest.raises(ValueError):
-            ds_optimal(a=0.0, b=1.0, v_p=1.0, p=2.0)
-        with pytest.raises(ValueError):
             custom_list([])
         with pytest.raises(ValueError):
             custom_list([0.5, -0.1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="scale c"):
+            power_law(c=bad)
+        with pytest.raises(ValueError, match="custom_list"):
+            custom_list([bad, 1.0])
+
 
 SPAN_SCHEDULES = {
     "power_law": power_law(0.7, 1.5),
-    "ds_optimal": ds_optimal(5.0, 1.0, 2.0, 1.5),
+    "ds_optimal": ds_optimal_schedule(DsConfig(1.5, 2.0, 0.05)),
     "custom_list": custom_list([0.5 / t for t in range(1, 41)]),
 }
 
