@@ -80,12 +80,22 @@ def ds_a(cfg: DsConfig) -> float:
 
 
 def ds_tail_bound(a: float, b: float, p: float) -> float:
-    """1 / (1 + m_p a b^(1/(p-1)))^(p-1), in (0, 1]; equals 1 at a = 0."""
+    """1 / (1 + m_p a b^(1/(p-1)))^(p-1), in (0, 1]; equals 1 at a = 0.
+
+    ValueError where the bound is not a positive float (near p = 1,
+    b^(1/(p-1)) overflows and the bound underflows to 0).
+    """
     if a < 0.0:
         raise ValueError(f"a must be >= 0, got {a}")
     if b <= 0.0:
         raise ValueError(f"b must be positive, got {b}")
-    return 1.0 / (1.0 + m_p(p) * a * b ** (1.0 / (p - 1.0))) ** (p - 1.0)
+    try:
+        bound = 1.0 / (1.0 + m_p(p) * a * b ** (1.0 / (p - 1.0))) ** (p - 1.0)
+    except OverflowError:
+        bound = 0.0
+    if not bound > 0.0:
+        raise ValueError(f"tail bound is not a positive float at a = {a}, b = {b}, p = {p}")
+    return bound
 
 
 @dataclass

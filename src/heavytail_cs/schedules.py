@@ -111,9 +111,19 @@ class PrefixSums:
         return self._sp.total
 
     def push(self, lam: float) -> None:
-        """Append an explicit lambda value."""
-        if lam <= 0.0:
-            raise ValueError(f"lambda values must be positive, got {lam}")
+        """Append an explicit lambda value.
+
+        Rejects a value that is not positive and finite, or whose sums
+        would overflow, leaving the sums unchanged.
+        """
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"lambda values must be positive and finite, got {lam}")
+        try:
+            lam_p = lam**self.p
+        except OverflowError:
+            lam_p = math.inf
+        if not (math.isfinite(self.sum_lambda + lam) and math.isfinite(self.sum_lambda_p + lam_p)):
+            raise ValueError(f"sums of lambda_i and lambda_i^p overflow at lambda = {lam}")
         self.n += 1
         self._s1.add(lam)
-        self._sp.add(lam**self.p)
+        self._sp.add(lam_p)

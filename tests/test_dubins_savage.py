@@ -1,6 +1,7 @@
 """Dubins-Savage tail bound, interval, width, and alpha scaling."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -85,6 +86,13 @@ class TestTailBound:
             ds.ds_tail_bound(-1.0, 1.0, 2.0)
         with pytest.raises(ValueError):
             ds.ds_tail_bound(1.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize("a, b, p", [(10.0, 1e10, 1.01), (1e300, 1e10, 2.0), (math.nan, 1.0, 1.5)])
+    def test_beyond_float_range_rejected(self, a, b, p):
+        """b^(1/(p-1)) overflows (an OverflowError from float pow), or the
+        bound underflows to 0: a typed error naming a, b and p."""
+        with pytest.raises(ValueError, match=re.escape(f"a = {a}, b = {b}, p = {p}")):
+            ds.ds_tail_bound(a, b, p)
 
     @pytest.mark.parametrize("a_level", [24.0, 200.0])
     def test_mc_exceedance_within_bound(self, a_level):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -22,6 +23,9 @@ from heavytail_cs.harness import (
 from heavytail_cs.schedules import power_law
 
 RADEMACHER = two_point([-1.0, 1.0], [0.5, 0.5])
+#: (shape, p) pairs for the centred-Pareto moment; 1.5/1.45, 1.95/1.9 and
+#: 2.0/1.95 put p at the TAIL_MARGIN edge.
+PARETO_GRID = [(1.06, 1.01), (1.5, 1.1), (1.5, 1.45), (1.9, 1.5), (1.95, 1.9), (2.0, 1.95)]
 
 
 class TestSampling:
@@ -97,14 +101,56 @@ class TestTrueVp:
         assert val == pytest.approx(quad, rel=1e-8)
         assert val == pytest.approx(4.6257603424044, rel=1e-10)  # frozen 40-digit value
 
-    def test_pareto_quadrature_vs_mpmath_oracle(self):
-        """scipy quadrature against an arbitrary-precision mpmath evaluation."""
+    def test_pareto_closed_form_vs_mpmath_oracle(self):
+        """The closed form against a frozen 40-digit mpmath evaluation."""
         assert true_vp(centered_pareto(1.9, 1.0), 1.5) == pytest.approx(
-            2.7953099223432554, rel=1e-9
+            2.7953099223432554, rel=1e-14
         )
 
-    def test_pareto_quadrature_vs_large_mc(self):
-        """1e8-sample Monte Carlo cross-check of the quadrature route.
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("beta, p", PARETO_GRID)
+    def test_pareto_closed_form_vs_quadrature(self, beta, p, scale):
+        """Independent route: scipy quadrature of |x - mu|^p times the Pareto
+        density, split at the mean.  The grid reaches p at the TAIL_MARGIN
+        edge and shapes down to 1.06, where the series is longest.
+
+        Above the mean the integral runs over u = mu_raw/x in (0, 1]: QUADPACK's
+        own map of [mu_raw, inf) does not converge at shape 1.06 off unit
+        scale.  epsabs = 0, as the moments at scale 1e-3 are near 1e-4.
+        """
+        raw_mean = beta * scale / (beta - 1.0)
+        f = lambda x: abs(x - raw_mean) ** p * beta * scale**beta * x ** (-beta - 1.0)
+        below = integrate.quad(f, scale, raw_mean, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+        above = integrate.quad(lambda u: f(raw_mean / u) * raw_mean / u**2, 0.0, 1.0,
+                               epsabs=0.0, epsrel=1e-11, limit=200)[0]
+        assert true_vp(centered_pareto(beta, scale), p) == pytest.approx(below + above, rel=1e-9)
+
+    @pytest.mark.parametrize("beta, p", PARETO_GRID)
+    def test_pareto_closed_form_vs_hypergeometric(self, beta, p):
+        """The same closed form at 40 digits, the part below the mean as
+        mpmath's 2F1(beta+1, p+1; p+2; 1/beta)/(p+1): checks the truncated
+        series and the float evaluation, at shapes where mpmath quadrature
+        does not converge."""
+        with mp.workdps(40):
+            b, q = mp.mpf(beta), mp.mpf(p)
+            above = b ** (q - b) * mp.gamma(b - q) * mp.gamma(q + 1) / mp.gamma(b)
+            below = b**-b * mp.hyp2f1(b + 1, q + 1, q + 2, 1 / b) / (q + 1)
+            exact = float((b - 1) ** (b - q) * (above + below))
+        assert true_vp(centered_pareto(beta, 1.0), p) == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("beta, p", PARETO_GRID)
+    def test_pareto_scale_law(self, beta, p):
+        unit = true_vp(centered_pareto(beta, 1.0), p)
+        for scale in (1e-3, 0.37, 1e3):
+            assert true_vp(centered_pareto(beta, scale), p) == pytest.approx(scale**p * unit, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.5, math.nan])
+    def test_p_outside_domain_rejected(self, p):
+        with pytest.raises(ValueError, match="p must lie in"):
+            true_vp(gaussian(0, 1), p)
+
+    def test_pareto_closed_form_vs_large_mc(self):
+        """1e8-sample Monte Carlo cross-check of the closed form.
 
         |X - mu|^1.5 has tail index 1.9/1.5 < 2: the raw summand has
         infinite variance, so a plain 3-standard-error band around the raw

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heavytail_cs.dubins_savage import DsConfig, ds_optimal_schedule
+from heavytail_cs.dubins_savage import DsConfig, DsState, ds_optimal_schedule
 from heavytail_cs.schedules import PrefixSums, custom_list, power_law
 
 
@@ -130,6 +130,26 @@ class TestPrefixSums:
         lam = s.head(500)
         cs1, csp = np.cumsum(lam), np.cumsum(lam**p)
         assert csp[-1] <= cs1[-1] * lam.max() ** (p - 1.0) + 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("make", [lambda: PrefixSums(p=2.0), lambda: DsState(p=1.5)],
+                             ids=["PrefixSums", "DsState"])
+    def test_non_finite_or_non_positive_rejected(self, make, bad):
+        ps = make()
+        ps.push(0.5)
+        with pytest.raises(ValueError, match="positive and finite"):
+            ps.push(bad)
+        assert (ps.n, ps.sum_lambda, ps.sum_lambda_p) == (1, 0.5, 0.5**ps.p)
+
+    def test_overflowing_sums_rejected_state_unchanged(self):
+        """1e200^2 is past the float range (an OverflowError from float pow);
+        a second 1e154 takes the sum of lambda^2 past it."""
+        ps = PrefixSums(p=2.0)
+        ps.push(1e154)
+        for lam in (1e200, 1e154):
+            with pytest.raises(ValueError, match="overflow"):
+                ps.push(lam)
+        assert (ps.n, ps.sum_lambda, ps.sum_lambda_p) == (1, 1e154, 1e154**2.0)
 
     def test_incremental_matches_batch_at_1e6(self):
         """Kahan-compensated running sums vs pairwise batch, 1e-12 relative."""
