@@ -176,6 +176,8 @@ _TERM_ULPS = 16
 _SUM_DEPTH = 40
 #: The certificate gives up on Newton steps this long (|d|^p must not overflow).
 _MAX_REACH = 1e150
+#: The most terms failure_budget sums before it gives up.
+_MAX_BUDGET_TERMS = 1 << 34
 
 
 def _f_and_slope(influence: InfluenceFunction, lam: np.ndarray, xs: np.ndarray, x: float, sums: bool = False):
@@ -363,7 +365,6 @@ def failure_budget(
     config: CatoniConfig,
     term_floor: float = 1e-16,
     chunk: int = 1 << 20,
-    max_terms: int = 1 << 34,
 ) -> float:
     """alpha * sum_{n>=1} eps_n, summed in chunks until eps_n < term_floor.
 
@@ -375,15 +376,16 @@ def failure_budget(
     negligible at the tolerances this quantity is consumed at.
 
     Each chunk evaluates only its own window of lambda (schedule.span), so
-    the cost is O(terms) time and O(chunk) memory.
+    the cost is O(terms) time and O(chunk) memory.  RuntimeError when no
+    term falls below term_floor within _MAX_BUDGET_TERMS terms.
     """
     cv = config.c_p * config.v_p
     q = config.p - 1.0
     total = 0.0
     expo = 0.0
     start = 1
-    while start <= max_terms:
-        stop = min(start + chunk - 1, max_terms)
+    while start <= _MAX_BUDGET_TERMS:
+        stop = min(start + chunk - 1, _MAX_BUDGET_TERMS)
         if callable(config.t):
             t_factor = 1.0 + config.t_values(start, stop) ** -q
         else:
@@ -400,7 +402,7 @@ def failure_budget(
         if terms[-1] < term_floor:
             return config.alpha * total
         start = stop + 1
-    raise RuntimeError(f"failure budget did not reach term_floor within {max_terms} terms")
+    raise RuntimeError(f"failure budget did not reach term_floor within {_MAX_BUDGET_TERMS} terms")
 
 
 def width_bound(config: CatoniConfig, n: int) -> float | None:

@@ -50,20 +50,27 @@ class _Option(NamedTuple):
     help: str | None = None
 
 
+#: Each distribution kind: its constructor and its parameters' options in
+#: constructor order.  A string option holds comma-separated numbers.
+_DISTS = {
+    "gaussian": (harness.gaussian, {"mean": _Option(float, 0.0, help="gaussian mean"),
+                                    "sigma": _Option(float, 1.0, help="gaussian std dev")}),
+    "centered_pareto": (harness.centered_pareto, {"shape": _Option(float, 1.9, help="pareto tail index in (1,2]"),
+                                                  "scale": _Option(float, 1.0, help="pareto scale")}),
+    "student_t": (harness.student_t, {"df": _Option(float, 1.8, help="student-t degrees of freedom in (1,2]"),
+                                      "location": _Option(float, 0.0, help="student-t location")}),
+    "two_point": (harness.two_point, {"values": _Option(str, "-1,1", help="two-point values, comma separated"),
+                                      "probs": _Option(str, "0.5,0.5", help="two-point probabilities, comma separated")}),
+}
+_DIST_PARAMS = {key: opt for _, params in _DISTS.values() for key, opt in params.items()}
+
 #: Every setting: type, default, commands that take it, choices, help.  The
 #: flag is "--" + key with "_" as "-" and defaults to None, so that a
 #: config-file value can be told from an unset flag.
 _OPTIONS = {
     "method": _Option(str, "catoni", ("coverage", "width"), ("catoni", "ds", "both")),
-    "dist": _Option(str, None, choices=("gaussian", "centered_pareto", "student_t", "two_point")),
-    "mean": _Option(float, 0.0, help="gaussian mean"),
-    "sigma": _Option(float, 1.0, help="gaussian std dev"),
-    "shape": _Option(float, 1.9, help="pareto tail index in (1,2]"),
-    "scale": _Option(float, 1.0, help="pareto scale"),
-    "df": _Option(float, 1.8, help="student-t degrees of freedom in (1,2]"),
-    "location": _Option(float, 0.0, help="student-t location"),
-    "values": _Option(str, "-1,1", help="two-point values, comma separated"),
-    "probs": _Option(str, "0.5,0.5", help="two-point probabilities, comma separated"),
+    "dist": _Option(str, None, choices=tuple(_DISTS)),
+    **_DIST_PARAMS,
     "p": _Option(float, 2.0, help="moment order in (1,2]"),
     "alpha": _Option(float, 0.05),
     "n": _Option(int, 10000, help="stream horizon N"),
@@ -145,7 +152,7 @@ def _check_file_value(command: str, key: str, value) -> None:
 
 def _validate(cfg: dict) -> None:
     if cfg["dist"] is None:
-        raise ValueError(f"--dist is required (choose one of {', '.join(_OPTIONS['dist'].choices)})")
+        raise ValueError(f"--dist is required (choose one of {', '.join(_DISTS)})")
     if not 1.0 < cfg["p"] <= 2.0:
         raise ValueError(f"p must lie in (1, 2], got {cfg['p']}")
     if not 0.0 < cfg["alpha"] < 1.0:
@@ -169,14 +176,8 @@ def _parse_floats(cfg: dict, key: str) -> list[float]:
 
 
 def _dist_from(cfg: dict) -> harness.DistributionSpec:
-    kind = cfg["dist"]
-    if kind == "gaussian":
-        return harness.gaussian(cfg["mean"], cfg["sigma"])
-    if kind == "centered_pareto":
-        return harness.centered_pareto(cfg["shape"], cfg["scale"])
-    if kind == "student_t":
-        return harness.student_t(cfg["df"], cfg["location"])
-    return harness.two_point(_parse_floats(cfg, "values"), _parse_floats(cfg, "probs"))
+    make, params = _DISTS[cfg["dist"]]
+    return make(*(_parse_floats(cfg, key) if opt.type is str else cfg[key] for key, opt in params.items()))
 
 
 def _schedule_from(cfg: dict, dist: harness.DistributionSpec) -> LambdaSchedule | None:
@@ -200,8 +201,7 @@ def _schedule_from(cfg: dict, dist: harness.DistributionSpec) -> LambdaSchedule 
 
 #: Settings a report does not embed: execution detail, output paths, and the
 #: distribution's parameters, which its `dist` label carries.
-_NOT_EMBEDDED = ("threads", "out", "svg", "mean", "sigma", "shape", "scale", "df",
-                 "location", "values", "probs")
+_NOT_EMBEDDED = ("threads", "out", "svg", *_DIST_PARAMS)
 
 
 def _embedded_config(cfg: dict, dist: harness.DistributionSpec) -> dict:
@@ -317,10 +317,8 @@ def _cmd_width(cfg: dict) -> int:
     summary.update({f"v_p_{m}": reports[m].v_p for m in methods})
     _emit(cfg, rows, fields, summary, _embedded_config(cfg, dist))
     if cfg.get("svg"):
-        series = []
-        for m in methods:
-            series.append((f"{m} width", [float(n) for n in ns], [r[f"width_{m}"] for r in rows]))
-            series.append((f"{m} bound", [float(n) for n in ns], [r[f"bound_{m}"] for r in rows]))
+        series = [(f"{m} {kind}", [float(n) for n in ns], [r[f"{kind}_{m}"] for r in rows])
+                  for m in methods for kind in ("width", "bound")]
         line_chart(series, cfg["svg"], title="interval width vs n", xlabel="n", ylabel="width")
     return 0
 
@@ -340,17 +338,10 @@ def _cmd_lil_check(cfg: dict) -> int:
     )
     floor = lil_floor_curve(lil, cfg["n"])
     trace = lil_trace(dist, schedule, cfg["n"], cfg["seed"])
-    rows = []
-    for ck in width_rep.checkpoints:
-        fl = floor[ck.n - 1]
-        rows.append(
-            {
-                "n": ck.n,
-                "width": ck.mean_width,
-                "lil_floor": None if math.isnan(fl) else float(fl),
-                "lil_ratio": None if math.isnan(trace[ck.n - 1]) else float(trace[ck.n - 1]),
-            }
-        )
+    rows = [{"n": ck.n, "width": ck.mean_width,
+             "lil_floor": None if math.isnan(floor[ck.n - 1]) else float(floor[ck.n - 1]),
+             "lil_ratio": None if math.isnan(trace[ck.n - 1]) else float(trace[ck.n - 1])}
+            for ck in width_rep.checkpoints]
     # The first checkpoint with a floor from which the width stays at or above
     # every floor; a NaN width fails `>=`, so it disqualifies its checkpoint.
     n0 = None
@@ -385,11 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve(args)
         _validate(cfg)
-        if cfg["command"] == "coverage":
-            return _cmd_coverage(cfg)
-        if cfg["command"] == "width":
-            return _cmd_width(cfg)
-        return _cmd_lil_check(cfg)
+        return {"coverage": _cmd_coverage, "width": _cmd_width, "lil-check": _cmd_lil_check}[cfg["command"]](cfg)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,6 +27,7 @@ rate O(log t / t^((p-1)/p)) with an O(alpha^(-1/p)) confidence dependence.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,11 +36,27 @@ from .interval import ConfidenceInterval
 from .schedules import LambdaSchedule, PrefixSums, _KahanSum, power_law
 
 
+#: The smallest positive normal float and the log of the largest float;
+#: `_normal` tells that no step of a computation overflowed or underflowed.
+_TINY, _LOG_MAX = sys.float_info.min, math.log(sys.float_info.max)
+
+
+def _normal(*xs: float) -> bool:
+    return all(_TINY <= x < math.inf for x in xs)
+
+
+def _log_m_p(p: float) -> float:
+    return math.log((p - 1.0) / 2.0 ** (2.0 - p)) / (p - 1.0)
+
+
 def m_p(p: float) -> float:
-    """m_p = ((p-1) / 2^(2-p))^(1/(p-1)); positive on (1, 2], -> 0 as p -> 1."""
+    """m_p = ((p-1) / 2^(2-p))^(1/(p-1)) on (1, 2]; -> 0 as p -> 1, ValueError where it underflows (p < 1.00782)."""
     if not 1.0 < p <= 2.0:
         raise ValueError(f"p must lie in (1, 2], got {p}")
-    return ((p - 1.0) / 2.0 ** (2.0 - p)) ** (1.0 / (p - 1.0))
+    m = ((p - 1.0) / 2.0 ** (2.0 - p)) ** (1.0 / (p - 1.0))
+    if not _normal(m):
+        raise ValueError(f"m_p underflows at p = {p}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -66,35 +83,50 @@ def ds_a(cfg: DsConfig) -> float:
     """a = (1 / (m_p b^(1/(p-1)))) ((2/alpha)^(1/(p-1)) - 1).
 
     Chosen so the one-sided tail bound equals alpha/2; positive and
-    decreasing in alpha, growing like alpha^(-1/(p-1)).  ValueError where a is
-    not a positive finite float (near p = 1, (2/alpha)^(1/(p-1)) overflows).
+    decreasing in alpha, growing like alpha^(-1/(p-1)).  Evaluated in logs
+    where the direct form over- or underflows (near p = 1).  ValueError
+    where a is not a positive normal float.
     """
     q = 1.0 / (cfg.p - 1.0)
     try:
-        a = ((2.0 / cfg.alpha) ** q - 1.0) / (m_p(cfg.p) * cfg.b**q)
-    except (OverflowError, ZeroDivisionError):
-        a = math.inf
-    if not 0.0 < a < math.inf:
-        raise ValueError(f"a is not a positive finite float at p = {cfg.p}, alpha = {cfg.alpha}, b = {cfg.b}")
+        mb = m_p(cfg.p) * cfg.b**q
+        a = ((2.0 / cfg.alpha) ** q - 1.0) / mb
+    except (OverflowError, ValueError, ZeroDivisionError):
+        mb = a = math.nan
+    if not _normal(mb, a):
+        log_r = q * math.log(2.0 / cfg.alpha)
+        log_a = log_r + math.log1p(-math.exp(-log_r)) - _log_m_p(cfg.p) - q * math.log(cfg.b)
+        a = math.exp(log_a) if log_a <= _LOG_MAX else math.inf
+    if not _normal(a):
+        raise ValueError(f"a is not a positive normal float at p = {cfg.p}, alpha = {cfg.alpha}, b = {cfg.b}")
     return a
 
 
 def ds_tail_bound(a: float, b: float, p: float) -> float:
     """1 / (1 + m_p a b^(1/(p-1)))^(p-1), in (0, 1]; equals 1 at a = 0.
 
-    ValueError where the bound is not a positive float (near p = 1,
-    b^(1/(p-1)) overflows and the bound underflows to 0).
+    Evaluated in logs where the direct form over- or underflows (near
+    p = 1).  ValueError where the bound is not a positive normal float.
     """
     if a < 0.0:
         raise ValueError(f"a must be >= 0, got {a}")
     if b <= 0.0:
         raise ValueError(f"b must be positive, got {b}")
+    if not 1.0 < p <= 2.0:
+        raise ValueError(f"p must lie in (1, 2], got {p}")
+    if a == 0.0:
+        return 1.0
+    q = 1.0 / (p - 1.0)
     try:
-        bound = 1.0 / (1.0 + m_p(p) * a * b ** (1.0 / (p - 1.0))) ** (p - 1.0)
-    except OverflowError:
-        bound = 0.0
-    if not bound > 0.0:
-        raise ValueError(f"tail bound is not a positive float at a = {a}, b = {b}, p = {p}")
+        ma, bq = m_p(p) * a, b**q
+        bound = 1.0 / (1.0 + ma * bq) ** (p - 1.0)
+    except (OverflowError, ValueError):
+        ma = bq = bound = math.nan
+    if not _normal(ma, bq, bound):
+        x = _log_m_p(p) + math.log(a) + q * math.log(b)  # bound = (1 + e^x)^(1-p)
+        bound = math.exp((1.0 - p) * (x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))))
+    if not _normal(bound):
+        raise ValueError(f"tail bound is not a positive normal float at a = {a}, b = {b}, p = {p}")
     return bound
 
 

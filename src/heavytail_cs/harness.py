@@ -1,5 +1,8 @@
 """Stream generation with known moments and Monte Carlo experiments.
 
+A distribution kind is described once, by its constructor; adding one
+means a constructor here, a `cli._DISTS` row and a README mention.
+
 Replications are reproducible and order-independent: replication r of a
 run with master seed s draws from the substream
 SeedSequence(entropy=s, spawn_key=(r,)), so serial and thread-parallel
@@ -14,20 +17,15 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lgamma
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import catoni_cs as cat
 from . import dubins_savage as ds
 from .schedules import LambdaSchedule, power_law
-
-GAUSSIAN = "gaussian"
-CENTERED_PARETO = "centered_pareto"
-STUDENT_T = "student_t"
-TWO_POINT = "two_point"
 
 CATONI = "catoni"
 DS = "ds"
@@ -41,81 +39,91 @@ TAIL_MARGIN = 0.05
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """A stream distribution with analytically known mean and moments."""
+    """A stream distribution with known moments, described once by its constructor.
 
-    kind: str
-    mean: float = 0.0      # gaussian mean / student_t location
-    sigma: float = 1.0     # gaussian std dev
-    shape: float = 0.0     # pareto tail index
-    scale: float = 1.0     # pareto scale
-    df: float = 0.0        # student_t degrees of freedom
-    values: tuple[float, ...] = ()
-    probs: tuple[float, ...] = ()
+    tail_index is the sup of p with E|X|^p < inf (inf for light tails), std
+    is None where the variance is infinite, draw(rng, n) gives n i.i.d.
+    draws and moment(p) is E|X - mu|^p in closed form.  Specs compare and
+    hash by name (which spells out the parameters), mean and tail index.
+    """
 
-    @property
-    def true_mean(self) -> float:
-        if self.kind == GAUSSIAN:
-            return self.mean
-        if self.kind == CENTERED_PARETO:
-            return 0.0
-        if self.kind == STUDENT_T:
-            return self.mean
-        return float(sum(v * q for v, q in zip(self.values, self.probs)))
-
-    @property
-    def tail_index(self) -> float:
-        """Sup of p with E|X|^p < infinity (inf for light tails)."""
-        if self.kind == CENTERED_PARETO:
-            return self.shape
-        if self.kind == STUDENT_T:
-            return self.df
-        return math.inf
+    name: str
+    true_mean: float
+    tail_index: float
+    std: float | None = field(repr=False, compare=False)
+    draw: Callable[[np.random.Generator, int], np.ndarray] = field(repr=False, compare=False)
+    moment: Callable[[float], float] = field(repr=False, compare=False)
 
     def label(self) -> str:
-        if self.kind == GAUSSIAN:
-            return f"gaussian(mean={self.mean},sigma={self.sigma})"
-        if self.kind == CENTERED_PARETO:
-            return f"centered_pareto(shape={self.shape},scale={self.scale})"
-        if self.kind == STUDENT_T:
-            return f"student_t(df={self.df},location={self.mean})"
-        return f"two_point(values={list(self.values)},probs={list(self.probs)})"
+        return self.name
 
 
 def gaussian(mean: float = 0.0, sigma: float = 1.0) -> DistributionSpec:
+    """Normal(mean, sigma^2); E|X - mu|^p = sigma^p 2^(p/2) Gamma((p+1)/2) / sqrt(pi)."""
+    mean, sigma = float(mean), float(sigma)
     if not math.isfinite(mean):
         raise ValueError(f"mean must be finite, got {mean}")
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    return DistributionSpec(kind=GAUSSIAN, mean=mean, sigma=sigma)
+    return DistributionSpec(
+        f"gaussian(mean={mean},sigma={sigma})", mean, math.inf, sigma,
+        draw=lambda rng, n: rng.normal(mean, sigma, n),
+        moment=lambda p: sigma**p * 2.0 ** (p / 2.0) * math.exp(lgamma((p + 1.0) / 2.0)) / math.sqrt(math.pi),
+    )
 
 
 def centered_pareto(shape: float, scale: float = 1.0) -> DistributionSpec:
-    """Pareto(shape, scale) shifted by its mean scale*shape/(shape-1); mean 0."""
+    """Pareto(shape, scale) minus its mean scale*shape/(shape-1); E|X|^p = scale^p _pareto_vp(shape, p)."""
+    shape, scale = float(shape), float(scale)
     if not 1.0 < shape <= 2.0:
         raise ValueError(f"pareto shape must lie in (1, 2], got {shape}")
     if not 0.0 < scale < math.inf:
         raise ValueError(f"pareto scale must be positive and finite, got {scale}")
-    return DistributionSpec(kind=CENTERED_PARETO, shape=shape, scale=scale)
+
+    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+        # scale * (1 - u)^(-1/shape) - raw_mean, in place on the draws.
+        x = rng.random(n)
+        np.subtract(1.0, x, out=x)
+        x **= -1.0 / shape
+        x *= scale
+        x -= shape * scale / (shape - 1.0)
+        return x
+
+    return DistributionSpec(f"centered_pareto(shape={shape},scale={scale})", 0.0, shape, None, draw,
+                            lambda p: scale**p * _pareto_vp(shape, p))
 
 
 def student_t(df: float, location: float = 0.0) -> DistributionSpec:
+    """location + t(df); E|X - mu|^p = df^(p/2) Gamma((p+1)/2) Gamma((df-p)/2) / (sqrt(pi) Gamma(df/2))."""
+    df, location = float(df), float(location)
     if not 1.0 < df <= 2.0:
         raise ValueError(f"student_t df must lie in (1, 2] here, got {df}")
     if not math.isfinite(location):
         raise ValueError(f"student_t location must be finite, got {location}")
-    return DistributionSpec(kind=STUDENT_T, df=df, mean=location)
+    return DistributionSpec(
+        f"student_t(df={df},location={location})", location, df, None,
+        draw=lambda rng, n: location + rng.standard_t(df, n),
+        moment=lambda p: df ** (p / 2.0) * math.exp(
+            lgamma((p + 1.0) / 2.0) + lgamma((df - p) / 2.0) - lgamma(df / 2.0)) / math.sqrt(math.pi),
+    )
 
 
 def two_point(values: Iterable[float], probs: Iterable[float]) -> DistributionSpec:
-    vals = tuple(float(v) for v in values)
-    ps = tuple(float(q) for q in probs)
+    """A finite distribution: values[i] with probability probs[i]; moments by direct sums."""
+    vals, ps = tuple(float(v) for v in values), tuple(float(q) for q in probs)
     if len(vals) != len(ps) or not vals:
         raise ValueError("two_point needs matching nonempty values and probs")
     if not all(map(math.isfinite, vals)):
         raise ValueError(f"two_point values must be finite, got {vals}")
     if not all(0.0 <= q <= 1.0 for q in ps) or abs(sum(ps) - 1.0) > 1e-12:
         raise ValueError(f"probs must lie in [0, 1] and sum to 1, got {ps}")
-    return DistributionSpec(kind=TWO_POINT, values=vals, probs=ps)
+    mu = float(sum(v * q for v, q in zip(vals, ps)))
+    return DistributionSpec(
+        f"two_point(values={list(vals)},probs={list(ps)})", mu, math.inf,
+        math.sqrt(sum(q * (v - mu) ** 2 for v, q in zip(vals, ps))),
+        draw=lambda rng, n: rng.choice(np.asarray(vals), size=n, p=np.asarray(ps)),
+        moment=lambda p: float(sum(q * abs(v - mu) ** p for v, q in zip(vals, ps))),
+    )
 
 
 def substream(seed: int, rep: int) -> np.random.Generator:
@@ -125,53 +133,19 @@ def substream(seed: int, rep: int) -> np.random.Generator:
 
 def sample_stream(dist: DistributionSpec, seed: int, n: int, rep: int = 0) -> np.ndarray:
     """n i.i.d. draws; identical for identical (dist, seed, rep)."""
-    rng = substream(seed, rep)
-    if dist.kind == GAUSSIAN:
-        return rng.normal(dist.mean, dist.sigma, n)
-    if dist.kind == CENTERED_PARETO:
-        # scale * (1 - u)^(-1/shape) - raw_mean, in place on the draws.
-        x = rng.random(n)
-        np.subtract(1.0, x, out=x)
-        x **= -1.0 / dist.shape
-        x *= dist.scale
-        x -= dist.shape * dist.scale / (dist.shape - 1.0)
-        return x
-    if dist.kind == STUDENT_T:
-        return dist.mean + rng.standard_t(dist.df, n)
-    return rng.choice(np.asarray(dist.values), size=n, p=np.asarray(dist.probs))
+    return dist.draw(substream(seed, rep), n)
 
 
-def _require_moment(dist: DistributionSpec, p: float) -> None:
+def true_vp(dist: DistributionSpec, p: float) -> float:
+    """E|X - mu|^p for p in (1, 2] and at least TAIL_MARGIN below the tail index."""
+    if not 1.0 < p <= 2.0:
+        raise ValueError(f"p must lie in (1, 2], got {p}")
     if p > dist.tail_index - TAIL_MARGIN + 1e-12:
         raise ValueError(
             f"E|X - mu|^{p} is infinite or numerically unstable for {dist.label()}: "
             f"requires p <= tail index - {TAIL_MARGIN} = {dist.tail_index - TAIL_MARGIN}"
         )
-
-
-def true_vp(dist: DistributionSpec, p: float) -> float:
-    """E|X - mu|^p for p in (1, 2], in closed form.
-
-    gaussian: sigma^p 2^(p/2) Gamma((p+1)/2) / sqrt(pi).
-    student_t: nu^(p/2) Gamma((p+1)/2) Gamma((nu-p)/2) / (sqrt(pi) Gamma(nu/2)).
-    two_point: direct sum.  centered_pareto: see `_pareto_vp`.
-    """
-    if not 1.0 < p <= 2.0:
-        raise ValueError(f"p must lie in (1, 2], got {p}")
-    _require_moment(dist, p)
-    if dist.kind == GAUSSIAN:
-        return dist.sigma**p * 2.0 ** (p / 2.0) * math.exp(lgamma((p + 1.0) / 2.0)) / math.sqrt(math.pi)
-    if dist.kind == STUDENT_T:
-        nu = dist.df
-        return (
-            nu ** (p / 2.0)
-            * math.exp(lgamma((p + 1.0) / 2.0) + lgamma((nu - p) / 2.0) - lgamma(nu / 2.0))
-            / math.sqrt(math.pi)
-        )
-    if dist.kind == TWO_POINT:
-        mu = dist.true_mean
-        return float(sum(q * abs(v - mu) ** p for v, q in zip(dist.values, dist.probs)))
-    return dist.scale**p * _pareto_vp(dist.shape, p)
+    return dist.moment(p)
 
 
 def _pareto_vp(beta: float, p: float) -> float:
@@ -207,12 +181,9 @@ def _pareto_vp(beta: float, p: float) -> float:
 
 def true_std(dist: DistributionSpec) -> float:
     """sqrt(Var X); raises when the variance is not finite."""
-    if dist.kind == GAUSSIAN:
-        return dist.sigma
-    if dist.kind == TWO_POINT:
-        mu = dist.true_mean
-        return math.sqrt(sum(q * (v - mu) ** 2 for v, q in zip(dist.values, dist.probs)))
-    raise ValueError(f"{dist.label()} has infinite or undefined variance here")
+    if dist.std is None:
+        raise ValueError(f"{dist.label()} has infinite or undefined variance here")
+    return dist.std
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ class BracketError(RuntimeError):
 #: (up to the rounding of its ends) proved to hold the root, or None; see
 #: solve_monotone.
 Certifier = Callable[[float, float, float, float], tuple[float, float] | None]
+#: Open-side fallback steps after which solve_monotone probes that side's infinite end.
+_MAX_DOUBLINGS = 200
 
 
 def _value(f: Callable[[float], float], x: float) -> float:
@@ -123,7 +125,6 @@ def solve_monotone(
     x: float,
     xtol: float,
     fx: tuple[float, float] | None = None,
-    max_doublings: int = 200,
     certify: Certifier | None = None,
 ) -> float:
     """Root of a strictly decreasing f to within `xtol`, by safeguarded Newton.
@@ -135,7 +136,7 @@ def solve_monotone(
     is longer than half the step before last; then it bisects instead.
     While one side of the bracket is still open, the fallback step doubles
     the distance from the start, as in expand_bracket; after
-    `max_doublings` steps on an open side, the next probe is that side's
+    _MAX_DOUBLINGS steps on an open side, the next probe is that side's
     infinite end.  A Newton step shorter than xtol/4 is lengthened by
     xtol/4, so it lands just past the root and closes the bracket.
 
@@ -195,7 +196,7 @@ def solve_monotone(
         if not (lo < nxt < hi and (lo_open or hi_open or abs(step) <= 0.5 * prev2)):
             if not (lo_open or hi_open):
                 nxt = mid
-            elif doublings < max_doublings:
+            elif doublings < _MAX_DOUBLINGS:
                 end = lo if hi_open else hi
                 reach = max(reach, abs(end - x0), 4.0 * math.ulp(end))
                 nxt = end + toward * reach

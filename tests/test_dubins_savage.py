@@ -4,6 +4,7 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -31,6 +32,44 @@ class TestMp:
         for p in (1.0, 0.9, 2.1):
             with pytest.raises(ValueError):
                 ds.m_p(p)
+
+    def test_underflow_rejected(self):
+        """m_p(1.0005) = exp(-16587) is below the float range: a typed error, not 0."""
+        with pytest.raises(ValueError, match="m_p underflows at p = 1.0005"):
+            ds.m_p(1.0005)
+
+
+def mp_m_p(p):
+    return ((p - 1) / 2 ** (2 - p)) ** (1 / (p - 1))
+
+
+class TestNearOneVsMpmath:
+    """ds_a and ds_tail_bound against 60-digit mpmath at the same float inputs.
+
+    Inputs where b^(1/(p-1)) or (2/alpha)^(1/(p-1)) overflows, or m_p or
+    b^(1/(p-1)) underflows, take the log form; the others the direct one.
+    """
+
+    @pytest.mark.parametrize("a, b, p", [
+        (10.0, 1e10, 1.01), (5.0, 2.0, 1.0005), (1e-300, 1e5, 1.002), (1e6, 1e-20, 1.01),
+        (39.0, 1.0, 2.0), (3.0, 0.7, 1.5), (1e6, 2.0, 1.5),
+    ])
+    def test_tail_bound(self, a, b, p):
+        with mp.workdps(60):
+            a_, b_, p_ = mp.mpf(a), mp.mpf(b), mp.mpf(p)
+            exact = 1 / (1 + mp_m_p(p_) * a_ * b_ ** (1 / (p_ - 1))) ** (p_ - 1)
+            assert ds.ds_tail_bound(a, b, p) == pytest.approx(float(exact), rel=1e-11)
+
+    @pytest.mark.parametrize("p, alpha, b", [
+        (1.01, 0.05, 1e6), (1.005, 0.5, 1e3), (1.0005, 0.9, 1e4), (1.02, 0.05, 30.0),
+        (2.0, 0.05, 1.0), (1.5, 0.02, 0.7), (1.1, 1e-3, 4.0),
+    ])
+    def test_ds_a(self, p, alpha, b):
+        with mp.workdps(60):
+            p_, alpha_, b_ = mp.mpf(p), mp.mpf(alpha), mp.mpf(b)
+            q = 1 / (p_ - 1)
+            exact = ((2 / alpha_) ** q - 1) / (mp_m_p(p_) * b_**q)
+            assert ds.ds_a(ds.DsConfig(p=p, v_p=1.0, alpha=alpha, b=b)) == pytest.approx(float(exact), rel=1e-11)
 
 
 class TestDsA:
@@ -87,12 +126,17 @@ class TestTailBound:
         with pytest.raises(ValueError):
             ds.ds_tail_bound(1.0, 0.0, 2.0)
 
-    @pytest.mark.parametrize("a, b, p", [(10.0, 1e10, 1.01), (1e300, 1e10, 2.0), (math.nan, 1.0, 1.5)])
+    @pytest.mark.parametrize("a, b, p", [(1e300, 1e10, 2.0), (math.nan, 1.0, 1.5)])
     def test_beyond_float_range_rejected(self, a, b, p):
-        """b^(1/(p-1)) overflows (an OverflowError from float pow), or the
-        bound underflows to 0: a typed error naming a, b and p."""
+        """The bound underflows below the normal floats, or an input is NaN:
+        a typed error naming a, b and p."""
         with pytest.raises(ValueError, match=re.escape(f"a = {a}, b = {b}, p = {p}")):
             ds.ds_tail_bound(a, b, p)
+
+    def test_overflowing_power_gives_value(self):
+        """b^(1/(p-1)) = 1e1000 overflows, but the bound
+        exp(-0.01 log1p(e^1775.75)) is about 1.94e-8."""
+        assert ds.ds_tail_bound(10.0, 1e10, 1.01) == pytest.approx(1.9409739e-8, rel=1e-7)
 
     @pytest.mark.parametrize("a_level", [24.0, 200.0])
     def test_mc_exceedance_within_bound(self, a_level):

@@ -24,6 +24,16 @@ CASES = {
          "--format", "json"],
         ".json", False,
     ),
+    "coverage_student_t": (
+        ["coverage", "--method", "both", "--dist", "student_t", "--df", "1.8", "--p", "1.5",
+         "--alpha", "0.05", "--n", "2000", "--reps", "20", "--seed", "7", "--format", "json"],
+        ".json", False,
+    ),
+    "coverage_two_point": (
+        ["coverage", "--method", "both", "--dist", "two_point", "--p", "2", "--alpha", "0.05",
+         "--n", "2000", "--reps", "20", "--seed", "7", "--format", "json"],
+        ".json", False,
+    ),
     "width": (
         ["width", "--method", "both", "--dist", "gaussian", "--p", "2", "--alpha", "0.001",
          "--n", "5000", "--reps", "3", "--seed", "7", "--format", "csv"],

@@ -41,6 +41,7 @@ class TestSampling:
         a = sample_stream(gaussian(0, 1), 3, 100)
         b = sample_stream(gaussian(0, 1), 3, 100)
         np.testing.assert_array_equal(a, b)
+        assert len({gaussian(0, 1), gaussian(0.0, 1.0), student_t(1.8), student_t(1.8), RADEMACHER}) == 3
 
     def test_rep_substreams_differ(self):
         a = sample_stream(gaussian(0, 1), 3, 100, rep=0)
