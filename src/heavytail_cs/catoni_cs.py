@@ -72,8 +72,8 @@ class CatoniConfig:
     def __post_init__(self):
         if not 1.0 < self.p <= 2.0:
             raise ValueError(f"p must lie in (1, 2], got {self.p}")
-        if self.v_p <= 0.0:
-            raise ValueError(f"v_p must be positive, got {self.v_p}")
+        if not 0.0 < self.v_p < math.inf:
+            raise ValueError(f"v_p must be positive and finite, got {self.v_p}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         object.__setattr__(self, "influence", default_influence(self.p))
@@ -176,8 +176,8 @@ _TERM_ULPS = 16
 _SUM_DEPTH = 40
 #: The certificate gives up on Newton steps this long (|d|^p must not overflow).
 _MAX_REACH = 1e150
-#: The most terms failure_budget sums before it gives up.
-_MAX_BUDGET_TERMS = 1 << 34
+#: Terms of failure_budget summed one by one; a closed form bounds the rest.
+_BUDGET_HEAD = 1 << 16
 
 
 def _f_and_slope(influence: InfluenceFunction, lam: np.ndarray, xs: np.ndarray, x: float, sums: bool = False):
@@ -361,48 +361,46 @@ def _schedule_sums(config: CatoniConfig, n: int) -> tuple[np.ndarray, np.ndarray
     return s1, s_plus, np.cumsum(lam_p, out=lam_p)
 
 
-def failure_budget(
-    config: CatoniConfig,
-    term_floor: float = 1e-16,
-    chunk: int = 1 << 20,
-) -> float:
-    """alpha * sum_{n>=1} eps_n, summed in chunks until eps_n < term_floor.
+def failure_budget(config: CatoniConfig) -> float:
+    """alpha * sum_{n>=1} eps_n: its first N = _BUDGET_HEAD terms summed, plus a closed-form bound on the rest.
 
-    The terms are nonincreasing, so the truncation error after stopping at
-    term size term_floor is bounded by term_floor times the (finite)
-    number of further effectively-nonzero terms; for the power-law
-    schedules used here eps_n decays polynomially and a floor of 1e-16
-    (or 1e-12 for slowly decaying configs) makes the truncation
-    negligible at the tolerances this quantity is consumed at.
+    With a power_law(c, p_s) schedule, p_s >= p, every increment of
+    E_n = C_p v_p sum_{i<=n} lambda_i^p (1 + t_i^-(p-1)) is at least K / i,
+    K = C_p v_p c^p (1 + tbar^-(p-1)), tbar = t for a constant t and 1 for a
+    callable one (every t_i < 1).  DeTemple's H_n >= ln(n + 1/2) + gamma
+    (Amer. Math. Monthly 100, 1993), H_N - gamma <= ln N + 1/(2N) and the
+    convexity of x^-K (midpoint rule) bound the rest:
 
-    Each chunk evaluates only its own window of lambda (schedule.span), so
-    the cost is O(terms) time and O(chunk) memory.  RuntimeError when no
-    term falls below term_floor within _MAX_BUDGET_TERMS terms.
+        alpha^2 sum_{n>N} e^-E_n <= alpha^2 exp(-E_N + K (ln N + 1/(2N))) (N + 1)^(1-K) / (K - 1).
+
+    The computed E_n are lowered, and the sum raised, by bounds on their
+    rounding, so the result is never below the exact alpha sum eps_n.
+    ValueError before any term is summed for a custom_list schedule, for
+    p_s < p (eps_n does not vanish) and for K <= 1 (a constant t with
+    p_s = p diverges; otherwise the tail cannot be certified).
     """
-    cv = config.c_p * config.v_p
+    sched = config.schedule
+    if sched.values:
+        raise ValueError("failure_budget sums eps_n over every n >= 1; a custom_list schedule is finite")
+    if sched.p < config.p:
+        raise ValueError(f"power_law schedule at p = {sched.p} < config p = {config.p}: sum lambda_i^p converges, "
+                         "so the failure budget is infinite")
     q = config.p - 1.0
-    total = 0.0
-    expo = 0.0
-    start = 1
-    while start <= _MAX_BUDGET_TERMS:
-        stop = min(start + chunk - 1, _MAX_BUDGET_TERMS)
-        if callable(config.t):
-            t_factor = 1.0 + config.t_values(start, stop) ** -q
-        else:
-            t_factor = 1.0 + float(config.t) ** -q
-        expos = config.schedule.span(start, stop) ** config.p
-        expos *= cv
-        expos *= t_factor
-        np.cumsum(expos, out=expos)
-        expos += expo
-        terms = np.exp(-expos)
-        terms *= config.alpha
-        total += float(np.sum(terms))
-        expo = float(expos[-1])
-        if terms[-1] < term_floor:
-            return config.alpha * total
-        start = stop + 1
-    raise RuntimeError(f"failure budget did not reach term_floor within {_MAX_BUDGET_TERMS} terms")
+    cv = config.c_p * config.v_p
+    n = _BUDGET_HEAD
+    t_factor = 1.0 + config.t_values(1, n) ** -q
+    t_bar = 1.0 if callable(config.t) else float(config.t)
+    k = cv * sched.c**config.p * (1.0 + t_bar**-q) * (1.0 - 16.0 * _EPS)  # the tail bound falls as K grows
+    if not k > 1.0:
+        raise ValueError(f"failure budget needs K = C_p v_p c^p (1 + t^-(p-1)) > 1, got K = {k:.6g}")
+    expos = sched.head(n) ** config.p
+    expos *= cv
+    expos *= t_factor
+    np.cumsum(expos, out=expos)
+    expos *= 1.0 - (n + 64) * _EPS  # now below every exact E_n: each increment and cumsum step rounds
+    tail = math.exp(-float(expos[-1]) + k * (math.log(n) + 0.5 / n) + (1.0 - k) * math.log(n + 1.0)) / (k - 1.0)
+    head = float(np.sum(np.exp(-expos, out=expos)))
+    return config.alpha**2 * (head + tail) * (1.0 + (n + 64) * _EPS)  # the exps and the sum round up to this
 
 
 def width_bound(config: CatoniConfig, n: int) -> float | None:

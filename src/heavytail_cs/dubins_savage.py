@@ -71,8 +71,8 @@ class DsConfig:
     def __post_init__(self):
         if not 1.0 < self.p <= 2.0:
             raise ValueError(f"p must lie in (1, 2], got {self.p}")
-        if self.v_p <= 0.0:
-            raise ValueError(f"v_p must be positive, got {self.v_p}")
+        if not 0.0 < self.v_p < math.inf:
+            raise ValueError(f"v_p must be positive and finite, got {self.v_p}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.b < math.inf:

@@ -446,7 +446,8 @@ class BoundValidityReport:
     condition_permanent: bool  # condition stays true from n0 through n_max
     violating_reps: int        # reps where some applicable n has width > bound
     violation_rate: float
-    failure_budget: float      # alpha * sum_n eps_n
+    failure_budget: float      # >= alpha * sum_n eps_n: 2^16 terms plus a closed-form tail; ValueError
+                               # for K = C_p v_p c^p (1 + t^-(p-1)) <= 1 and for a custom_list schedule
     exact_solves: int          # fallback endpoint solves that were needed
 
 
@@ -537,6 +538,7 @@ def run_bound_validity(
     the verdict per n is exact.
     """
     vp, sched, cfg = _method_setup(CATONI, dist, p, alpha, v_p, schedule, t, tau, 1.0)
+    budget = cat.failure_budget(cfg)  # raises before any replication on an uncertifiable config
     mu = dist.true_mean
     lam = sched.head(n_max)
     band = cat.target(cfg, np.cumsum(lam**p))
@@ -571,6 +573,6 @@ def run_bound_validity(
         condition_permanent=permanent,
         violating_reps=count,
         violation_rate=count / reps,
-        failure_budget=cat.failure_budget(cfg, term_floor=1e-12),
+        failure_budget=budget,
         exact_solves=exact_solves,
     )

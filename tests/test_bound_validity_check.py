@@ -12,6 +12,7 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_catoni import budget_oracle
 
 from heavytail_cs import catoni_cs as cat
 from heavytail_cs import harness
@@ -85,8 +86,9 @@ def test_chained_check_is_sufficient(kind, p, n_max, c, shift, log10_scale, offs
 
 
 def test_run_matches_reference_loop():
-    """Gaussian p = 2, n = 5000, 10 reps, seed 14: the verdict, n0 and budget of the
-    prefix-recomputing check, and no more exact solves than it needs."""
+    """Gaussian p = 2, n = 5000, 10 reps, seed 14: the verdict and n0 of the
+    prefix-recomputing check, no more exact solves than it needs, and a budget
+    inside the two-sided oracle's bracket."""
     rep = harness.run_bound_validity(harness.gaussian(0, 1), 2.0, 0.05, 5000, 10, seed=14)
     cfg = cat.CatoniConfig(p=2.0, v_p=rep.v_p, alpha=0.05, schedule=power_law(1.0, 2.0))
     lam = cfg.schedule.head(5000)
@@ -98,5 +100,7 @@ def test_run_matches_reference_loop():
         x = harness.sample_stream(harness.gaussian(0, 1), 14, 5000, rep=r)
         ref_solves += len(reference_suspects(cfg.influence, lam, x, 0.0, band, bounds, blocks))
     assert (rep.n0, rep.violating_reps) == (644, 0)
-    assert rep.failure_budget == 0.002029358213479574
+    assert rep.failure_budget == 0.0020300844912463
+    lower, upper = budget_oracle(cfg)
+    assert lower <= rep.failure_budget <= upper * (1.0 + 1e-6)
     assert rep.exact_solves <= ref_solves

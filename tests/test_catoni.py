@@ -2,9 +2,11 @@
 supermartingale means."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 from heavytail_cs import catoni_cs as cat
 from heavytail_cs.harness import centered_pareto, gaussian, sample_stream, true_vp
@@ -46,6 +48,11 @@ class TestConfig:
     def test_tau_validated(self):
         with pytest.raises(ValueError, match="tau"):
             config_p2(tau=0.0)
+
+    @pytest.mark.parametrize("v_p", [0.0, math.nan, math.inf, -math.inf])
+    def test_v_p_must_be_positive_and_finite(self, v_p):
+        with pytest.raises(ValueError, match="v_p must be positive and finite"):
+            config_p2(v_p=v_p)
 
     def test_influence_order_must_match(self):
         """The influence function is set from p; it is not an argument."""
@@ -283,70 +290,102 @@ class TestEpsilonN:
     """failure_budget, the sum of eps_n."""
 
     def test_failure_budget_finite_power_law(self):
-        """alpha * sum eps_n converges; summed to term < 1e-16."""
+        """alpha * sum eps_n converges."""
         cfg = config_p2(v_p=4.0)  # eps_n ~ n^-6: fast tail
-        budget = cat.failure_budget(cfg, term_floor=1e-16)
+        budget = cat.failure_budget(cfg)
         assert 0.0 < budget < ALPHA
         cfg15 = cat.CatoniConfig(p=1.5, v_p=2.0, alpha=0.05, schedule=power_law(1.0, 1.5))
-        budget15 = cat.failure_budget(cfg15, term_floor=1e-16)
+        budget15 = cat.failure_budget(cfg15)
         assert 0.0 < budget15 < 0.05
 
 
-def failure_budget_prefix_rebuild(config, term_floor, chunk=1 << 20, max_terms=1 << 34):
-    """Reference: failure_budget as first written, each chunk sliced out of head(stop)."""
-    cv = config.c_p * config.v_p
-    q = config.p - 1.0
-    total = 0.0
-    expo = 0.0
-    start = 1
-    while start <= max_terms:
-        stop = min(start + chunk - 1, max_terms)
-        lam = config.schedule.head(stop)[start - 1 :]
-        if callable(config.t):
-            t_factor = 1.0 + np.array([config.t_values(i, i)[0] for i in range(start, stop + 1)]) ** -q
-        else:
-            t_factor = 1.0 + float(config.t) ** -q
-        expos = expo + np.cumsum(cv * lam**config.p * t_factor)
-        terms = config.alpha * np.exp(-expos)
-        total += float(np.sum(terms))
-        expo = float(expos[-1])
-        if terms[-1] < term_floor:
-            return config.alpha * total
-        start = stop + 1
-    raise RuntimeError("reference did not reach term_floor")
+def budget_oracle(cfg, m=1 << 22):
+    """[L, U] around the exact alpha * sum eps_n for a power_law(c, p) schedule at the config's p.
+
+    The first m terms are summed with numpy.  For a constant t,
+    E_n = K H_n with K = C_p v_p c^p (1 + t^-(p-1)) and H_n = digamma(n + 1)
+    + gamma to float accuracy.  DeTemple's bracket
+    1/(24 (n+1)^2) < H_n - ln(n + 1/2) - gamma < 1/(24 n^2) bounds each
+    later term, and sum_{n>m} (n + 1/2)^-K lies between the integral of
+    x^-K from m + 1, less the midpoint rule's error (f'' is decreasing),
+    and that integral.  For a callable t only the head, a lower bound, is
+    returned (U = inf); its E_n are raised by their cumsum rounding.
+    """
+    eps = np.finfo(np.float64).eps
+    a2 = cfg.alpha**2
+    q = cfg.p - 1.0
+    cvp = cfg.c_p * cfg.v_p * cfg.schedule.c**cfg.p
+    n = np.arange(1.0, m + 1.0)
+    if callable(cfg.t):
+        expos = np.cumsum(cvp * (1.0 + cfg.t_values(1, m) ** -q) / n) * (1.0 + (m + 64) * eps)
+        return a2 * float(np.sum(np.exp(-expos))) * (1.0 - 1e-12), math.inf
+    k = cvp * (1.0 + cfg.t**-q)
+    head = float(np.sum(np.exp(-k * (digamma(n + 1.0) + np.euler_gamma))))
+    m1 = m + 1.0
+    upper = m1 ** (1.0 - k) / (k - 1.0)
+    lower = upper - k * (m1 ** (-k - 1.0) + (k + 1.0) * m1 ** (-k - 2.0)) / 24.0
+    g = math.exp(-k * np.euler_gamma)
+    return (a2 * (head + g * math.exp(-k / (24.0 * m1**2)) * lower) * (1.0 - 1e-12),
+            a2 * (head + g * upper) * (1.0 + 1e-12))
 
 
 class TestFailureBudget:
-    """failure_budget reads each chunk's window of lambda; the sum is unchanged bit for bit."""
+    """failure_budget is a certified upper bound within 1e-6 of exact, and rejects what it cannot certify."""
 
     @pytest.mark.parametrize(
-        "cfg, term_floor, chunk",
+        "cfg",
         [
-            (config_p2(v_p=4.0), 1e-16, 1 << 20),
-            (config_p2(v_p=4.0), 1e-16, 50),
-            (cat.CatoniConfig(p=1.5, v_p=2.0, alpha=0.05, schedule=power_law(1.0, 1.5)), 1e-16, 1 << 20),
-            (config_p2(v_p=4.0, t=lambda i: 0.5 + 0.4 / (i + 1)), 1e-16, 50),
+            config_p2(t=0.5),
+            config_p2(t=0.9),
+            cat.CatoniConfig(p=1.5, v_p=2.0, alpha=0.05, schedule=power_law(1.0, 1.5)),
+            cat.CatoniConfig(p=1.2, v_p=3.0, alpha=0.05, schedule=power_law(1.0, 1.2), t=0.3),
+            config_p2(v_p=2.0, schedule=power_law(0.7, 2.0)),
         ],
-        ids=["p2", "p2-small-chunks", "p1.5", "callable-t"],
+        ids=["p2-t0.5", "p2-t0.9", "p1.5", "p1.2-t0.3", "c0.7"],
     )
-    def test_equals_prefix_rebuilding_reference(self, cfg, term_floor, chunk):
-        got = cat.failure_budget(cfg, term_floor=term_floor, chunk=chunk)
-        assert got == failure_budget_prefix_rebuild(cfg, term_floor, chunk)
+    def test_within_two_sided_oracle(self, cfg):
+        lower, upper = budget_oracle(cfg)
+        assert lower <= cat.failure_budget(cfg) <= upper * (1.0 + 1e-6)
+
+    def test_t09_oracle_bracket(self):
+        """K = (1 + 1/0.9)/2 ~ 1.056: the tail past 2^22 is about 40 % of the sum."""
+        lower, upper = budget_oracle(config_p2(t=0.9))
+        assert 0.0243937478087 <= lower <= upper <= 0.0243937478165
+
+    def test_callable_t_above_head(self):
+        cfg = config_p2(v_p=4.0, t=lambda i: 0.5 + 0.4 / (i + 1))
+        lower, _ = budget_oracle(cfg, m=1 << 20)
+        assert lower <= cat.failure_budget(cfg) < ALPHA
+
+    @pytest.mark.parametrize(
+        "cfg, match",
+        [
+            (config_p2(v_p=0.5), r"K = 0\.75\b"),
+            (config_p2(v_p=0.5, t=lambda i: 0.5), r"K = 0\.5\b"),
+            (config_p2(schedule=custom_list([1.0] * 1000)), "every n >= 1"),
+            (config_p2(schedule=power_law(1.0, 1.5)), "converges"),
+        ],
+        ids=["K<1", "K<1-callable-t", "custom_list", "schedule-p-below-p"],
+    )
+    def test_rejects_at_once(self, cfg, match):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=match):
+            cat.failure_budget(cfg)
+        assert time.perf_counter() - start < 1.0
 
     def test_bound_validity_config_memory(self):
-        """gaussian, p = 2, alpha = 0.05: about 8.4e6 terms in 2^20-term chunks.
-        Rebuilding lambda_1..lambda_stop per chunk peaked near 200 MB."""
+        """gaussian, p = 2, alpha = 0.05: a head of 2^16 terms and a closed-form tail.
+        Summing about 8.4e6 terms in 2^20-term chunks peaked near 64 MB."""
         import tracemalloc
 
         cfg = config_p2(v_p=true_vp(gaussian(), 2.0))
         tracemalloc.start()
         try:
-            got = cat.failure_budget(cfg, term_floor=1e-12)
+            cat.failure_budget(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64e6
-        assert got == failure_budget_prefix_rebuild(cfg, 1e-12)
+        assert peak < 4e6
 
 
 class TestWidthBoundAt:

@@ -105,6 +105,11 @@ class TestDsA:
         with pytest.raises(ValueError, match="b must be positive and finite"):
             ds.DsConfig(p=2.0, v_p=1.0, alpha=0.05, b=b)
 
+    @pytest.mark.parametrize("v_p", [0.0, math.nan, math.inf, -math.inf])
+    def test_v_p_must_be_positive_and_finite(self, v_p):
+        with pytest.raises(ValueError, match="v_p must be positive and finite"):
+            ds.DsConfig(p=2.0, v_p=v_p, alpha=0.05)
+
 
 class TestTailBound:
     def test_a_zero_is_one(self):

@@ -1,6 +1,7 @@
 """Distributions, moments, and the Monte Carlo experiment layer."""
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -225,6 +226,13 @@ class TestCoverage:
         with pytest.raises(ValueError, match="understates"):
             run_coverage("catoni", gaussian(0, 1), 2.0, 0.05, 100, 2, seed=5, v_p=0.5)
 
+    @pytest.mark.parametrize("method", ["catoni", "ds"])
+    @pytest.mark.parametrize("v_p", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_vp_rejected(self, method, v_p):
+        """A NaN band makes every |f_n(mu)| > band comparison false: 0 misses, not an error."""
+        with pytest.raises(ValueError, match="v_p"):
+            run_coverage(method, gaussian(0, 1), 2.0, 0.5, 200, 20, seed=1, v_p=v_p)
+
     def test_stride_recorded_and_coarsens(self):
         rep = run_coverage("catoni", gaussian(0, 1), 2.0, 0.05, 1000, 50, seed=6, stride=10)
         assert rep.stride == 10
@@ -286,6 +294,13 @@ class TestBoundValidity:
         assert rep.condition_permanent
         assert rep.violating_reps == 0
         assert 0.0 < rep.failure_budget < 0.05
+
+    def test_uncertifiable_budget_raises_before_replications(self):
+        """K = C_2 v_p c^2 (1 + 1/t) = 0.375 at c = 1/2: raised before 1000 replications at n = 10^6."""
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"K = 0\.375\b"):
+            run_bound_validity(gaussian(0, 1), 2.0, 0.05, 10**6, 1000, seed=1, schedule=power_law(0.5, 2.0))
+        assert time.perf_counter() - start < 1.0
 
     def test_direct_solve_agreement(self):
         """Cross-check the conservative verdict by exact endpoint solves on a
