@@ -16,29 +16,30 @@ of roots
 unique for every n >= 1 because the influence functions used here are
 strictly increasing and unbounded.
 
-The width analysis introduces free parameters 0 < t_i < 1 and tau_n > 0.
-With
+The width analysis introduces free constants 0 < t < 1 and tau > 0 (the
+paper allows sequences t_i, tau_n).  With
 
-    eps_n = alpha * exp(-C_p v_p sum_i lambda_i^p (1 + t_i^-(p-1)))
+    eps_n = alpha * exp(-C_p v_p sum_i lambda_i^p (1 + t^-(p-1)))
 
 the width bound
 
-    |I_n| <= 4 (1 + tau_n) (C_p v_p sum lambda_i^p (1 + t_i^-(p-1))
+    |I_n| <= 4 (1 + tau) (C_p v_p sum lambda_i^p (1 + t^-(p-1))
              + log(2/alpha)) / sum(lambda_i)
 
 holds simultaneously for all n at which its applicability condition
 (see `width_bound_curve`) is true, outside an event of probability at
-most sum_n eps_n.  The eps_n exponent uses the factor (1 + t_i^-(p-1));
+most sum_n eps_n.  The eps_n exponent uses the factor (1 + t^-(p-1));
 substituting it into the two-sided endpoint bound reproduces the
 factor-4 display above exactly, which the variant reading
-(1 + t_i)^-(p-1) does not.
+(1 + t)^-(p-1) does not.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,16 +48,14 @@ from .interval import ConfidenceInterval
 from .rootfind import solve_monotone
 from .schedules import LambdaSchedule, PrefixSums
 
-TSpec = float | Callable[[int], float]
-
 
 @dataclass(frozen=True)
 class CatoniConfig:
     """Parameters of the Catoni confidence sequence.
 
-    t and tau may be constants or callables i -> t_i / n -> tau_n; the
-    defaults t = 1/2, tau = 0.1 keep (t_n) bounded away from 0 and tau_n a
-    small positive constant, which makes the width-bound condition (see
+    t in (0, 1) and tau > 0 are the constants of the width analysis; only
+    the width bound and the failure budget read them, never the interval.
+    The defaults t = 1/2, tau = 0.1 make the width-bound condition (see
     `width_bound_curve`) true for all large n.  v_p is a trusted upper
     bound on E|X - mu|^p; no estimation is attempted.
     """
@@ -65,8 +64,8 @@ class CatoniConfig:
     v_p: float
     alpha: float
     schedule: LambdaSchedule
-    t: TSpec = 0.5
-    tau: TSpec = 0.1
+    t: float = 0.5
+    tau: float = 0.1
     influence: InfluenceFunction = field(init=False)
 
     def __post_init__(self):
@@ -76,46 +75,15 @@ class CatoniConfig:
             raise ValueError(f"v_p must be positive and finite, got {self.v_p}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not (isinstance(self.t, (int, float)) and 0.0 < self.t < 1.0):
+            raise ValueError(f"t must lie in (0, 1), got {self.t!r}")
+        if not (isinstance(self.tau, (int, float)) and 0.0 < self.tau < math.inf):
+            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
         object.__setattr__(self, "influence", default_influence(self.p))
-        if isinstance(self.t, (int, float)) and not 0.0 < float(self.t) < 1.0:
-            raise ValueError(f"t must lie in (0, 1), got {self.t}")
-        if isinstance(self.tau, (int, float)) and not float(self.tau) > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
 
     @property
     def c_p(self) -> float:
         return self.influence.c_p
-
-    def t_values(self, start: int, stop: int) -> np.ndarray:
-        """t_i for i = start..stop as float64; a constant t is one element, which broadcasts.
-
-        Raises ValueError naming the first callable t_i outside (0, 1).
-        """
-        if callable(self.t):
-            in_range = lambda v: (v > 0.0) & (v < 1.0)
-            return _callable_values(self.t, range(start, stop + 1), "t", in_range, "outside (0, 1)")
-        return np.full(1, float(self.t))
-
-    def tau_values(self, ns: Sequence[int]) -> np.ndarray:
-        """tau_n at each n in ns as float64; raises ValueError naming the first tau_n <= 0."""
-        if callable(self.tau):
-            return _callable_values(self.tau, ns, "tau", lambda v: v > 0.0, "must be positive")
-        return np.full(len(ns), float(self.tau))
-
-
-def _callable_values(
-    fn: Callable[[int], float], idx: Sequence[int], name: str, ok: Callable[[np.ndarray], np.ndarray], requirement: str
-) -> np.ndarray:
-    """fn(i) for every i in idx, as one float64 array checked by one vectorized test `ok`.
-
-    Raises ValueError naming the first i whose value fails `ok` (NaN fails).
-    """
-    out = np.fromiter((fn(i) for i in idx), dtype=np.float64, count=len(idx))
-    bad = ~ok(out)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise ValueError(f"{name}_{idx[j]} = {out[j]} {requirement}")
-    return out
 
 
 @dataclass
@@ -351,33 +319,36 @@ def _schedule_sums(config: CatoniConfig, n: int) -> tuple[np.ndarray, np.ndarray
     """Cumulative sum lam, sum lam^p (1 + t^-(p-1)), sum lam^p (1-t)^-(p-1) over 1..n."""
     lam = config.schedule.head(n)
     lam_p = lam**config.p
-    tv = config.t_values(1, n)
+    t = np.full(1, float(config.t))  # numpy's array pow, not Python's scalar one: the bounds keep their bits
     q = config.p - 1.0
     s1 = np.cumsum(lam)
     del lam  # in place from here on: at most three n-arrays live at once
-    s_plus = lam_p * (1.0 + tv**-q)
+    s_plus = lam_p * (1.0 + t**-q)
     np.cumsum(s_plus, out=s_plus)
-    lam_p *= (1.0 - tv) ** -q
+    lam_p *= (1.0 - t) ** -q
     return s1, s_plus, np.cumsum(lam_p, out=lam_p)
 
 
 def failure_budget(config: CatoniConfig) -> float:
     """alpha * sum_{n>=1} eps_n: its first N = _BUDGET_HEAD terms summed, plus a closed-form bound on the rest.
 
-    With a power_law(c, p_s) schedule, p_s >= p, every increment of
-    E_n = C_p v_p sum_{i<=n} lambda_i^p (1 + t_i^-(p-1)) is at least K / i,
-    K = C_p v_p c^p (1 + tbar^-(p-1)), tbar = t for a constant t and 1 for a
-    callable one (every t_i < 1).  DeTemple's H_n >= ln(n + 1/2) + gamma
-    (Amer. Math. Monthly 100, 1993), H_N - gamma <= ln N + 1/(2N) and the
-    convexity of x^-K (midpoint rule) bound the rest:
+    E_n = C_p v_p sum_{i<=n} lambda_i^p (1 + t^-(p-1)), from _schedule_sums.
+    With a power_law(c, p_s) schedule, p_s >= p, each increment of E_n is
+    at least K / i, K = C_p v_p c^p (1 + t^-(p-1)).  DeTemple's
+    H_n >= ln(n + 1/2) + gamma (Amer. Math. Monthly 100, 1993),
+    H_N - gamma <= ln N + 1/(2N) and the convexity of x^-K (midpoint rule)
+    bound the rest:
 
-        alpha^2 sum_{n>N} e^-E_n <= alpha^2 exp(-E_N + K (ln N + 1/(2N))) (N + 1)^(1-K) / (K - 1).
+        alpha^2 sum_{n>N} e^-E_n <= alpha^2 exp(-E_N + K (ln N + 1/(2N))) (N + 1)^(1-K) / (K - 1)
+                                  = alpha^2 (N + 1) exp(-E_N - K (ln(1 + 1/N) - 1/(2N))) / (K - 1),
 
-    The computed E_n are lowered, and the sum raised, by bounds on their
-    rounding, so the result is never below the exact alpha sum eps_n.
-    ValueError before any term is summed for a custom_list schedule, for
-    p_s < p (eps_n does not vanish) and for K <= 1 (a constant t with
-    p_s = p diverges; otherwise the tail cannot be certified).
+    the second form free of large terms that cancel.  The terms are scaled
+    by e^E_1, so none exceeds 1, and the result is formed in logs; below
+    the smallest normal float, that is returned.  E_n are lowered, and the
+    sum raised, by bounds on their rounding, so the result is never below
+    the exact alpha sum eps_n.  ValueError before any term is summed for a
+    custom_list schedule, for p_s < p (eps_n does not vanish) and for K <= 1
+    (p_s = p diverges; otherwise the tail cannot be certified).
     """
     sched = config.schedule
     if sched.values:
@@ -385,22 +356,21 @@ def failure_budget(config: CatoniConfig) -> float:
     if sched.p < config.p:
         raise ValueError(f"power_law schedule at p = {sched.p} < config p = {config.p}: sum lambda_i^p converges, "
                          "so the failure budget is infinite")
-    q = config.p - 1.0
     cv = config.c_p * config.v_p
-    n = _BUDGET_HEAD
-    t_factor = 1.0 + config.t_values(1, n) ** -q
-    t_bar = 1.0 if callable(config.t) else float(config.t)
-    k = cv * sched.c**config.p * (1.0 + t_bar**-q) * (1.0 - 16.0 * _EPS)  # the tail bound falls as K grows
+    k = cv * sched.c**config.p * (1.0 + config.t ** (1.0 - config.p)) * (1.0 - 16.0 * _EPS)  # the tail falls in K
     if not k > 1.0:
         raise ValueError(f"failure budget needs K = C_p v_p c^p (1 + t^-(p-1)) > 1, got K = {k:.6g}")
-    expos = sched.head(n) ** config.p
-    expos *= cv
-    expos *= t_factor
-    np.cumsum(expos, out=expos)
-    expos *= 1.0 - (n + 64) * _EPS  # now below every exact E_n: each increment and cumsum step rounds
-    tail = math.exp(-float(expos[-1]) + k * (math.log(n) + 0.5 / n) + (1.0 - k) * math.log(n + 1.0)) / (k - 1.0)
+    if k > 750.0:  # sum_n e^-E_n <= sum_n e^-K H_n < 2 e^-K, below the smallest normal float
+        return sys.float_info.min
+    n = _BUDGET_HEAD
+    expos = _schedule_sums(config, n)[1]
+    expos *= cv * (1.0 - (n + 64) * _EPS)  # below each exact E_n: its lambda^p, t factor, sums, products round
+    e1 = float(expos[0])
+    expos -= e1  # rounds too, within the lowering above
+    tail = math.exp(-float(expos[-1]) + math.log(n + 1.0) - k * (math.log1p(1.0 / n) - 0.5 / n)) / (k - 1.0)
     head = float(np.sum(np.exp(-expos, out=expos)))
-    return config.alpha**2 * (head + tail) * (1.0 + (n + 64) * _EPS)  # the exps and the sum round up to this
+    budget = math.exp(2.0 * math.log(config.alpha) - e1 + math.log(head + tail))
+    return max(budget * (1.0 + (n + 64) * _EPS), sys.float_info.min)  # the exps, logs and sum round up to this
 
 
 def width_bound(config: CatoniConfig, n: int) -> float | None:
@@ -416,36 +386,36 @@ def width_bound_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(bounds, condition) for every n = 1..n_max, or only for the n in `at`.
 
-    bounds = 4 (1+tau_n) (C_p v_p sum lam^p (1+t^-(p-1)) + log 2/alpha) / sum lam,
+    bounds = 4 (1+tau) (C_p v_p sum lam^p (1+t^-(p-1)) + log 2/alpha) / sum lam,
     and the bound applies at n (condition) iff
 
         C_p v_p sum lam^p (1 + t^-(p-1)) + log(2/alpha) + log(2/eps_n)
-        <= tau_n^(1/(p-1)) / (1+tau_n)^(p/(p-1))
+        <= tau^(1/(p-1)) / (1+tau)^(p/(p-1))
            * (sum lam)^(p/(p-1)) / (C_p sum lam^p (1-t)^-(p-1))^(1/(p-1)),
 
     where log(2/eps_n) = log(2/alpha) + C_p v_p sum lam^p (1 + t^-(p-1)).
-    bounds is NaN where the condition fails.  The cumulative sums run over
-    1..n_max once; the rest, and a callable tau, is evaluated only at the
-    requested n (each in [1, n_max]), and gives the same bits there as the
-    full curve.
+    bounds is NaN where the condition fails.  The sums run over 1..n_max
+    once, the rest only at the requested n (each in [1, n_max]), with the
+    full curve's bits there.  An overflow (a huge tau) makes the right-hand
+    side 0 or NaN, so the condition false, or a bound +inf, which holds.
     """
     q = config.p - 1.0
     s1, s_plus, s_minus = _schedule_sums(config, n_max)
-    ns = range(1, n_max + 1) if at is None else at
     if at is not None:
         idx = np.asarray(at, dtype=np.intp) - 1
         s1, s_plus, s_minus = s1[idx], s_plus[idx], s_minus[idx]
-    tau = config.tau_values(ns)
+    tau = np.full(1, float(config.tau))  # an array, as in _schedule_sums
     log2a = math.log(2.0 / config.alpha)
     cv_splus = config.c_p * config.v_p * s_plus
     lhs = 2.0 * cv_splus + 2.0 * log2a
-    rhs = (
-        tau ** (1.0 / q)
-        / (1.0 + tau) ** (config.p / q)
-        * s1 ** (config.p / q)
-        / (config.c_p * s_minus) ** (1.0 / q)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = (
+            tau ** (1.0 / q)
+            / (1.0 + tau) ** (config.p / q)
+            * s1 ** (config.p / q)
+            / (config.c_p * s_minus) ** (1.0 / q)
+        )
+        bounds = 4.0 * (1.0 + tau) * (cv_splus + log2a) / s1
     condition = lhs <= rhs
-    bounds = 4.0 * (1.0 + tau) * (cv_splus + log2a) / s1
     bounds[~condition] = np.nan
     return bounds, condition

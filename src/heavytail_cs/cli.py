@@ -79,8 +79,8 @@ _OPTIONS = {
     "schedule": _Option(str, None, choices=("power_law", "ds_optimal", "custom_list")),
     "schedule_c": _Option(float, 1.0, help="power-law scale c"),
     "schedule_values": _Option(str, None, help="custom schedule values"),
-    "t": _Option(float, 0.5, help="width-analysis constant t in (0,1)"),
-    "tau": _Option(float, 0.1, help="width-analysis constant tau > 0"),
+    "t": _Option(float, 0.5, ("width",), help="width-analysis constant t in (0,1)"),
+    "tau": _Option(float, 0.1, ("width",), help="width-analysis constant tau > 0"),
     "b": _Option(float, 1.0, help="Dubins-Savage b > 0"),
     "stride": _Option(int, 1, ("coverage",), help="check every stride-th n"),
     "threads": _Option(int, 1, help="max parallel replications"),
@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, text in _COMMANDS.items():
-        sp = sub.add_parser(command, help=text)
+        sp = sub.add_parser(command, help=text, allow_abbrev=False)  # --t must not mean --threads
         for key, opt in _OPTIONS.items():
             if command in opt.commands:
                 sp.add_argument("--" + key.replace("_", "-"), dest=key, type=opt.type,
@@ -205,8 +205,12 @@ _NOT_EMBEDDED = ("threads", "out", "svg", *_DIST_PARAMS)
 
 
 def _embedded_config(cfg: dict, dist: harness.DistributionSpec) -> dict:
+    """The settings a report embeds; ValueError names a float among them that is not positive and finite."""
     command = cfg["command"]
     out = {k: cfg[k] for k, opt in _OPTIONS.items() if command in opt.commands and k not in _NOT_EMBEDDED}
+    for key, value in out.items():
+        if isinstance(value, float) and not 0.0 < value < math.inf:
+            raise ValueError(f"{key} must be positive and finite, got {value}")
     out.update(command=command, dist=dist.label())
     return out
 
@@ -278,21 +282,22 @@ def _methods(cfg: dict) -> list[str]:
 def _cmd_coverage(cfg: dict) -> int:
     dist = _dist_from(cfg)
     schedule = _schedule_from(cfg, dist)
+    config = _embedded_config(cfg, dist)
     rows = [
         dataclasses.asdict(harness.run_coverage(
             method, dist, cfg["p"], cfg["alpha"], cfg["n"], cfg["reps"], cfg["seed"],
-            schedule=schedule, t=cfg["t"], tau=cfg["tau"], b=cfg["b"],
-            stride=cfg["stride"], threads=cfg["threads"],
+            schedule=schedule, b=cfg["b"], stride=cfg["stride"], threads=cfg["threads"],
         ))
         for method in _methods(cfg)
     ]
-    _emit(cfg, rows, list(rows[0]), {}, _embedded_config(cfg, dist))
+    _emit(cfg, rows, list(rows[0]), {}, config)
     return 0
 
 
 def _cmd_width(cfg: dict) -> int:
     dist = _dist_from(cfg)
     schedule = _schedule_from(cfg, dist)
+    config = _embedded_config(cfg, dist)
     methods = _methods(cfg)
     reports = {
         m: harness.run_width(
@@ -315,7 +320,7 @@ def _cmd_width(cfg: dict) -> int:
     fields = ["n"] + [f"{kind}_{m}" for m in methods for kind in ("width", "bound", "condition")]
     summary = {f"slope_{m}": reports[m].slope for m in methods}
     summary.update({f"v_p_{m}": reports[m].v_p for m in methods})
-    _emit(cfg, rows, fields, summary, _embedded_config(cfg, dist))
+    _emit(cfg, rows, fields, summary, config)
     if cfg.get("svg"):
         series = [(f"{m} {kind}", [float(n) for n in ns], [r[f"{kind}_{m}"] for r in rows])
                   for m in methods for kind in ("width", "bound")]
@@ -331,10 +336,11 @@ def _cmd_lil_check(cfg: dict) -> int:
     dist = _dist_from(cfg)
     sigma = harness.true_std(dist)
     schedule = _schedule_from(cfg, dist) or power_law(cfg["schedule_c"], 2.0)
+    config = _embedded_config(cfg, dist)
     lil = LilConfig(sigma=sigma, schedule=schedule, a=cfg["lil_a"])
     width_rep = harness.run_width(
         "catoni", dist, 2.0, cfg["alpha"], cfg["n"], cfg["seed"], _checkpoints(cfg),
-        schedule=schedule, t=cfg["t"], tau=cfg["tau"], threads=cfg["threads"],
+        schedule=schedule, threads=cfg["threads"],
     )
     floor = lil_floor_curve(lil, cfg["n"])
     trace = lil_trace(dist, schedule, cfg["n"], cfg["seed"])
@@ -351,7 +357,7 @@ def _cmd_lil_check(cfg: dict) -> int:
                 break
             n0 = r["n"]
     summary = {"sigma": sigma, "a": lil.a, "n0_first_checkpoint_floor_below_width": n0}
-    _emit(cfg, rows, ["n", "width", "lil_floor", "lil_ratio"], summary, _embedded_config(cfg, dist))
+    _emit(cfg, rows, ["n", "width", "lil_floor", "lil_ratio"], summary, config)
     if cfg.get("svg"):
         ns = [float(r["n"]) for r in rows]
         line_chart(

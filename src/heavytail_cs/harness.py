@@ -210,11 +210,10 @@ def _method_setup(
     alpha: float,
     v_p: float | None,
     schedule: LambdaSchedule | None,
-    t: float,
-    tau: float,
     b: float,
+    **width: float,
 ):
-    """Resolve (v_p, schedule, config) for one method.
+    """Resolve (v_p, schedule, config) for one method; `width` holds CatoniConfig's t and tau, if given.
 
     Default schedules: power_law(c=1, p) for Catoni, the width-optimal
     ds_optimal schedule for Dubins-Savage.
@@ -222,7 +221,7 @@ def _method_setup(
     vp = _resolve_vp(dist, p, v_p)
     if method == CATONI:
         sched = power_law(1.0, p) if schedule is None else schedule
-        cfg = cat.CatoniConfig(p=p, v_p=vp, alpha=alpha, schedule=sched, t=t, tau=tau)
+        cfg = cat.CatoniConfig(p=p, v_p=vp, alpha=alpha, schedule=sched, **width)
         return vp, sched, cfg
     if method == DS:
         cfg = ds.DsConfig(p=p, v_p=vp, alpha=alpha, b=b)
@@ -277,8 +276,6 @@ def run_coverage(
     *,
     v_p: float | None = None,
     schedule: LambdaSchedule | None = None,
-    t: float = 0.5,
-    tau: float = 0.1,
     b: float = 1.0,
     stride: int = 1,
     threads: int = 1,
@@ -294,7 +291,7 @@ def run_coverage(
     """
     if n_max < 1 or reps < 1 or stride < 1:
         raise ValueError(f"n_max, reps, stride must be >= 1, got {n_max}, {reps}, {stride}")
-    vp, sched, cfg = _method_setup(method, dist, p, alpha, v_p, schedule, t, tau, b)
+    vp, sched, cfg = _method_setup(method, dist, p, alpha, v_p, schedule, b)
     mu = dist.true_mean
     lam = sched.head(n_max)
     # A plain slice is a view, so stride 1 indexes without a copy.
@@ -404,7 +401,7 @@ def run_width(
         raise ValueError("checkpoints must not be empty")
     if cps[0] < 1 or cps[-1] > n_max:
         raise ValueError(f"checkpoints must lie in [1, {n_max}], got {cps[0]}..{cps[-1]}")
-    vp, sched, cfg = _method_setup(method, dist, p, alpha, v_p, schedule, t, tau, b)
+    vp, sched, cfg = _method_setup(method, dist, p, alpha, v_p, schedule, b, t=t, tau=tau)
     lam = sched.head(n_max)
     cum_lam_p = np.cumsum(lam**p)
 
@@ -537,7 +534,7 @@ def run_bound_validity(
     Only the (rare) n where the test fails get exact endpoint solves, so
     the verdict per n is exact.
     """
-    vp, sched, cfg = _method_setup(CATONI, dist, p, alpha, v_p, schedule, t, tau, 1.0)
+    vp, sched, cfg = _method_setup(CATONI, dist, p, alpha, v_p, schedule, 1.0, t=t, tau=tau)
     budget = cat.failure_budget(cfg)  # raises before any replication on an uncertifiable config
     mu = dist.true_mean
     lam = sched.head(n_max)

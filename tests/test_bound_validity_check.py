@@ -100,7 +100,7 @@ def test_run_matches_reference_loop():
         x = harness.sample_stream(harness.gaussian(0, 1), 14, 5000, rep=r)
         ref_solves += len(reference_suspects(cfg.influence, lam, x, 0.0, band, bounds, blocks))
     assert (rep.n0, rep.violating_reps) == (644, 0)
-    assert rep.failure_budget == 0.0020300844912463
+    assert rep.failure_budget == 0.0020300844912463016
     lower, upper = budget_oracle(cfg)
     assert lower <= rep.failure_budget <= upper * (1.0 + 1e-6)
     assert rep.exact_solves <= ref_solves

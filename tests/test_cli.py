@@ -217,9 +217,14 @@ class TestNonFiniteSettings:
         (["coverage", "--dist", "gaussian", "--schedule", "power_law", "--schedule-c", "inf"],
          "scale c must be positive and finite"),
         (["coverage", "--method", "ds", "--dist", "gaussian", "--b", "nan"], "b must be positive and finite"),
+        (["coverage", "--method", "catoni", "--dist", "gaussian", "--b", "inf"], "b must be positive and finite"),
+        (["coverage", "--dist", "gaussian", "--schedule-c", "nan"], "schedule_c must be positive and finite"),
+        (["width", "--method", "ds", "--dist", "gaussian", "--tau", "inf"], "tau must be positive and finite"),
+        (["width", "--dist", "gaussian", "--tau", "inf"], "tau must be positive and finite"),
         (["width", "--method", "ds", "--dist", "gaussian", "--p", "1.01", "--alpha", "1e-5"],
          "p = 1.01, alpha = 1e-05"),
-    ], ids=["two_point_values", "sigma", "mean", "schedule_values", "schedule_c", "b", "ds_a_overflow"])
+    ], ids=["two_point_values", "sigma", "mean", "schedule_values", "schedule_c", "b", "b_unused",
+            "schedule_c_unused", "tau_unused", "tau", "ds_a_overflow"])
     def test_exit_2_naming_setting(self, capsys, args, message):
         assert run_cli(args + ["--n", "100", "--reps", "1"]) == 2
         assert message in capsys.readouterr().err
@@ -292,8 +297,9 @@ class TestConfigFileChecks:
         assert self.run_with(tmp_path, "coverage", {"alpah": 0.5}, "--dist", "gaussian", "--reps", "2") == 2
         assert "config file: alpah" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, entry", [("width", {"stride": 2}), ("lil-check", {"reps": 3})],
-                             ids=["stride-width", "reps-lil-check"])
+    @pytest.mark.parametrize("command, entry", [("width", {"stride": 2}), ("lil-check", {"reps": 3}),
+                                                ("coverage", {"t": 0.3})],
+                             ids=["stride-width", "reps-lil-check", "t-coverage"])
     def test_key_the_command_does_not_take(self, tmp_path, capsys, command, entry):
         assert self.run_with(tmp_path, command, entry, "--dist", "gaussian") == 2
         (key,) = entry
@@ -316,6 +322,15 @@ class TestOptionTable:
         assert run_cli([command, "--help"]) == 0
         listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
         assert listed == self.flags(command) | {"--config", "--help"}
+
+    @pytest.mark.parametrize("command, args", [("coverage", ["--t", "0.3"]), ("lil-check", ["--tau", "0.2"])])
+    def test_t_and_tau_only_for_width(self, capsys, command, args):
+        assert run_cli([command, "--dist", "gaussian", "--n", "100", *args]) == 2
+        assert f"unrecognized arguments: {' '.join(args)}" in capsys.readouterr().err
+
+    def test_width_takes_t_and_tau_with_their_defaults(self):
+        assert self.flags("width") >= {"--t", "--tau"}
+        assert (_OPTIONS["t"].default, _OPTIONS["tau"].default) == (0.5, 0.1)
 
     def test_readme_documents_every_flag(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
