@@ -315,24 +315,32 @@ def interval(state: CatoniState, config: CatoniConfig) -> ConfidenceInterval:
 # ---------------------------------------------------------------------------
 
 
+def _t_array(config: CatoniConfig) -> np.ndarray:
+    """t as a one-element array: numpy's array pow, not Python's scalar one, so the bounds keep their bits."""
+    return np.full(1, float(config.t))
+
+
+def _plus_sums(config: CatoniConfig, lam_p: np.ndarray) -> np.ndarray:
+    """Cumulative sum lam^p (1 + t^-(p-1)), formed in lam_p's buffer; E_n is C_p v_p times it."""
+    lam_p *= 1.0 + _t_array(config) ** -(config.p - 1.0)
+    return np.cumsum(lam_p, out=lam_p)
+
+
 def _schedule_sums(config: CatoniConfig, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cumulative sum lam, sum lam^p (1 + t^-(p-1)), sum lam^p (1-t)^-(p-1) over 1..n."""
     lam = config.schedule.head(n)
     lam_p = lam**config.p
-    t = np.full(1, float(config.t))  # numpy's array pow, not Python's scalar one: the bounds keep their bits
-    q = config.p - 1.0
     s1 = np.cumsum(lam)
-    del lam  # in place from here on: at most three n-arrays live at once
-    s_plus = lam_p * (1.0 + t**-q)
-    np.cumsum(s_plus, out=s_plus)
-    lam_p *= (1.0 - t) ** -q
-    return s1, s_plus, np.cumsum(lam_p, out=lam_p)
+    del lam  # at most three n-arrays live at once
+    s_minus = lam_p * (1.0 - _t_array(config)) ** -(config.p - 1.0)
+    np.cumsum(s_minus, out=s_minus)
+    return s1, _plus_sums(config, lam_p), s_minus
 
 
 def failure_budget(config: CatoniConfig) -> float:
     """alpha * sum_{n>=1} eps_n: its first N = _BUDGET_HEAD terms summed, plus a closed-form bound on the rest.
 
-    E_n = C_p v_p sum_{i<=n} lambda_i^p (1 + t^-(p-1)), from _schedule_sums.
+    E_n = C_p v_p sum_{i<=n} lambda_i^p (1 + t^-(p-1)), from _plus_sums.
     With a power_law(c, p_s) schedule, p_s >= p, each increment of E_n is
     at least K / i, K = C_p v_p c^p (1 + t^-(p-1)).  DeTemple's
     H_n >= ln(n + 1/2) + gamma (Amer. Math. Monthly 100, 1993),
@@ -363,7 +371,7 @@ def failure_budget(config: CatoniConfig) -> float:
     if k > 750.0:  # sum_n e^-E_n <= sum_n e^-K H_n < 2 e^-K, below the smallest normal float
         return sys.float_info.min
     n = _BUDGET_HEAD
-    expos = _schedule_sums(config, n)[1]
+    expos = _plus_sums(config, sched.head(n) ** config.p)
     expos *= cv * (1.0 - (n + 64) * _EPS)  # below each exact E_n: its lambda^p, t factor, sums, products round
     e1 = float(expos[0])
     expos -= e1  # rounds too, within the lowering above
@@ -404,7 +412,7 @@ def width_bound_curve(
     if at is not None:
         idx = np.asarray(at, dtype=np.intp) - 1
         s1, s_plus, s_minus = s1[idx], s_plus[idx], s_minus[idx]
-    tau = np.full(1, float(config.tau))  # an array, as in _schedule_sums
+    tau = np.full(1, float(config.tau))  # an array, as in _t_array
     log2a = math.log(2.0 / config.alpha)
     cv_splus = config.c_p * config.v_p * s_plus
     lhs = 2.0 * cv_splus + 2.0 * log2a

@@ -165,6 +165,8 @@ def _validate(cfg: dict) -> None:
         raise ValueError(f"stride must be >= 1, got {cfg['stride']}")
     if cfg["threads"] < 1:
         raise ValueError(f"threads must be >= 1, got {cfg['threads']}")
+    if cfg["command"] == "width" and not 0.0 < cfg["t"] < 1.0:  # whatever the method: the report embeds t
+        raise ValueError(f"t must lie in (0, 1), got {cfg['t']}")
 
 
 def _parse_floats(cfg: dict, key: str) -> list[float]:

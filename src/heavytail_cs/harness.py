@@ -6,7 +6,10 @@ means a constructor here, a `cli._DISTS` row and a README mention.
 Replications are reproducible and order-independent: replication r of a
 run with master seed s draws from the substream
 SeedSequence(entropy=s, spawn_key=(r,)), so serial and thread-parallel
-executions produce identical reports.
+executions produce identical reports.  Every experiment hands its
+replications to one runner, _run_reps: at threads = k, k long-lived worker
+threads pull replication indices from one shared iterator, and numpy
+releases the GIL inside its large array operations.
 
 Configured moment bounds are checked for truthfulness: every experiment
 asserts v_p >= E|X - mu|^p before running, since the coverage guarantees
@@ -15,8 +18,9 @@ are vacuous otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 from math import lgamma
 from typing import Callable, Iterable
@@ -131,9 +135,94 @@ def substream(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
+#: Replications per _pcg64_block table: about 0.4 ms to build, reused by
+#: the runs that draw the same seed's replications (both coverage methods).
+_SEED_BLOCK = 256
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier.  numpy keeps both algorithms fixed, since
+# a seed must give the same stream in every version; tests compare with it.
+_HASH_INIT_A, _HASH_MULT_A, _HASH_INIT_B, _HASH_MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int = _HASH_MULT_A) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of uint32 words -> (hashes, next hash constant)."""
+    value = value ^ const
+    const = const * mult & _M32
+    value *= const
+    return value ^ (value >> 16), const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 words."""
+    value = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return value ^ (value >> 16)
+
+
+@functools.lru_cache(maxsize=8)
+def _pcg64_block(seed: int, block: int) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of substream(seed, r) for the _SEED_BLOCK r from block * _SEED_BLOCK.
+
+    SeedSequence(entropy=seed, spawn_key=(r,)) hashes its entropy words
+    (seed's little-endian uint32 words, padded with zeros to its pool of 4,
+    then r) into the pool, and generate_state(4, uint64) hashes the pool
+    into four uint64 words v; both run on uint32 arrays over the block.
+    PCG64 seeds from v as s = v0 2^64 + v1, inc = 2 (v2 2^64 + v3) + 1 and
+    state = ((inc + s) M + inc) mod 2^128.
+    """
+    words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    entropy = [np.full(_SEED_BLOCK, w, dtype=np.uint32) for w in words]
+    entropy.append((block * _SEED_BLOCK + np.arange(_SEED_BLOCK)).astype(np.uint32))
+    const, pool = _HASH_INIT_A, []
+    for w in entropy[:4]:
+        hashed, const = _hashmix(w, const)
+        pool.append(hashed)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for w in entropy[4:]:
+        for dst in range(4):
+            hashed, const = _hashmix(w, const)
+            pool[dst] = _mix(pool[dst], hashed)
+    const, halves = _HASH_INIT_B, []
+    for k in range(8):
+        hashed, const = _hashmix(pool[k % 4], const, _HASH_MULT_B)
+        halves.append(hashed.astype(np.uint64))
+    v0, v1, v2, v3 = ((halves[2 * k] | halves[2 * k + 1] << np.uint64(32)).tolist() for k in range(4))
+    out = []
+    for a, b, c, d in zip(v0, v1, v2, v3):
+        inc = (c << 65 | d << 1 | 1) & _M128
+        out.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128, inc))
+    return out
+
+
+_thread_rng = threading.local()
+
+
 def sample_stream(dist: DistributionSpec, seed: int, n: int, rep: int = 0) -> np.ndarray:
-    """n i.i.d. draws; identical for identical (dist, seed, rep)."""
-    return dist.draw(substream(seed, rep), n)
+    """n i.i.d. draws, bit for bit dist.draw(substream(seed, rep), n).
+
+    For an int seed >= 0 and 0 <= rep < 2^32 the draws come from a
+    Generator of the calling thread, put in substream(seed, rep)'s initial
+    PCG64 state from _pcg64_block: about 3 us per call, where substream
+    seeds for about 20 us, all of it with the GIL held, which the other
+    replication threads then wait for.  dist.draw must not keep the
+    Generator.
+    """
+    if not 0 <= rep < 1 << 32 or not isinstance(seed, int) or seed < 0:
+        return dist.draw(substream(seed, rep), n)  # numpy's own checks and multi-word spawn keys
+    gen = getattr(_thread_rng, "gen", None)
+    if gen is None:
+        gen = _thread_rng.gen = np.random.Generator(np.random.PCG64(0))
+    state, inc = _pcg64_block(seed, rep // _SEED_BLOCK)[rep % _SEED_BLOCK]
+    gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return dist.draw(gen, n)
 
 
 def true_vp(dist: DistributionSpec, p: float) -> float:
@@ -231,11 +320,49 @@ def _method_setup(
 
 
 def _run_reps(fn, reps: int, threads: int) -> list:
-    """Ordered per-replication results; identical for any thread count."""
+    """[fn(r) for r in range(reps)], run by min(threads, reps) long-lived worker threads.
+
+    Each worker pulls the next r from one shared iterator and stores fn(r)
+    at index r; the calling thread only waits for the workers.  A
+    replication thus costs one `next` and one store, not a future and a
+    wake-up of the caller, and a long replication delays no other.  The
+    results are in order and, since replication r draws only from its own
+    substream, identical for any thread count.  Once some fn(r) raises,
+    workers take no further r, and the exception of the smallest failing
+    r reaches the caller: the one a serial run raises, since every
+    smaller r was pulled earlier and has finished.
+    """
     if threads <= 1:
         return [fn(r) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(reps)))
+    results: list = [None] * reps
+    errors: dict[int, BaseException] = {}
+    pending = iter(range(reps))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work() -> None:
+        while not stop.is_set():
+            with lock:
+                r = next(pending, None)
+            if r is None:
+                return
+            try:
+                results[r] = fn(r)
+            except BaseException as exc:  # noqa: BLE001 - re-raised by the caller below
+                errors[r] = exc
+                stop.set()
+
+    workers = [threading.Thread(target=work) for _ in range(min(threads, reps))]
+    for w in workers:
+        w.start()
+    try:
+        for w in workers:
+            w.join()
+    finally:
+        stop.set()  # an interrupt while waiting: workers end after their current replication
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _checked_indices(n_max: int, stride: int) -> np.ndarray:
@@ -300,19 +427,27 @@ def run_coverage(
         band = cat.target(cfg, np.cumsum(lam**p))[idx]
         influence = cfg.influence
 
+        # Each replication works in its drawn stream's buffer and then in
+        # phi's, with the ufuncs of |cumsum(phi(lam (x - mu)))| in their
+        # order, so its bits are those of the expression.
         def one_rep(r: int) -> bool:
-            x = sample_stream(dist, seed, n_max, rep=r)
-            f_mu = np.cumsum(influence(lam * (x - mu)))
-            return bool(np.any(np.abs(f_mu[idx]) > band))
+            z = sample_stream(dist, seed, n_max, rep=r)
+            z -= mu
+            z *= lam
+            f_mu = influence(z)
+            np.cumsum(f_mu, out=f_mu)
+            return bool(np.any(np.abs(f_mu, out=f_mu)[idx] > band))
 
     else:
         mu_cum_lam = mu * np.cumsum(lam)
         radius_scaled = (ds.ds_a(cfg) + cfg.b * vp * np.cumsum(lam**p))[idx]
 
-        def one_rep(r: int) -> bool:
-            x = sample_stream(dist, seed, n_max, rep=r)
-            dev = np.abs(np.cumsum(lam * x) - mu_cum_lam)
-            return bool(np.any(dev[idx] > radius_scaled))
+        def one_rep(r: int) -> bool:  # |cumsum(lam x) - mu sum lam| in the drawn stream's buffer
+            dev = sample_stream(dist, seed, n_max, rep=r)
+            dev *= lam
+            np.cumsum(dev, out=dev)
+            dev -= mu_cum_lam
+            return bool(np.any(np.abs(dev, out=dev)[idx] > radius_scaled))
 
     misses = _run_reps(one_rep, reps, threads)
     count = int(sum(misses))

@@ -230,6 +230,16 @@ class TestNonFiniteSettings:
         assert message in capsys.readouterr().err
 
 
+class TestWidthT:
+    """t is checked for every width run, not only where a Catoni config is built: the report embeds it."""
+
+    @pytest.mark.parametrize("method", ["catoni", "ds", "both"])
+    @pytest.mark.parametrize("t", ["1.5", "1", "0", "-0.2", "nan"])
+    def test_t_outside_unit_interval_exits_2(self, capsys, method, t):
+        assert run_cli(["width", "--method", method, "--dist", "gaussian", "--t", t, "--n", "300", "--reps", "1"]) == 2
+        assert "error: t must lie in (0, 1)" in capsys.readouterr().err
+
+
 class TestEmbeddedConfig:
     @pytest.mark.parametrize("command", list(_COMMANDS))
     def test_embeds_only_settings_the_command_takes(self, tmp_path, command):

@@ -6,9 +6,12 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from heavytail_cs.harness import (
+    _run_reps,
     centered_pareto,
     gaussian,
     run_bound_validity,
@@ -53,6 +56,19 @@ class TestSampling:
         x = substream(3, 5).normal(size=4)
         y = substream(3, 5).normal(size=4)
         np.testing.assert_array_equal(x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32) | st.integers(0, 2**300),
+           rep=st.integers(0, 300) | st.integers(0, 2**32 - 1) | st.integers(2**32, 2**70))
+    def test_sample_stream_draws_from_substream(self, seed, rep):
+        """Bit for bit the numpy-seeded substream, for seeds of any word count and reps across blocks."""
+        for dist in (gaussian(0.5, 2.0), centered_pareto(1.9), student_t(1.8), RADEMACHER):
+            np.testing.assert_array_equal(sample_stream(dist, seed, 9, rep=rep), dist.draw(substream(seed, rep), 9))
+
+    @pytest.mark.parametrize("seed, rep", [(-1, 0), (0, -1)])
+    def test_negative_seed_or_rep_rejected(self, seed, rep):
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_stream(gaussian(0, 1), seed, 3, rep=rep)
 
     def test_centered_pareto_support_and_mean(self):
         d = centered_pareto(1.9, 1.0)
@@ -240,6 +256,47 @@ class TestCoverage:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             run_coverage("median", gaussian(0, 1), 2.0, 0.05, 10, 1, seed=0)
+
+
+class _RepFailed(Exception):
+    pass
+
+
+class TestRunReps:
+    """The replication runner: the serial list comprehension, at any thread count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(reps=st.integers(1, 40), threads=st.integers(1, 8), failing=st.sets(st.integers(0, 39), max_size=3))
+    def test_matches_serial_run(self, reps, threads, failing):
+        calls = []  # list.append is atomic, so workers may record into one list
+
+        def fn(r):
+            calls.append(r)
+            time.sleep(0.0005 * (r % 3))  # uneven replications interleave the workers
+            if r in failing:
+                raise _RepFailed(r)
+            return (r, r * r)
+
+        failed = sorted(f for f in failing if f < reps)
+        if not failed:
+            assert _run_reps(fn, reps, threads) == [(r, r * r) for r in range(reps)]
+            assert sorted(calls) == list(range(reps))
+            return
+        with pytest.raises(_RepFailed) as info:
+            _run_reps(fn, reps, threads)
+        # The first failing replication in index order, as a serial run raises it.
+        assert info.value.args == (failed[0],)
+        assert len(calls) == len(set(calls))
+        assert set(range(failed[0] + 1)) <= set(calls)
+
+    def test_width_threads_equivalence(self):
+        kw = dict(seed=8, checkpoints=[10, 300, 2000], reps=5)
+        serial = run_width("catoni", centered_pareto(1.9), 1.5, 0.05, 2000, threads=1, **kw)
+        assert run_width("catoni", centered_pareto(1.9), 1.5, 0.05, 2000, threads=3, **kw) == serial
+
+    def test_bound_validity_threads_equivalence(self):
+        serial = run_bound_validity(gaussian(0, 1), 2.0, 0.05, 5000, 6, seed=14, threads=1)
+        assert run_bound_validity(gaussian(0, 1), 2.0, 0.05, 5000, 6, seed=14, threads=3) == serial
 
 
 class TestWidthRuns:
