@@ -20,7 +20,7 @@ from .catoni_cs import (
     update,
     width_bound,
 )
-from .dubins_savage import DsConfig, DsState, ds_interval, ds_tail_bound, ds_update, ds_width, m_p
+from .dubins_savage import DsConfig, DsState, ds_interval, ds_update, ds_width, m_p
 from .harness import (
     CoverageReport,
     DistributionSpec,
@@ -58,7 +58,6 @@ __all__ = [
     "centered_pareto",
     "custom_list",
     "ds_interval",
-    "ds_tail_bound",
     "ds_update",
     "ds_width",
     "gaussian",

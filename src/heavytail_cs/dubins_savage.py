@@ -102,34 +102,6 @@ def ds_a(cfg: DsConfig) -> float:
     return a
 
 
-def ds_tail_bound(a: float, b: float, p: float) -> float:
-    """1 / (1 + m_p a b^(1/(p-1)))^(p-1), in (0, 1]; equals 1 at a = 0.
-
-    Evaluated in logs where the direct form over- or underflows (near
-    p = 1).  ValueError where the bound is not a positive normal float.
-    """
-    if a < 0.0:
-        raise ValueError(f"a must be >= 0, got {a}")
-    if b <= 0.0:
-        raise ValueError(f"b must be positive, got {b}")
-    if not 1.0 < p <= 2.0:
-        raise ValueError(f"p must lie in (1, 2], got {p}")
-    if a == 0.0:
-        return 1.0
-    q = 1.0 / (p - 1.0)
-    try:
-        ma, bq = m_p(p) * a, b**q
-        bound = 1.0 / (1.0 + ma * bq) ** (p - 1.0)
-    except (OverflowError, ValueError):
-        ma = bq = bound = math.nan
-    if not _normal(ma, bq, bound):
-        x = _log_m_p(p) + math.log(a) + q * math.log(b)  # bound = (1 + e^x)^(1-p)
-        bound = math.exp((1.0 - p) * (x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))))
-    if not _normal(bound):
-        raise ValueError(f"tail bound is not a positive normal float at a = {a}, b = {b}, p = {p}")
-    return bound
-
-
 @dataclass
 class DsState(PrefixSums):
     """PrefixSums' sum(lambda_i) and sum(lambda_i^p), plus sum(lambda_i X_i).
@@ -200,14 +172,9 @@ def ds_optimal_schedule(cfg: DsConfig) -> LambdaSchedule:
     return power_law((ds_a(cfg) / (cfg.b * cfg.v_p * (cfg.p - 1.0))) ** (1.0 / cfg.p), cfg.p)
 
 
-def ds_width(cfg: DsConfig, n: int, schedule: LambdaSchedule | None = None) -> float:
-    """Deterministic interval width 2 (a + b v_p sum lam^p) / sum lam at n.
-
-    Defaults to the width-optimal schedule; an explicit schedule may be
-    passed to evaluate the same functional under other weights.
-    """
+def ds_width(cfg: DsConfig, n: int) -> float:
+    """Deterministic interval width 2 (a + b v_p sum lam^p) / sum lam at n, under ds_optimal_schedule."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    schedule = ds_optimal_schedule(cfg) if schedule is None else schedule
-    lam = schedule.head(n)
+    lam = ds_optimal_schedule(cfg).head(n)
     return 2.0 * ds_radius(cfg, float(np.sum(lam)), float(np.sum(lam**cfg.p)))

@@ -10,16 +10,13 @@ executions produce identical reports.  Every experiment hands its
 replications to one runner, _run_reps: at threads = k, k long-lived worker
 threads pull replication indices from one shared iterator, and numpy
 releases the GIL inside its large array operations.
-
-Configured moment bounds are checked for truthfulness: every experiment
-asserts v_p >= E|X - mu|^p before running, since the coverage guarantees
-are vacuous otherwise.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 from math import lgamma
@@ -124,7 +121,8 @@ def two_point(values: Iterable[float], probs: Iterable[float]) -> DistributionSp
     mu = float(sum(v * q for v, q in zip(vals, ps)))
     return DistributionSpec(
         f"two_point(values={list(vals)},probs={list(ps)})", mu, math.inf,
-        math.sqrt(sum(q * (v - mu) ** 2 for v, q in zip(vals, ps))),
+        # hypot scales by its largest term, so deviations whose squares overflow still give the std.
+        math.hypot(*(math.sqrt(q) * (v - mu) for v, q in zip(vals, ps))),
         draw=lambda rng, n: rng.choice(np.asarray(vals), size=n, p=np.asarray(ps)),
         moment=lambda p: float(sum(q * abs(v - mu) ** p for v, q in zip(vals, ps))),
     )
@@ -226,7 +224,10 @@ def sample_stream(dist: DistributionSpec, seed: int, n: int, rep: int = 0) -> np
 
 
 def true_vp(dist: DistributionSpec, p: float) -> float:
-    """E|X - mu|^p for p in (1, 2] and at least TAIL_MARGIN below the tail index."""
+    """E|X - mu|^p for p in (1, 2] and at least TAIL_MARGIN below the tail index.
+
+    ValueError where the moment overflows the float range or is otherwise not finite.
+    """
     if not 1.0 < p <= 2.0:
         raise ValueError(f"p must lie in (1, 2], got {p}")
     if p > dist.tail_index - TAIL_MARGIN + 1e-12:
@@ -234,7 +235,13 @@ def true_vp(dist: DistributionSpec, p: float) -> float:
             f"E|X - mu|^{p} is infinite or numerically unstable for {dist.label()}: "
             f"requires p <= tail index - {TAIL_MARGIN} = {dist.tail_index - TAIL_MARGIN}"
         )
-    return dist.moment(p)
+    try:
+        v_p = dist.moment(p)
+    except OverflowError:
+        v_p = math.inf
+    if not math.isfinite(v_p):
+        raise ValueError(f"v_p = E|X - mu|^{p} of {dist.label()} is not a finite float: {v_p}")
+    return v_p
 
 
 def _pareto_vp(beta: float, p: float) -> float:
@@ -280,34 +287,22 @@ def true_std(dist: DistributionSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_vp(dist: DistributionSpec, p: float, v_p: float | None) -> float:
-    actual = true_vp(dist, p)
-    if v_p is None:
-        return actual
-    if v_p < actual - 1e-12:
-        raise ValueError(
-            f"configured v_p={v_p} understates the true moment {actual}; "
-            "coverage guarantees require v_p >= E|X - mu|^p"
-        )
-    return v_p
-
-
 def _method_setup(
     method: str,
     dist: DistributionSpec,
     p: float,
     alpha: float,
-    v_p: float | None,
     schedule: LambdaSchedule | None,
     b: float,
     **width: float,
 ):
     """Resolve (v_p, schedule, config) for one method; `width` holds CatoniConfig's t and tau, if given.
 
-    Default schedules: power_law(c=1, p) for Catoni, the width-optimal
-    ds_optimal schedule for Dubins-Savage.
+    v_p is the exact moment true_vp(dist, p).  Default schedules:
+    power_law(c=1, p) for Catoni, the width-optimal ds_optimal schedule
+    for Dubins-Savage.
     """
-    vp = _resolve_vp(dist, p, v_p)
+    vp = true_vp(dist, p)
     if method == CATONI:
         sched = power_law(1.0, p) if schedule is None else schedule
         cfg = cat.CatoniConfig(p=p, v_p=vp, alpha=alpha, schedule=sched, **width)
@@ -320,7 +315,7 @@ def _method_setup(
 
 
 def _run_reps(fn, reps: int, threads: int) -> list:
-    """[fn(r) for r in range(reps)], run by min(threads, reps) long-lived worker threads.
+    """[fn(r) for r in range(reps)], run by min(threads, reps, CPU count) long-lived worker threads.
 
     Each worker pulls the next r from one shared iterator and stores fn(r)
     at index r; the calling thread only waits for the workers.  A
@@ -332,6 +327,7 @@ def _run_reps(fn, reps: int, threads: int) -> list:
     r reaches the caller: the one a serial run raises, since every
     smaller r was pulled earlier and has finished.
     """
+    threads = min(threads, reps, os.cpu_count() or 1)
     if threads <= 1:
         return [fn(r) for r in range(reps)]
     results: list = [None] * reps
@@ -352,7 +348,7 @@ def _run_reps(fn, reps: int, threads: int) -> list:
                 errors[r] = exc
                 stop.set()
 
-    workers = [threading.Thread(target=work) for _ in range(min(threads, reps))]
+    workers = [threading.Thread(target=work) for _ in range(threads)]
     for w in workers:
         w.start()
     try:
@@ -401,7 +397,6 @@ def run_coverage(
     reps: int,
     seed: int,
     *,
-    v_p: float | None = None,
     schedule: LambdaSchedule | None = None,
     b: float = 1.0,
     stride: int = 1,
@@ -418,7 +413,7 @@ def run_coverage(
     """
     if n_max < 1 or reps < 1 or stride < 1:
         raise ValueError(f"n_max, reps, stride must be >= 1, got {n_max}, {reps}, {stride}")
-    vp, sched, cfg = _method_setup(method, dist, p, alpha, v_p, schedule, b)
+    vp, sched, cfg = _method_setup(method, dist, p, alpha, schedule, b)
     mu = dist.true_mean
     lam = sched.head(n_max)
     # A plain slice is a view, so stride 1 indexes without a copy.
@@ -493,11 +488,6 @@ def default_checkpoints(n_max: int) -> list[int]:
     return sorted(set(int(round(v)) for v in pts))
 
 
-def ols_slope(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    return float(np.sum(xc * (y - y.mean())) / np.sum(xc * xc))
-
-
 def fit_loglog_slope(ns, widths, n_max: int) -> float:
     """OLS slope of log width vs log n over the top two decades of n.
 
@@ -508,7 +498,9 @@ def fit_loglog_slope(ns, widths, n_max: int) -> float:
     keep = ns >= n_max / 100.0
     if keep.sum() < 2:
         return math.nan
-    return ols_slope(np.log(ns[keep]), np.log(widths[keep]))
+    x, y = np.log(ns[keep]), np.log(widths[keep])
+    xc = x - x.mean()
+    return float(np.sum(xc * (y - y.mean())) / np.sum(xc * xc))
 
 
 def run_width(
@@ -521,7 +513,6 @@ def run_width(
     checkpoints: list[int] | None = None,
     *,
     reps: int = 1,
-    v_p: float | None = None,
     schedule: LambdaSchedule | None = None,
     t: float = 0.5,
     tau: float = 0.1,
@@ -536,7 +527,7 @@ def run_width(
         raise ValueError("checkpoints must not be empty")
     if cps[0] < 1 or cps[-1] > n_max:
         raise ValueError(f"checkpoints must lie in [1, {n_max}], got {cps[0]}..{cps[-1]}")
-    vp, sched, cfg = _method_setup(method, dist, p, alpha, v_p, schedule, b, t=t, tau=tau)
+    vp, sched, cfg = _method_setup(method, dist, p, alpha, schedule, b, t=t, tau=tau)
     lam = sched.head(n_max)
     cum_lam_p = np.cumsum(lam**p)
 
@@ -601,31 +592,32 @@ def _bound_suspects(influence, lam, mu, band, bounds, blocks):
 
     Block k tests f_n(mu + w_k) <= -band_n and f_n(mu - w_k) >= band_n for
     its n, with w_k = min(bounds over the block) / 2, from prefixes carried
-    over from block k-1 (see run_bound_validity).
+    over from block k-1 (see run_bound_validity).  Both sides are the rows
+    of one (2, m) array: mu + (-1.0) w is mu - w exactly, and the row-wise
+    cumulative sum adds in order, so each row has the bits of a one-sided pass.
     """
     w = [0.5 * float(np.min(bounds[a - 1 : b])) for a, b in blocks]
     # The next block starts at n = b, so its prefix is lambda_1..lambda_{b-1}.
     lam_before = np.cumsum(lam)[[b - 2 for _, b in blocks[:-1]]]
     drift = influence.slope_bound * np.abs(np.diff(w)) * lam_before
+    sign = np.array([[1.0], [-1.0]])
 
     def suspects(x: np.ndarray) -> list[int]:
         out: list[int] = []
-        carry_hi = carry_lo = 0.0
+        carry = np.zeros(2)
         for k, (a, b) in enumerate(blocks):
             start = 0 if k == 0 else a - 1
-            hi = influence(lam[start:b] * (x[start:b] - (mu + w[k])))
-            lo = influence(lam[start:b] * (x[start:b] - (mu - w[k])))
-            hi[0] += carry_hi
-            lo[0] += carry_lo
-            np.cumsum(hi, out=hi)
-            np.cumsum(lo, out=lo)
+            sides = x[start:b] - (mu + sign * w[k])
+            sides *= lam[start:b]
+            sides = influence(sides)
+            sides[:, 0] += carry
+            np.cumsum(sides, axis=1, out=sides)
             seg = slice(a - 1, b)
-            ok = (hi[a - 1 - start :] <= -band[seg]) & (lo[a - 1 - start :] >= band[seg])
+            ok = (sides[0, a - 1 - start :] <= -band[seg]) & (sides[1, a - 1 - start :] >= band[seg])
             if not ok.all():
                 out.extend((np.nonzero(~ok)[0] + a).tolist())
             if k < len(drift):
-                carry_hi = hi[-2] + drift[k]
-                carry_lo = lo[-2] - drift[k]
+                carry = sides[:, -2] + sign[:, 0] * drift[k]
         return sorted(set(out))
 
     return suspects
@@ -639,7 +631,6 @@ def run_bound_validity(
     reps: int,
     seed: int,
     *,
-    v_p: float | None = None,
     schedule: LambdaSchedule | None = None,
     t: float = 0.5,
     tau: float = 0.1,
@@ -669,7 +660,7 @@ def run_bound_validity(
     Only the (rare) n where the test fails get exact endpoint solves, so
     the verdict per n is exact.
     """
-    vp, sched, cfg = _method_setup(CATONI, dist, p, alpha, v_p, schedule, 1.0, t=t, tau=tau)
+    vp, sched, cfg = _method_setup(CATONI, dist, p, alpha, schedule, 1.0, t=t, tau=tau)
     budget = cat.failure_budget(cfg)  # raises before any replication on an uncertifiable config
     mu = dist.true_mean
     lam = sched.head(n_max)

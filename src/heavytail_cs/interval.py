@@ -17,6 +17,3 @@ class ConfidenceInterval:
     @property
     def width(self) -> float:
         return self.upper - self.lower
-
-    def contains(self, x: float) -> bool:
-        return self.lower <= x <= self.upper

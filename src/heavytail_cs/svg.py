@@ -22,19 +22,9 @@ def _finite_pairs(xs, ys):
     ]
 
 
-def _ticks(lo: float, hi: float, log: bool) -> list[float]:
-    if log:
-        return [10.0**e for e in range(math.ceil(math.log10(lo) - 1e-9), math.floor(math.log10(hi) + 1e-9) + 1)]
-    step = 10.0 ** math.floor(math.log10(max(hi - lo, 1e-300)))
-    if (hi - lo) / step > 5:
-        step *= 2
-    first = math.ceil(lo / step) * step
-    out = []
-    v = first
-    while v <= hi + 1e-12 * step:
-        out.append(v)
-        v += step
-    return out
+def _ticks(lo: float, hi: float) -> list[float]:
+    """The powers of ten in [lo, hi]."""
+    return [10.0**e for e in range(math.ceil(math.log10(lo) - 1e-9), math.floor(math.log10(hi) + 1e-9) + 1)]
 
 
 def _fmt(v: float) -> str:
@@ -47,16 +37,14 @@ def line_chart(
     series: list[tuple[str, list[float], list[float]]],
     path: str,
     *,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    logx: bool = True,
-    logy: bool = True,
+    title: str,
+    xlabel: str,
+    ylabel: str,
 ) -> None:
-    """Write an SVG chart of (label, xs, ys) series to `path`.
+    """Write a log-log SVG chart of (label, xs, ys) series to `path`.
 
     Non-finite or None points are dropped per series (so NA bound columns
-    simply leave gaps).  Log axes use decade ticks.
+    simply leave gaps).  Both axes use decade ticks.
     """
     pts = [(label, _finite_pairs(xs, ys)) for label, xs, ys in series]
     pts = [(label, pp) for label, pp in pts if pp]
@@ -64,21 +52,17 @@ def line_chart(
         raise ValueError("no finite data to plot")
     allx = [x for _, pp in pts for x, _ in pp]
     ally = [y for _, pp in pts for _, y in pp]
-    if logx and min(allx) <= 0 or logy and min(ally) <= 0:
+    if min(allx) <= 0 or min(ally) <= 0:
         raise ValueError("log axes need strictly positive data")
 
     def tx(v: float) -> float:
-        lo, hi = min(allx), max(allx)
-        if logx:
-            lo, hi, v = math.log10(lo), math.log10(hi), math.log10(v)
+        lo, hi, v = math.log10(min(allx)), math.log10(max(allx)), math.log10(v)
         if hi == lo:
             return _ML + (_W - _ML - _MR) / 2
         return _ML + (v - lo) / (hi - lo) * (_W - _ML - _MR)
 
     def ty(v: float) -> float:
-        lo, hi = min(ally), max(ally)
-        if logy:
-            lo, hi, v = math.log10(lo), math.log10(hi), math.log10(v)
+        lo, hi, v = math.log10(min(ally)), math.log10(max(ally)), math.log10(v)
         if hi == lo:
             return _MT + (_H - _MT - _MB) / 2
         return _H - _MB - (v - lo) / (hi - lo) * (_H - _MT - _MB)
@@ -89,21 +73,16 @@ def line_chart(
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" stroke="black"/>',
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" stroke="black"/>',
+        f'<text x="{_W / 2}" y="{_MT - 10}" text-anchor="middle">{title}</text>',
+        f'<text x="{_W / 2}" y="{_H - 12}" text-anchor="middle">{xlabel}</text>',
+        f'<text x="16" y="{_H / 2}" text-anchor="middle" transform="rotate(-90 16 {_H / 2})">{ylabel}</text>',
     ]
-    if title:
-        out.append(f'<text x="{_W / 2}" y="{_MT - 10}" text-anchor="middle">{title}</text>')
-    if xlabel:
-        out.append(f'<text x="{_W / 2}" y="{_H - 12}" text-anchor="middle">{xlabel}</text>')
-    if ylabel:
-        out.append(
-            f'<text x="16" y="{_H / 2}" text-anchor="middle" transform="rotate(-90 16 {_H / 2})">{ylabel}</text>'
-        )
-    for v in _ticks(min(allx), max(allx), logx):
+    for v in _ticks(min(allx), max(allx)):
         if min(allx) <= v <= max(allx):
             x = tx(v)
             out.append(f'<line x1="{x}" y1="{_H - _MB}" x2="{x}" y2="{_H - _MB + 5}" stroke="black"/>')
             out.append(f'<text x="{x}" y="{_H - _MB + 18}" text-anchor="middle">{_fmt(v)}</text>')
-    for v in _ticks(min(ally), max(ally), logy):
+    for v in _ticks(min(ally), max(ally)):
         if min(ally) <= v <= max(ally):
             y = ty(v)
             out.append(f'<line x1="{_ML - 5}" y1="{y}" x2="{_ML}" y2="{y}" stroke="black"/>')

@@ -7,6 +7,7 @@ lambda_1..lambda_b at the block's offset.  The chained test may flag more n
 have an exact interval no wider than the width bound.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -104,3 +105,39 @@ def test_run_matches_reference_loop():
     lower, upper = budget_oracle(cfg)
     assert lower <= rep.failure_budget <= upper * (1.0 + 1e-6)
     assert rep.exact_solves <= ref_solves
+
+
+def _runs(ns):
+    """Sorted n as inclusive (first, last) runs of consecutive values."""
+    out = []
+    for n in ns:
+        if out and out[-1][1] == n - 1:
+            out[-1] = (out[-1][0], n)
+        else:
+            out.append((n, n))
+    return out
+
+
+def test_suspects_and_offset_run_are_pinned():
+    """The chained test's exact output on a stream whose offset gives both
+    passing and failing n, and the (exact_solves, violating_reps) of a small
+    run whose stated mean is off the stream's by 0.25.  A rearrangement of
+    its sums that changes any bit near a band edge changes these."""
+    unit = harness.gaussian(0.0, 1.0)
+    shift, scale, n_max = 1e3, 3.0, 4000
+    x = shift + scale * harness.sample_stream(unit, 1, n_max)
+    mu = shift + scale * 0.22
+    cfg = cat.CatoniConfig(p=2.0, v_p=scale**2 * harness.true_vp(unit, 2.0), alpha=0.05,
+                           schedule=power_law(0.2 / scale, 2.0))
+    lam = cfg.schedule.head(n_max)
+    band = math.log(2.0 / 0.05) + cfg.c_p * cfg.v_p * np.cumsum(lam**2)
+    bounds, condition = cat.width_bound_curve(cfg, n_max)
+    n0 = int(np.argmax(condition)) + 1
+    suspects = harness._bound_suspects(cfg.influence, lam, mu, band, bounds, harness._bound_blocks(n0, n_max))(x)
+    assert n0 == 154
+    assert _runs(suspects) == [(2171, 2213), (2217, 2218), (2220, 2231), (2662, 3214), (3263, 4000)]
+
+    offset = dataclasses.replace(unit, true_mean=0.25)
+    for threads in (1, 2):
+        rep = harness.run_bound_validity(offset, 2.0, 0.05, 3000, 8, seed=14, threads=threads)
+        assert (rep.exact_solves, rep.violating_reps) == (984, 0)

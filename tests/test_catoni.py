@@ -151,7 +151,7 @@ class TestInterval:
         halfwidth = -1.0 + math.sqrt(2.0 * math.exp(math.log(2.0 / 0.999)) - 1.0)
         assert iv.width == pytest.approx(2.0 * halfwidth, rel=1e-6)
         assert iv.width > 0.0
-        assert iv.contains(1.25)
+        assert iv.lower <= 1.25 <= iv.upper
 
     def test_translation_equivariance(self):
         cfg = config_p2()

@@ -223,8 +223,13 @@ class TestNonFiniteSettings:
         (["width", "--dist", "gaussian", "--tau", "inf"], "tau must be positive and finite"),
         (["width", "--method", "ds", "--dist", "gaussian", "--p", "1.01", "--alpha", "1e-5"],
          "p = 1.01, alpha = 1e-05"),
+        (["width", "--dist", "gaussian", "--sigma", "1e200"],
+         "E|X - mu|^2.0 of gaussian(mean=0.0,sigma=1e+200) is not a finite float"),
+        (["coverage", "--dist", "centered_pareto", "--scale", "1e250", "--p", "1.5"],
+         "E|X - mu|^1.5 of centered_pareto(shape=1.9,scale=1e+250) is not a finite float"),
     ], ids=["two_point_values", "sigma", "mean", "schedule_values", "schedule_c", "b", "b_unused",
-            "schedule_c_unused", "tau_unused", "tau", "ds_a_overflow"])
+            "schedule_c_unused", "tau_unused", "tau", "ds_a_overflow", "gaussian_moment_overflow",
+            "pareto_moment_overflow"])
     def test_exit_2_naming_setting(self, capsys, args, message):
         assert run_cli(args + ["--n", "100", "--reps", "1"]) == 2
         assert message in capsys.readouterr().err

@@ -1,7 +1,12 @@
 """Distributions, moments, and the Monte Carlo experiment layer."""
 
+import dataclasses
 import math
+import os
+import re
+import threading
 import time
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -212,6 +217,20 @@ class TestTrueVp:
         with pytest.raises(ValueError, match="infinite"):
             true_vp(student_t(1.8), 2.0)
 
+    @pytest.mark.parametrize("dist, p", [(gaussian(0.0, 1e200), 2.0), (centered_pareto(1.9, 1e250), 1.5)])
+    def test_overflowing_moment_rejected(self, dist, p):
+        """sigma^p or scale^p overflows: a ValueError naming the distribution and p, not an OverflowError."""
+        with pytest.raises(ValueError, match=re.escape(f"E|X - mu|^{p} of {dist.label()} is not a finite float")):
+            true_vp(dist, p)
+
+    def test_two_point_wide_values(self):
+        """Deviations of 1e200, whose squares overflow, still give std 1e200 and a finite p = 1.5 moment."""
+        wide = two_point([-1e200, 1e200], [0.5, 0.5])
+        assert true_std(wide) == 1e200
+        assert true_vp(wide, 1.5) == pytest.approx(1e300, rel=1e-14)
+        with pytest.raises(ValueError, match="is not a finite float: inf"):
+            true_vp(wide, 2.0)
+
     def test_true_std(self):
         assert true_std(gaussian(0, 2.5)) == 2.5
         assert true_std(RADEMACHER) == 1.0
@@ -238,16 +257,13 @@ class TestCoverage:
         parallel = run_coverage("catoni", gaussian(0, 1), 2.0, 0.05, 500, 60, seed=4, threads=4)
         assert serial == parallel
 
-    def test_understated_vp_rejected(self):
-        with pytest.raises(ValueError, match="understates"):
-            run_coverage("catoni", gaussian(0, 1), 2.0, 0.05, 100, 2, seed=5, v_p=0.5)
-
     @pytest.mark.parametrize("method", ["catoni", "ds"])
     @pytest.mark.parametrize("v_p", [math.nan, math.inf, -math.inf])
     def test_nonfinite_vp_rejected(self, method, v_p):
         """A NaN band makes every |f_n(mu)| > band comparison false: 0 misses, not an error."""
+        dist = dataclasses.replace(gaussian(0, 1), moment=lambda p: v_p)
         with pytest.raises(ValueError, match="v_p"):
-            run_coverage(method, gaussian(0, 1), 2.0, 0.5, 200, 20, seed=1, v_p=v_p)
+            run_coverage(method, dist, 2.0, 0.5, 200, 20, seed=1)
 
     def test_stride_recorded_and_coarsens(self):
         rep = run_coverage("catoni", gaussian(0, 1), 2.0, 0.05, 1000, 50, seed=6, stride=10)
@@ -278,16 +294,40 @@ class TestRunReps:
             return (r, r * r)
 
         failed = sorted(f for f in failing if f < reps)
-        if not failed:
-            assert _run_reps(fn, reps, threads) == [(r, r * r) for r in range(reps)]
-            assert sorted(calls) == list(range(reps))
-            return
-        with pytest.raises(_RepFailed) as info:
-            _run_reps(fn, reps, threads)
+        with mock.patch.object(os, "cpu_count", return_value=8):  # run `threads` workers on any host
+            if not failed:
+                assert _run_reps(fn, reps, threads) == [(r, r * r) for r in range(reps)]
+                assert sorted(calls) == list(range(reps))
+                return
+            with pytest.raises(_RepFailed) as info:
+                _run_reps(fn, reps, threads)
         # The first failing replication in index order, as a serial run raises it.
         assert info.value.args == (failed[0],)
         assert len(calls) == len(set(calls))
         assert set(range(failed[0] + 1)) <= set(calls)
+
+    @pytest.mark.parametrize("cpus, workers", [(4, 4), (1, 0), (None, 0)])
+    def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, workers):
+        """--threads 100000 starts no more workers than CPUs; one CPU (or an unknown count) runs serially.
+
+        A fake Thread counts constructions and runs its target at start(), so no thread starts."""
+        made = []
+
+        class FakeThread:
+            def __init__(self, target):
+                made.append(self)
+                self.target = target
+
+            def start(self):
+                self.target()
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(threading, "Thread", FakeThread)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert _run_reps(lambda r: r, 1000, 100000) == list(range(1000))
+        assert len(made) == workers
 
     def test_width_threads_equivalence(self):
         kw = dict(seed=8, checkpoints=[10, 300, 2000], reps=5)
