@@ -124,8 +124,12 @@ def _resolve(args: argparse.Namespace) -> dict:
         cfg[key] = flag if flag is not None else from_file.get(key, opt.default)
     if args.command == "width" and args.reps is None and "reps" not in from_file:
         cfg["reps"] = 5  # root solves per checkpoint; keep the default run cheap
-    if cfg["seed"] is None:
-        cfg["seed"] = int(os.environ.get("HEAVYTAIL_CS_SEED", "0"))
+    source, seed = ("--seed" if args.seed is not None else "config file"), cfg["seed"]
+    if seed is None:
+        source, seed = "HEAVYTAIL_CS_SEED", os.environ.get("HEAVYTAIL_CS_SEED", "0")
+    if not str(seed).strip().isdecimal():
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r} ({source})")
+    cfg["seed"] = int(seed)
     return cfg
 
 
@@ -182,22 +186,25 @@ def _dist_from(cfg: dict) -> harness.DistributionSpec:
     return make(*(_parse_floats(cfg, key) if opt.type is str else cfg[key] for key, opt in params.items()))
 
 
-def _schedule_from(cfg: dict, dist: harness.DistributionSpec) -> LambdaSchedule | None:
-    """None means each method keeps its own default schedule.
+def _schedule_from(cfg: dict, dist: harness.DistributionSpec, method: str) -> LambdaSchedule | None:
+    """The schedule `method` runs with: --schedule's kind, else the method's default.
 
-    An explicit `ds_optimal` builds the width-optimal weights from the run
+    Catoni's default is the power law at --schedule-c; None leaves
+    Dubins-Savage its ds_optimal weights (harness._method_setup).  An
+    explicit `ds_optimal` builds the width-optimal weights from the run
     parameters and applies them to whichever methods run, which is how
     matched-schedule comparisons are expressed.
     """
-    kind = cfg["schedule"]
+    kind = cfg["schedule"] or ("power_law" if method == harness.CATONI else None)
     if kind is None:
         return None
     if kind == "ds_optimal":
-        dcfg = DsConfig(p=cfg["p"], v_p=harness.true_vp(dist, cfg["p"]),
-                        alpha=cfg["alpha"], b=cfg["b"])
-        return ds_optimal_schedule(dcfg)
+        return ds_optimal_schedule(DsConfig(cfg["p"], harness.true_vp(dist, cfg["p"]), cfg["alpha"], cfg["b"]))
     if kind == "power_law":
-        return power_law(cfg["schedule_c"], cfg["p"])
+        try:
+            return power_law(cfg["schedule_c"], cfg["p"])
+        except ValueError as exc:
+            raise ValueError(f"schedule_c: {exc}") from None
     return custom_list(_parse_floats(cfg, "schedule_values"))
 
 
@@ -218,9 +225,7 @@ def _embedded_config(cfg: dict, dist: harness.DistributionSpec) -> dict:
 
 
 def _clean(v):
-    if v is None:
-        return None
-    if isinstance(v, float) and not math.isfinite(v):
+    if v is None or isinstance(v, float) and not math.isfinite(v):
         return None
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
@@ -283,14 +288,14 @@ def _methods(cfg: dict) -> list[str]:
 
 def _cmd_coverage(cfg: dict) -> int:
     dist = _dist_from(cfg)
-    schedule = _schedule_from(cfg, dist)
+    schedules = {m: _schedule_from(cfg, dist, m) for m in _methods(cfg)}
     config = _embedded_config(cfg, dist)
     rows = [
         dataclasses.asdict(harness.run_coverage(
-            method, dist, cfg["p"], cfg["alpha"], cfg["n"], cfg["reps"], cfg["seed"],
+            m, dist, cfg["p"], cfg["alpha"], cfg["n"], cfg["reps"], cfg["seed"],
             schedule=schedule, b=cfg["b"], stride=cfg["stride"], threads=cfg["threads"],
         ))
-        for method in _methods(cfg)
+        for m, schedule in schedules.items()
     ]
     _emit(cfg, rows, list(rows[0]), {}, config)
     return 0
@@ -298,16 +303,16 @@ def _cmd_coverage(cfg: dict) -> int:
 
 def _cmd_width(cfg: dict) -> int:
     dist = _dist_from(cfg)
-    schedule = _schedule_from(cfg, dist)
+    schedules = {m: _schedule_from(cfg, dist, m) for m in _methods(cfg)}
     config = _embedded_config(cfg, dist)
-    methods = _methods(cfg)
+    methods = list(schedules)
     reports = {
         m: harness.run_width(
             m, dist, cfg["p"], cfg["alpha"], cfg["n"], cfg["seed"], _checkpoints(cfg),
             reps=cfg["reps"], schedule=schedule, t=cfg["t"], tau=cfg["tau"], b=cfg["b"],
             threads=cfg["threads"],
         )
-        for m in methods
+        for m, schedule in schedules.items()
     }
     ns = [ck.n for ck in next(iter(reports.values())).checkpoints]
     rows = []
@@ -337,7 +342,7 @@ def _cmd_lil_check(cfg: dict) -> int:
         )
     dist = _dist_from(cfg)
     sigma = harness.true_std(dist)
-    schedule = _schedule_from(cfg, dist) or power_law(cfg["schedule_c"], 2.0)
+    schedule = _schedule_from(cfg, dist, harness.CATONI)
     config = _embedded_config(cfg, dist)
     lil = LilConfig(sigma=sigma, schedule=schedule, a=cfg["lil_a"])
     width_rep = harness.run_width(
@@ -362,16 +367,9 @@ def _cmd_lil_check(cfg: dict) -> int:
     _emit(cfg, rows, ["n", "width", "lil_floor", "lil_ratio"], summary, config)
     if cfg.get("svg"):
         ns = [float(r["n"]) for r in rows]
-        line_chart(
-            [
-                ("catoni width", ns, [r["width"] for r in rows]),
-                ("lil floor", ns, [r["lil_floor"] for r in rows]),
-            ],
-            cfg["svg"],
-            title="width vs iterated-logarithm floor",
-            xlabel="n",
-            ylabel="width",
-        )
+        series = [("catoni width", ns, [r["width"] for r in rows]),
+                  ("lil floor", ns, [r["lil_floor"] for r in rows])]
+        line_chart(series, cfg["svg"], title="width vs iterated-logarithm floor", xlabel="n", ylabel="width")
     return 0
 
 

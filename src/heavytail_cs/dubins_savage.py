@@ -26,9 +26,11 @@ rate O(log t / t^((p-1)/p)) with an O(alpha^(-1/p)) confidence dependence.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -39,6 +41,10 @@ from .schedules import LambdaSchedule, PrefixSums, _KahanSum, power_law
 #: The smallest positive normal float and the log of the largest float;
 #: `_normal` tells that no step of a computation overflowed or underflowed.
 _TINY, _LOG_MAX = sys.float_info.min, math.log(sys.float_info.max)
+#: The unit roundoff, and the smallest subnormal, which bounds a rounding into the subnormal range.
+_U, _ETA = 2.0**-53, 2.0**-1074
+#: A factor just above 1 for the terms in u^2 and the rounding of the error bounds' own evaluation.
+_SAFE = 1.0 + 2.0**-20
 
 
 def _normal(*xs: float) -> bool:
@@ -87,31 +93,85 @@ def ds_a(cfg: DsConfig) -> float:
     where the direct form over- or underflows (near p = 1).  ValueError
     where a is not a positive normal float.
     """
+    return _ds_a_rounded(cfg)[0]
+
+
+def _ds_a_rounded(cfg: DsConfig) -> tuple[float, float]:
+    """(ds_a's float a, e) with |ln(float a) - ln a| <= e for the exact a of cfg's floats.
+
+    With u = 2^-53, each pow, log and exp errs by under an ulp (2u), each
+    other operation by u, and the rounded q = 1/(p-1) moves x^q by u |ln x^q|.
+    Write L = ln R = q ln(2/alpha), Lm = |ln m_p| and Lb = |ln b^q|.
+
+    Direct form, a = (R - 1) / (m_p b^q):
+      m_p: 3u in its base, raised to q, u Lm from q, 2u the pow: u (3q + Lm + 2);
+      b^q: u (Lb + 2);  R: u (q + L + 2), at most doubled by R - 1 as R > 2, plus u;
+      the product and the quotient: 2u;  in all u (5q + 2L + Lm + Lb + 11).
+    Log form, ln a = L + log1p(-e^-L) - ln m_p - ln b^q:
+      L: u q from 2/alpha, 2u L the log, u L from q, u L the product: u (q + 4L),
+        counted twice, as L + log1p(-e^-L) = ln(R - 1) moves by R/(R - 1) <= 2 times it;
+      the exp and log1p: 2u each (e^-L <= 1/2, so |log1p| <= ln 2);
+      ln m_p = ln((p-1)/2^(2-p))/(p-1): 3u q from the base, 3u Lm the log and the quotient;
+      ln b^q: 4u Lb;  the three sums: u (L + 1 + Lm + Lb) each;  the final exp: 2u;
+      in all u (11L + 5q + 6Lm + 7Lb + 9).
+    Each bound takes one more u for the terms in u^2.
+    """
     q = 1.0 / (cfg.p - 1.0)
     try:
         mb = m_p(cfg.p) * cfg.b**q
-        a = ((2.0 / cfg.alpha) ** q - 1.0) / mb
+        big_r = (2.0 / cfg.alpha) ** q
+        a = (big_r - 1.0) / mb
     except (OverflowError, ValueError, ZeroDivisionError):
         mb = a = math.nan
-    if not _normal(mb, a):
-        log_r = q * math.log(2.0 / cfg.alpha)
-        log_a = log_r + math.log1p(-math.exp(-log_r)) - _log_m_p(cfg.p) - q * math.log(cfg.b)
-        a = math.exp(log_a) if log_a <= _LOG_MAX else math.inf
+    log_m, log_bq = _log_m_p(cfg.p), q * math.log(cfg.b)
+    if _normal(mb, a):
+        return a, _U * (5.0 * q + 2.0 * math.log(big_r) + abs(log_m) + abs(log_bq) + 12.0)
+    log_r = q * math.log(2.0 / cfg.alpha)
+    log_a = log_r + math.log1p(-math.exp(-log_r)) - log_m - log_bq
+    a = math.exp(log_a) if log_a <= _LOG_MAX else math.inf
     if not _normal(a):
         raise ValueError(f"a is not a positive normal float at p = {cfg.p}, alpha = {cfg.alpha}, b = {cfg.b}")
-    return a
+    return a, _U * (11.0 * log_r + 5.0 * q + 6.0 * abs(log_m) + 7.0 * abs(log_bq) + 10.0)
+
+
+@functools.lru_cache(maxsize=256)
+def _a_bounds(cfg: DsConfig) -> tuple[float, float]:
+    """(a_hi, slack): floats with a <= a_hi - slack and slack >= 0, for the exact a of cfg's floats.
+
+    At p = 2, where m_p = 1 and a = (2/alpha - 1)/b is rational, a_hi is
+    the smallest float >= a and slack their distance rounded down.
+    Elsewhere a_hi is ds_a's float times 1 + 2e, which is at least e^e for
+    e <= 1, and slack is 0.  Cached, so a stream of queries pays once.
+    """
+    a, e = _ds_a_rounded(cfg)
+    if cfg.p != 2.0:
+        return a * (1.0 + 2.0 * e * _SAFE + 4.0 * _U), 0.0
+    exact = (2 / Fraction(cfg.alpha) - 1) / Fraction(cfg.b)
+    a_hi = _float_up(exact)
+    return a_hi, -_float_up(exact - Fraction(a_hi)) if a_hi < math.inf else 0.0
+
+
+def _float_up(value: Fraction) -> float:
+    """The smallest float >= value (inf above the float range)."""
+    try:
+        out = float(value)  # int / int: correctly rounded
+    except OverflowError:
+        return math.inf if value > 0 else -sys.float_info.max
+    return math.nextafter(out, math.inf) if out < value else out
 
 
 @dataclass
 class DsState(PrefixSums):
-    """PrefixSums' sum(lambda_i) and sum(lambda_i^p), plus sum(lambda_i X_i).
+    """PrefixSums' sum(lambda_i) and sum(lambda_i^p), plus sum(lambda_i X_i) and sum(|lambda_i X_i|).
 
     Unlike the Catoni state this is a finite sufficient statistic, so no
-    observations are retained.  Works with any positive schedule; pass the
-    schedule whose weights should be applied at each update.
+    observations are retained; the sum of magnitudes bounds the rounding
+    of the centre.  Works with any positive schedule; pass the schedule
+    whose weights should be applied at each update.
     """
 
     _sx: _KahanSum = field(default_factory=_KahanSum, repr=False)
+    _sabs: _KahanSum = field(default_factory=_KahanSum, repr=False)
 
     @property
     def sum_lambda_x(self) -> float:
@@ -121,17 +181,19 @@ class DsState(PrefixSums):
 def ds_update(state: DsState, schedule: LambdaSchedule, x: float) -> DsState:
     """Fold one observation into the running sums.
 
-    Rejects non-finite input, and input whose weighted sum would overflow,
-    leaving the state unchanged.
+    Rejects non-finite input, and input whose sum of |lambda_i X_i| would
+    overflow, leaving the state unchanged.
     """
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"observations must be finite, got {x}")
     lam = schedule.at(state.n + 1)
-    if not math.isfinite(state.sum_lambda_x + lam * x):
-        raise ValueError(f"sum of lambda_i X_i overflows at observation {state.n + 1} ({x})")
+    term = lam * x
+    if not math.isfinite(state._sabs.total + abs(term)):
+        raise ValueError(f"sum of |lambda_i X_i| overflows at observation {state.n + 1} ({x})")
     state.push(lam)
-    state._sx.add(lam * x)
+    state._sx.add(term)
+    state._sabs.add(abs(term))
     return state
 
 
@@ -141,27 +203,60 @@ def ds_radius(cfg: DsConfig, sum_lambda: float, sum_lambda_p: float) -> float:
 
 
 def ds_interval(state: DsState, cfg: DsConfig) -> ConfidenceInterval:
-    """Weighted-mean centre +- the union-bound-certified radius.
+    """Weighted-mean centre +- the union-bound-certified radius, rounded outward.
 
-    Rounds outward: where the float centre - radius (centre + radius)
-    rounded inward, cutting into the radius, that endpoint moves one float
-    down (up), so the interval always contains [centre - radius,
-    centre + radius] in exact arithmetic.  Raises ValueError on an empty
-    state, or on one that sums lambda_i^p at another p than the config's.
+    The interval contains the exact [c - r, c + r] of the pushed float
+    lambda_i and X_i and the exact a.  With X = sum lambda_i X_i,
+    S = sum lambda_i and N = a + b v_p sum lambda_i^p, the ends are
+    (X - N)/S and (X + N)/S.  Each is bounded by one sum of floats, rounded
+    up exactly (math.fsum), over the float S, also rounded up.  The sum
+    adds to +-X's float, a's bound and b v_p sum lambda_i^p's float a bound
+    on every rounding, with u = 2^-53:
+      a Kahan sum of n terms y_i is sum (1 + mu_i) y_i with |mu_i| <= k
+        below (Higham, Accuracy and Stability of Numerical Algorithms,
+        sec. 4.3), so each running sum errs by k of its terms' magnitudes;
+      a product lambda_i X_i errs by u, lambda_i^p by under an ulp (2u) and
+        b v_p times their sum by 2u more, or by under 2^-1074 when subnormal;
+      1/S is at most 1 + k times 1/(float S), which moves N +- X by k of
+        its magnitude.
+    Raises ValueError on an empty state, or on one that sums lambda_i^p at
+    another p than the config's.
     """
     if state.n == 0:
         raise ValueError("ds_interval requires at least one observation")
     if state.p != cfg.p:
         raise ValueError(f"state sums lambda^p at p = {state.p}, config has p = {cfg.p}")
-    center = state.sum_lambda_x / state.sum_lambda
-    radius = ds_radius(cfg, state.sum_lambda, state.sum_lambda_p)
-    lower, upper = center - radius, center + radius
-    # fsum is correctly rounded, so its sign is the sign of the exact rounding error.
-    if math.fsum((center, -radius, -lower)) < 0.0:
-        lower = math.nextafter(lower, -math.inf)
-    if math.fsum((center, radius, -upper)) > 0.0:
-        upper = math.nextafter(upper, math.inf)
-    return ConfidenceInterval(lower, upper)
+    n, sx = state.n, state.sum_lambda_x
+    # Kahan's |mu_i| <= 2u + O(n u^2), with 16 n u^2 for the second-order part; one term is exact.
+    k = 2.0 * _U + 16.0 * n * _U * _U if n > 1 else 0.0
+    a_hi, a_slack = _a_bounds(cfg)
+    bv = cfg.b * cfg.v_p
+    bv_sp = bv * state.sum_lambda_p
+    err = ((_U + k) * state._sabs.total + k * (abs(sx) + a_hi) + (2.0 * k + 4.0 * _U) * bv_sp) * _SAFE
+    err += (n + 2) * (bv + 2.0) * _ETA
+
+    def upper(x: float) -> float:  # >= (x' + N)/S, for x' the exact value whose float is x (X or -X)
+        return _div_up(_sum_up(x, err, a_hi, -a_slack, bv_sp), state.sum_lambda)
+
+    return ConfidenceInterval(-upper(-sx), upper(sx))
+
+
+def _sum_up(*terms: float) -> float:
+    """The smallest float >= the exact sum of terms (inf above the float range)."""
+    try:
+        out = math.fsum(terms)  # correctly rounded
+    except OverflowError:
+        return math.inf
+    return math.nextafter(out, math.inf) if math.fsum((*terms, -out)) > 0.0 else out
+
+
+def _div_up(num: float, den: float) -> float:
+    """The smallest float >= num / den, for den > 0."""
+    q = num / den  # correctly rounded
+    if math.isinf(q):
+        return q if q > 0 else -sys.float_info.max
+    (a, b), (c, d), (e, f) = num.as_integer_ratio(), den.as_integer_ratio(), q.as_integer_ratio()
+    return math.nextafter(q, math.inf) if e * c * b < a * f * d else q  # q < num/den, as b, d, f > 0
 
 
 def ds_optimal_schedule(cfg: DsConfig) -> LambdaSchedule:

@@ -631,9 +631,6 @@ def run_bound_validity(
     reps: int,
     seed: int,
     *,
-    schedule: LambdaSchedule | None = None,
-    t: float = 0.5,
-    tau: float = 0.1,
     threads: int = 1,
 ) -> BoundValidityReport:
     """Check {width_n <= width_bound(n) for every applicable n <= n_max} per rep.
@@ -658,9 +655,10 @@ def run_bound_validity(
     replication: O(n_max) time, and memory of one block.
 
     Only the (rare) n where the test fails get exact endpoint solves, so
-    the verdict per n is exact.
+    the verdict per n is exact.  The run uses Catoni's default schedule
+    power_law(1, p) and CatoniConfig's width constants t = 1/2, tau = 0.1.
     """
-    vp, sched, cfg = _method_setup(CATONI, dist, p, alpha, schedule, 1.0, t=t, tau=tau)
+    vp, sched, cfg = _method_setup(CATONI, dist, p, alpha, None, 1.0)
     budget = cat.failure_budget(cfg)  # raises before any replication on an uncertifiable config
     mu = dist.true_mean
     lam = sched.head(n_max)

@@ -131,8 +131,8 @@ class InfluenceFunction:
         out = -np.log(1.0 - arr + self.c_p * np.abs(arr) ** self.p)
         return float(out) if np.ndim(x) == 0 else out
 
-    def invert(self, y: float, tol: float = INVERT_TOL) -> float:
-        """The unique x with phi(x) = y, to absolute tolerance `tol`.
+    def invert(self, y: float) -> float:
+        """The unique x with phi(x) = y, to absolute tolerance INVERT_TOL.
 
         Exists for every finite y because phi is strictly increasing and
         unbounded in both directions.  Safeguarded Newton on y - phi(x) from
@@ -147,7 +147,7 @@ class InfluenceFunction:
             phi, slope = self.value_and_slope(x)
             return y - float(phi), -float(slope)
 
-        return solve_monotone(g, 0.0, tol)
+        return solve_monotone(g, 0.0, INVERT_TOL)
 
 
 #: Stands in for |x| = 0 in the slope's (t - |x|) / |x|, whose numerator is then 0.

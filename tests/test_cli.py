@@ -170,6 +170,47 @@ class TestLilCheckCommand:
                 assert row["width"] >= row["lil_floor"]
 
 
+class TestDefaultSchedule:
+    """Without --schedule, Catoni runs the power law at --schedule-c in every command."""
+
+    @pytest.mark.parametrize("args", [
+        ["width", "--checkpoints", "100,2000", "--reps", "1"],
+        ["coverage", "--alpha", "0.5", "--reps", "200"],
+    ], ids=["width", "coverage"])
+    def test_schedule_c_without_schedule_is_power_law(self, tmp_path, args):
+        docs = []
+        for extra in ([], ["--schedule", "power_law"]):
+            out = tmp_path / f"r{len(docs)}.json"
+            assert run_cli(args + ["--method", "catoni", "--dist", "gaussian", "--n", "2000",
+                                   "--schedule-c", "0.5", "--format", "json", "--out", str(out), *extra]) == 0
+            docs.append(json.loads(out.read_text()))
+        assert docs[0]["rows"] == docs[1]["rows"] and docs[0]["summary"] == docs[1]["summary"]
+        assert (docs[0]["config"]["schedule"], docs[1]["config"]["schedule"]) == (None, "power_law")
+        if args[0] == "width":
+            assert docs[0]["rows"][-1]["width_catoni"] == 0.21473151804452634
+        else:
+            assert docs[0]["rows"][0]["miscoverage_count"] == 48
+
+
+class TestSeed:
+    @pytest.mark.parametrize("flag, env, shown", [
+        (["--seed", "-1"], None, "-1 (--seed)"),
+        ([], "abc", "'abc' (HEAVYTAIL_CS_SEED)"),
+        ([], "-3", "'-3' (HEAVYTAIL_CS_SEED)"),
+    ], ids=["flag_negative", "env_text", "env_negative"])
+    def test_bad_seed_exits_2_naming_source(self, capsys, monkeypatch, flag, env, shown):
+        if env is not None:
+            monkeypatch.setenv("HEAVYTAIL_CS_SEED", env)
+        assert run_cli(["coverage", "--dist", "gaussian", "--n", "10", "--reps", "1", *flag]) == 2
+        assert f"error: seed must be a non-negative integer, got {shown}" in capsys.readouterr().err
+
+    def test_config_file_seed_named(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"seed": -2}))
+        assert run_cli(["coverage", "--dist", "gaussian", "--n", "10", "--reps", "1", "--config", str(cfg_path)]) == 2
+        assert "error: seed must be a non-negative integer, got -2 (config file)" in capsys.readouterr().err
+
+
 class TestEmptyCheckpoints:
     @pytest.mark.parametrize("command", ["width", "lil-check"])
     def test_usage_error(self, command, capsys):
@@ -218,7 +259,10 @@ class TestNonFiniteSettings:
          "scale c must be positive and finite"),
         (["coverage", "--method", "ds", "--dist", "gaussian", "--b", "nan"], "b must be positive and finite"),
         (["coverage", "--method", "catoni", "--dist", "gaussian", "--b", "inf"], "b must be positive and finite"),
-        (["coverage", "--dist", "gaussian", "--schedule-c", "nan"], "schedule_c must be positive and finite"),
+        (["coverage", "--method", "ds", "--dist", "gaussian", "--schedule-c", "nan"],
+         "schedule_c must be positive and finite"),
+        (["coverage", "--method", "catoni", "--dist", "gaussian", "--schedule-c", "nan"],
+         "schedule_c: scale c must be positive and finite, got nan"),
         (["width", "--method", "ds", "--dist", "gaussian", "--tau", "inf"], "tau must be positive and finite"),
         (["width", "--dist", "gaussian", "--tau", "inf"], "tau must be positive and finite"),
         (["width", "--method", "ds", "--dist", "gaussian", "--p", "1.01", "--alpha", "1e-5"],
@@ -228,7 +272,7 @@ class TestNonFiniteSettings:
         (["coverage", "--dist", "centered_pareto", "--scale", "1e250", "--p", "1.5"],
          "E|X - mu|^1.5 of centered_pareto(shape=1.9,scale=1e+250) is not a finite float"),
     ], ids=["two_point_values", "sigma", "mean", "schedule_values", "schedule_c", "b", "b_unused",
-            "schedule_c_unused", "tau_unused", "tau", "ds_a_overflow", "gaussian_moment_overflow",
+            "schedule_c_unused", "schedule_c_default", "tau_unused", "tau", "ds_a_overflow", "gaussian_moment_overflow",
             "pareto_moment_overflow"])
     def test_exit_2_naming_setting(self, capsys, args, message):
         assert run_cli(args + ["--n", "100", "--reps", "1"]) == 2

@@ -6,6 +6,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heavytail_cs import catoni_cs as cat
 from heavytail_cs import dubins_savage as ds
@@ -206,6 +208,93 @@ class TestInterval:
         assert radius == 40
         assert Fraction(iv.lower) <= center - radius and Fraction(iv.upper) >= center + radius
         assert iv.width > 0.0
+
+
+def mp_intervals(cfg, lam, xs):
+    """The exact [c - r, c + r] after each observation, in 60-digit mpmath.
+
+    c = sum lambda_i x_i / sum lambda_i and r = (a + b v_p sum lambda_i^p) / sum lambda_i
+    of the float lambda_i and x_i, with the exact a of cfg's floats.
+    """
+    out = []
+    with mp.workdps(60):
+        p, alpha, b, v_p = map(mp.mpf, (cfg.p, cfg.alpha, cfg.b, cfg.v_p))
+        q = 1 / (p - 1)
+        a = ((2 / alpha) ** q - 1) / (mp_m_p(p) * b**q)
+        s1 = sx = sp = mp.mpf(0)
+        for lam_i, x_i in zip(lam, xs):
+            s1, sx, sp = s1 + lam_i, sx + mp.mpf(lam_i) * x_i, sp + mp.mpf(lam_i) ** p
+            c, r = sx / s1, (a + b * v_p * sp) / s1
+            out.append((c - r, c + r, c, r))
+    return out
+
+
+def streamed(cfg, sched, xs):
+    state = ds.DsState(p=cfg.p)
+    for x in xs:
+        ds.ds_update(state, sched, x)
+        yield ds.ds_interval(state, cfg)
+
+
+class TestIntervalContainsExact:
+    """ds_interval contains the exact interval, rounding of the centre included."""
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6, 1e15, 1e17])
+    def test_shifted_gaussian(self, shift):
+        """Shifts at which the float centre alone left an end up to 2.69 inside.
+
+        Each end is at most 8 ulp of |c| plus 8 ulp of r outside the exact
+        one: the rounding bound of the sums and products is 5u |c| (under
+        5 ulp), and the end's sum and quotient each round up once.
+        """
+        cfg = ds.DsConfig(p=2.0, v_p=1.0, alpha=0.05)
+        sched = ds.ds_optimal_schedule(cfg)
+        xs = (np.random.default_rng(0).standard_normal(50) + shift).tolist()
+        *_, iv = streamed(cfg, sched, xs)
+        lo, hi, c, r = mp_intervals(cfg, sched.head(50).tolist(), xs)[-1]
+        slack = 8 * math.ulp(float(c)) + 8 * math.ulp(float(r))
+        assert lo - slack <= iv.lower <= lo and hi <= iv.upper <= hi + slack
+
+    @pytest.mark.parametrize("p, alpha, b, log_form", [
+        (1.005, 0.5, 1e3, True), (1.01, 0.05, 1e6, True), (1.2, 1e-6, 1.0, False),
+    ])
+    def test_bound_on_a(self, p, alpha, b, log_form):
+        """Containment rests on the bound on a's rounding, in its log form near p = 1 and its direct form elsewhere.
+
+        At these points the float a is 735, 338 and 37 u below the exact
+        one.  The weights are a millionth of the width-optimal ones, so that
+        a dominates the radius and no other term's slack hides that error.
+        """
+        cfg = ds.DsConfig(p=p, v_p=1.0, alpha=alpha, b=b)
+        try:  # the log form is taken where m_p underflows or b^(1/(p-1)) overflows
+            direct = ds.m_p(p) * b ** (1.0 / (p - 1.0))
+        except (ValueError, OverflowError):
+            direct = None
+        assert (direct is None) == log_form
+        sched = power_law(1e-6 * ds.ds_optimal_schedule(cfg).c, p)
+        xs = np.random.default_rng(1).standard_normal(100).tolist()
+        for iv, (lo, hi, _, _) in zip(streamed(cfg, sched, xs), mp_intervals(cfg, sched.head(100).tolist(), xs),
+                                      strict=True):
+            assert iv.lower <= lo and hi <= iv.upper
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.one_of(st.just(2.0), st.floats(1.05, 2.0)),
+        alpha=st.floats(1e-6, 0.9),
+        shift=st.one_of(st.just(0.0), st.builds(lambda s, e: s * 10.0**e, st.sampled_from([-1.0, 1.0]),
+                                                    st.floats(0.0, 300.0))),
+        scale=st.builds(lambda e: 10.0**e, st.floats(-300.0, 300.0)),
+        n=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_contains_exact_at_every_n(self, p, alpha, shift, scale, n, seed):
+        cfg = ds.DsConfig(p=p, v_p=1.0, alpha=alpha)
+        sched = ds.ds_optimal_schedule(cfg)
+        xs = (shift + scale * np.random.default_rng(seed).standard_normal(n)).tolist()
+        lam = sched.head(n).tolist()
+        assume(sum(abs(l * x) for l, x in zip(lam, xs)) < 1e307)  # short of overflow (inf, nan fail)
+        for iv, (lo, hi, _, _) in zip(streamed(cfg, sched, xs), mp_intervals(cfg, lam, xs), strict=True):
+            assert iv.lower <= lo and hi <= iv.upper
 
 
 class TestWidth:

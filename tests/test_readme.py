@@ -7,19 +7,9 @@ Each ```python block under "## Library quick start" is executed with
 
 import contextlib
 import io
-import re
-from pathlib import Path
 
 import pytest
-
-README = Path(__file__).resolve().parent.parent / "README.md"
-STREAM = [0.3, -1.2, 0.8, 2.5, -0.4, 0.1, -0.9, 1.7]
-
-
-def quick_start_blocks() -> list[str]:
-    text = README.read_text(encoding="utf-8")
-    section = text.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"```python\n(.*?)```", section, flags=re.S)
+from readme_blocks import STREAM, quick_start_blocks
 
 
 def test_two_quick_start_blocks():
