@@ -10,68 +10,24 @@ E|X - mu|^p <= v_p, p in (1, 2]:
 
 lower_bound holds the p = 2 iterated-logarithm width floor, harness the
 Monte Carlo coverage/width experiments, cli the command-line front end.
+The package root exports only the quick-start API; every other name is
+imported from its module.
 """
 
-from .catoni_cs import (
-    CatoniConfig,
-    CatoniState,
-    interval,
-    new_state,
-    update,
-    width_bound,
-)
-from .dubins_savage import DsConfig, DsState, ds_interval, ds_update, ds_width, m_p
-from .harness import (
-    CoverageReport,
-    DistributionSpec,
-    WidthReport,
-    centered_pareto,
-    gaussian,
-    run_coverage,
-    run_width,
-    sample_stream,
-    student_t,
-    true_vp,
-    two_point,
-)
-from .influence import InfluenceFunction, catoni_constant, make_influence
-from .interval import ConfidenceInterval
-from .lower_bound import LilConfig
-from .schedules import LambdaSchedule, PrefixSums, custom_list, power_law
+from .catoni_cs import CatoniConfig, interval, new_state, update
+from .dubins_savage import DsConfig, DsState, ds_interval, ds_update
+from .schedules import power_law
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CatoniConfig",
-    "CatoniState",
-    "ConfidenceInterval",
-    "CoverageReport",
-    "DistributionSpec",
     "DsConfig",
     "DsState",
-    "InfluenceFunction",
-    "LambdaSchedule",
-    "LilConfig",
-    "PrefixSums",
-    "WidthReport",
-    "catoni_constant",
-    "centered_pareto",
-    "custom_list",
     "ds_interval",
     "ds_update",
-    "ds_width",
-    "gaussian",
     "interval",
-    "m_p",
-    "make_influence",
     "new_state",
     "power_law",
-    "run_coverage",
-    "run_width",
-    "sample_stream",
-    "student_t",
-    "true_vp",
-    "two_point",
     "update",
-    "width_bound",
 ]

@@ -170,8 +170,8 @@ class DsState(PrefixSums):
     whose weights should be applied at each update.
     """
 
-    _sx: _KahanSum = field(default_factory=_KahanSum, repr=False)
-    _sabs: _KahanSum = field(default_factory=_KahanSum, repr=False)
+    _sx: _KahanSum = field(default_factory=_KahanSum, init=False, repr=False)
+    _sabs: _KahanSum = field(default_factory=_KahanSum, init=False, repr=False)
 
     @property
     def sum_lambda_x(self) -> float:

@@ -226,7 +226,8 @@ def sample_stream(dist: DistributionSpec, seed: int, n: int, rep: int = 0) -> np
 def true_vp(dist: DistributionSpec, p: float) -> float:
     """E|X - mu|^p for p in (1, 2] and at least TAIL_MARGIN below the tail index.
 
-    ValueError where the moment overflows the float range or is otherwise not finite.
+    ValueError where the moment overflows the float range or is otherwise not
+    finite, and where it is not positive (a point mass, or an underflow).
     """
     if not 1.0 < p <= 2.0:
         raise ValueError(f"p must lie in (1, 2], got {p}")
@@ -241,6 +242,8 @@ def true_vp(dist: DistributionSpec, p: float) -> float:
         v_p = math.inf
     if not math.isfinite(v_p):
         raise ValueError(f"v_p = E|X - mu|^{p} of {dist.label()} is not a finite float: {v_p}")
+    if not v_p > 0.0:
+        raise ValueError(f"v_p = E|X - mu|^{p} of {dist.label()} is not positive: {v_p}")
     return v_p
 
 
@@ -569,8 +572,8 @@ class BoundValidityReport:
     condition_permanent: bool  # condition stays true from n0 through n_max
     violating_reps: int        # reps where some applicable n has width > bound
     violation_rate: float
-    failure_budget: float      # >= alpha * sum_n eps_n: 2^16 terms plus a closed-form tail; ValueError
-                               # for K = C_p v_p c^p (1 + t^-(p-1)) <= 1 and for a custom_list schedule
+    failure_budget: float      # >= alpha * sum_n eps_n (catoni_cs.failure_budget at power_law(1, p)): 2^16
+                               # terms plus a closed-form tail; ValueError for K = C_p v_p (1 + t^-(p-1)) <= 1
     exact_solves: int          # fallback endpoint solves that were needed
 
 

@@ -13,7 +13,3 @@ class ConfidenceInterval:
     def __post_init__(self):
         if not self.lower <= self.upper:
             raise ValueError(f"interval endpoints out of order: [{self.lower}, {self.upper}]")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower

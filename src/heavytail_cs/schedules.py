@@ -98,9 +98,9 @@ class PrefixSums:
     """
 
     p: float
-    n: int = 0
-    _s1: _KahanSum = field(default_factory=_KahanSum, repr=False)
-    _sp: _KahanSum = field(default_factory=_KahanSum, repr=False)
+    n: int = field(default=0, init=False)
+    _s1: _KahanSum = field(default_factory=_KahanSum, init=False, repr=False)
+    _sp: _KahanSum = field(default_factory=_KahanSum, init=False, repr=False)
 
     @property
     def sum_lambda(self) -> float:

@@ -149,8 +149,8 @@ class TestInterval:
         st = state_with(cfg, [1.25])
         iv = cat.interval(st, cfg)
         halfwidth = -1.0 + math.sqrt(2.0 * math.exp(math.log(2.0 / 0.999)) - 1.0)
-        assert iv.width == pytest.approx(2.0 * halfwidth, rel=1e-6)
-        assert iv.width > 0.0
+        assert iv.upper - iv.lower == pytest.approx(2.0 * halfwidth, rel=1e-6)
+        assert iv.upper - iv.lower > 0.0
         assert iv.lower <= 1.25 <= iv.upper
 
     def test_translation_equivariance(self):
@@ -313,6 +313,41 @@ def budget_oracle(cfg, m=1 << 22):
             a2 * (head + g * upper) * (1.0 + 1e-12))
 
 
+def power_budget_oracle(cfg, m=2000):
+    """[L, U] around the exact alpha * sum eps_n for a power_law(c, p_s) schedule with p_s > p, at 40 digits.
+
+    E_n = K sum_{i<=n} i^-r with r = p/p_s, which is K (zeta(r) - zeta(r, n + 1))
+    for real n.  The first m - 1 terms are summed exactly; Euler-Maclaurin gives
+    the rest from the integral of f = e^-E over [m, inf) (tanh-sinh quadrature
+    in u = ln(x/m), out to where E has grown by 250 more), f(m)/2, -f'(m)/12
+    and f'''(m)/720, whose derivatives come from
+    E^(j) = (-1)^(j-1) K r (r + 1) ... (r + j - 1) zeta(r + j, x + 1).
+    The next term is about E'(m)^5/30240 of the tail, under 1e-14 at m = 2000
+    for the configurations tested, so [L, U] is +-1e-12 around the result.
+    """
+    with mpmath.workdps(40):
+        p = mpmath.mpf(cfg.p)
+        r = p / mpmath.mpf(cfg.schedule.p)
+        s = 1 - r
+        k = mpmath.mpf(cfg.c_p) * cfg.v_p * mpmath.mpf(cfg.schedule.c) ** p * (1 + mpmath.mpf(cfg.t) ** (1 - p))
+        zeta_r = mpmath.zeta(r)
+
+        def big_e(x):
+            return k * (zeta_r - mpmath.zeta(r, x + 1))
+
+        e = head = mpmath.mpf(0)
+        for n in range(1, m):
+            e += k * mpmath.mpf(n) ** -r
+            head += mpmath.exp(-e)
+        d1, d2, d3 = (k * mpmath.rf(r, j) * (-1) ** (j - 1) * mpmath.zeta(r + j, m + 1) for j in (1, 2, 3))
+        f_m = mpmath.exp(-big_e(m))
+        u_end = mpmath.log((250 * s / k + mpmath.mpf(m + 1) ** s) ** (1 / s) / m)
+        integral = mpmath.quad(lambda u: m * mpmath.exp(u - big_e(m * mpmath.exp(u))), [0, u_end])
+        tail = integral + f_m / 2 + d1 * f_m / 12 + (3 * d1 * d2 - d3 - d1**3) * f_m / 720
+        total = mpmath.mpf(cfg.alpha) ** 2 * (head + tail)
+        return total * (1 - mpmath.mpf(1e-12)), total * (1 + mpmath.mpf(1e-12))
+
+
 class TestFailureBudget:
     """failure_budget is a certified upper bound within 1e-6 of exact, and rejects what it cannot certify."""
 
@@ -330,6 +365,26 @@ class TestFailureBudget:
     def test_within_two_sided_oracle(self, cfg):
         lower, upper = budget_oracle(cfg)
         assert lower <= cat.failure_budget(cfg) <= upper * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize(
+        "p, v_p, p_s, t",
+        [(1.5, 0.5, 1.75, 0.5), (1.5, 0.5, 2.0, 0.5), (1.2, 3.0, 1.6, 0.3), (1.2, 3.0, 2.0, 0.3)],
+        ids=["p1.5-K<1-ps1.75", "p1.5-K<1-ps2", "p1.2-ps1.6", "p1.2-ps2"],
+    )
+    def test_decaying_schedule_within_mpmath_oracle(self, p, v_p, p_s, t):
+        """p_s = (p + 2)/2 and p_s = 2 (the power_law(c, p) cases above cover p_s = p): the
+        incomplete-gamma tail bound is certified and within 1e-6 of exact, also where K < 1
+        (K = 0.53 at p = 1.5, v_p = 0.5, where p_s = p diverges)."""
+        cfg = cat.CatoniConfig(p=p, v_p=v_p, alpha=0.05, schedule=power_law(1.0, p_s), t=t)
+        lower, upper = power_budget_oracle(cfg)
+        assert lower <= cat.failure_budget(cfg) <= upper * (1 + mpmath.mpf(1e-6))
+
+    def test_decaying_schedule_past_the_longest_head(self):
+        """p = 1.5, p_s = 1.6, v_p = 0.1: K (N + 1)^s <= r even at N = 2^22, so the tail is the crude
+        6 (2r/K)^(1/s) e^-E_N bound: far above the exact 5.8e7 (a vacuous budget), but never below."""
+        cfg = cat.CatoniConfig(p=1.5, v_p=0.1, alpha=0.05, schedule=power_law(1.0, 1.6))
+        lower, _ = power_budget_oracle(cfg)
+        assert lower <= cat.failure_budget(cfg) < math.inf
 
     def test_t09_oracle_bracket(self):
         """K = (1 + 1/0.9)/2 ~ 1.056: the tail past 2^22 is about 40 % of the sum."""
@@ -361,10 +416,11 @@ class TestFailureBudget:
         "cfg, match",
         [
             (config_p2(v_p=0.5), r"K = 0\.75\b"),
+            (cat.CatoniConfig(p=1.5, v_p=0.5, alpha=0.05, schedule=power_law(1.0, 1.5)), r"K = 0\.529547\b"),
             (config_p2(schedule=custom_list([1.0] * 1000)), "every n >= 1"),
             (config_p2(schedule=power_law(1.0, 1.5)), "converges"),
         ],
-        ids=["K<1", "custom_list", "schedule-p-below-p"],
+        ids=["K<1", "K<1-p1.5", "custom_list", "schedule-p-below-p"],
     )
     def test_rejects_at_once(self, cfg, match):
         start = time.perf_counter()

@@ -271,9 +271,13 @@ class TestNonFiniteSettings:
          "E|X - mu|^2.0 of gaussian(mean=0.0,sigma=1e+200) is not a finite float"),
         (["coverage", "--dist", "centered_pareto", "--scale", "1e250", "--p", "1.5"],
          "E|X - mu|^1.5 of centered_pareto(shape=1.9,scale=1e+250) is not a finite float"),
+        (["coverage", "--method", "ds", "--dist", "two_point", "--values", "5", "--probs", "1"],
+         "error: v_p = E|X - mu|^2.0 of two_point(values=[5.0],probs=[1.0]) is not positive: 0.0"),
+        (["width", "--dist", "gaussian", "--sigma", "1e-300", "--p", "1.5"],
+         "error: v_p = E|X - mu|^1.5 of gaussian(mean=0.0,sigma=1e-300) is not positive: 0.0"),
     ], ids=["two_point_values", "sigma", "mean", "schedule_values", "schedule_c", "b", "b_unused",
             "schedule_c_unused", "schedule_c_default", "tau_unused", "tau", "ds_a_overflow", "gaussian_moment_overflow",
-            "pareto_moment_overflow"])
+            "pareto_moment_overflow", "point_mass_moment", "underflowing_moment"])
     def test_exit_2_naming_setting(self, capsys, args, message):
         assert run_cli(args + ["--n", "100", "--reps", "1"]) == 2
         assert message in capsys.readouterr().err

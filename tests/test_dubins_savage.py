@@ -207,7 +207,7 @@ class TestInterval:
         radius = Fraction(ds.ds_radius(cfg, st.sum_lambda, st.sum_lambda_p))
         assert radius == 40
         assert Fraction(iv.lower) <= center - radius and Fraction(iv.upper) >= center + radius
-        assert iv.width > 0.0
+        assert iv.upper - iv.lower > 0.0
 
 
 def mp_intervals(cfg, lam, xs):

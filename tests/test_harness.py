@@ -223,6 +223,14 @@ class TestTrueVp:
         with pytest.raises(ValueError, match=re.escape(f"E|X - mu|^{p} of {dist.label()} is not a finite float")):
             true_vp(dist, p)
 
+    @pytest.mark.parametrize("dist, p", [(two_point([5.0], [1.0]), 1.5), (two_point([5.0], [1.0]), 2.0),
+                                         (gaussian(0.0, 1e-300), 1.5)],
+                             ids=["point_mass_1.5", "point_mass_2", "underflow"])
+    def test_zero_moment_rejected(self, dist, p):
+        """A point mass has moment 0, and sigma^p underflows to 0: a ValueError naming the distribution and p."""
+        with pytest.raises(ValueError, match=re.escape(f"E|X - mu|^{p} of {dist.label()} is not positive: 0.0")):
+            true_vp(dist, p)
+
     def test_two_point_wide_values(self):
         """Deviations of 1e200, whose squares overflow, still give std 1e200 and a finite p = 1.5 moment."""
         wide = two_point([-1e200, 1e200], [0.5, 0.5])

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from heavytail_cs.catoni_cs import CatoniConfig, CatoniState, new_state
 from heavytail_cs.dubins_savage import DsConfig, DsState, ds_optimal_schedule
-from heavytail_cs.schedules import PrefixSums, custom_list, power_law
+from heavytail_cs.schedules import PrefixSums, _KahanSum, custom_list, power_law
 
 
 class TestLambdaAt:
@@ -181,3 +182,27 @@ class TestPrefixSums:
         assert abs(ratio_1e6 - 1.0) < abs(ratio_1e4 - 1.0)  # converging
         assert abs(ratio_1e6 - 1.0) < 0.05
 
+
+class TestStateConstructors:
+    """The running sums start at zero and only push/update/ds_update change them: no constructor argument sets them."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: PrefixSums(p=2.0, n=5),
+        lambda: PrefixSums(p=2.0, _s1=_KahanSum()),
+        lambda: PrefixSums(p=2.0, _sp=_KahanSum()),
+        lambda: DsState(p=2.0, _sx=_KahanSum()),
+        lambda: DsState(p=2.0, _sabs=_KahanSum()),
+        lambda: CatoniState(schedule=power_law(1.0, 2.0), prefix=PrefixSums(p=2.0), observations=[1.0]),
+    ], ids=["PrefixSums.n", "PrefixSums._s1", "PrefixSums._sp", "DsState._sx", "DsState._sabs",
+            "CatoniState.observations"])
+    def test_running_sums_are_not_arguments(self, make):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            make()
+
+    def test_fresh_states_are_empty(self):
+        cfg = CatoniConfig(p=2.0, v_p=1.0, alpha=0.05, schedule=power_law(1.0, 2.0))
+        cat_state = new_state(cfg)
+        assert (cat_state.n, cat_state.observations, cat_state.prefix.sum_lambda) == (0, [], 0.0)
+        for ps in (PrefixSums(p=1.5), DsState(p=1.5)):
+            assert (ps.p, ps.n, ps.sum_lambda, ps.sum_lambda_p) == (1.5, 0, 0.0, 0.0)
+        assert DsState(p=1.5).sum_lambda_x == 0.0
