@@ -87,8 +87,8 @@ class CatoniConfig:
 
 
 @dataclass
-class CatoniState:
-    """Retained observations plus running schedule sums.
+class CatoniState(PrefixSums):
+    """PrefixSums of the schedule's weights plus the retained observations.
 
     All observations are kept: f_n(x) has no finite sufficient statistic
     across x, so memory is O(n) and an interval query costs O(n) per
@@ -98,19 +98,14 @@ class CatoniState:
     """
 
     schedule: LambdaSchedule
-    prefix: PrefixSums
     observations: list[float] = field(default_factory=list, init=False)
-
-    @property
-    def n(self) -> int:
-        return len(self.observations)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self.schedule.head(self.n), np.asarray(self.observations, dtype=np.float64)
 
 
 def new_state(config: CatoniConfig) -> CatoniState:
-    return CatoniState(schedule=config.schedule, prefix=PrefixSums(p=config.p))
+    return CatoniState(p=config.p, schedule=config.schedule)
 
 
 def update(state: CatoniState, x: float) -> CatoniState:
@@ -118,7 +113,7 @@ def update(state: CatoniState, x: float) -> CatoniState:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"observations must be finite, got {x}")
-    state.prefix.push(state.schedule.at(state.n + 1))
+    state.push(state.schedule.at(state.n + 1))
     state.observations.append(x)
     return state
 
@@ -299,15 +294,11 @@ def interval(state: CatoniState, config: CatoniConfig) -> ConfidenceInterval:
 
     lower solves f_n(x) = +target, upper solves f_n(x) = -target, each to
     solve_interval_arrays' default root_tol; not intersected over n.
-    Raises ValueError on an empty state or one that sums lambda_i^p at
-    another p than config.
+    Raises ValueError on an empty state or one summing lambda_i^p at another p.
     """
-    if state.n == 0:
-        raise ValueError("interval requires at least one observation")
-    if state.prefix.p != config.p:
-        raise ValueError(f"state sums lambda^p at p = {state.prefix.p}, config has p = {config.p}")
+    state.check_query(config.p, "interval")
     lam, xs = state.arrays()
-    tgt = target(config, state.prefix.sum_lambda_p)
+    tgt = target(config, state.sum_lambda_p)
     lower, upper = solve_interval_arrays(config.influence, lam, xs, tgt)
     return ConfidenceInterval(lower, upper)
 
@@ -371,7 +362,8 @@ def failure_budget(config: CatoniConfig) -> float:
     K (N + 1)^s <= r even there, the terms up to the first M with
     K (M + 1)^s >= 2r are each at most e^-E_N, and past M the bound adds
     (M + 1)/r, so the tail is at most 3 (M + 1) e^-E_N <= 6 (2r/K)^(1/s) e^-E_N
-    (r > 1/2 as p_s <= 2 < 2p).
+    (r > 1/2 as p_s <= 2 < 2p).  That holds from any N, so the head then
+    stops at its first block.
 
     The terms are scaled by e^E_1, so none exceeds 1, and the result is
     formed in logs; below the smallest normal float, that is returned, and
@@ -395,6 +387,8 @@ def failure_budget(config: CatoniConfig) -> float:
     if k > 750.0:  # sum_n e^-E_n <= sum_n e^-K H_n < 2 e^-K, below the smallest normal float
         return sys.float_info.min
     s = 1.0 - r  # exact
+    # K (N + 1)^s <= r at every head length: only the crude tail applies, and from any N.
+    crude = k * (_BUDGET_HEAD_MAX + 1.0) ** s * (1.0 - 4.0 * _EPS) <= r
     n, carry, head = 0, 0.0, 0.0
     while True:
         expos = _plus_sums(config, sched.span(n + 1, n + _BUDGET_HEAD) ** config.p)
@@ -412,7 +406,7 @@ def failure_budget(config: CatoniConfig) -> float:
             break
         kn = k * (n + 1.0) ** s * (1.0 - 4.0 * _EPS)  # below K (N + 1)^s
         tail = math.exp(math.log(n + 1.0) - math.log(kn - r) - e_n) if kn > r else math.inf
-        if tail * r <= 2.0**-22 * head * kn or n >= _BUDGET_HEAD_MAX:
+        if crude or tail * r <= 2.0**-22 * head * kn or n >= _BUDGET_HEAD_MAX:
             break
     if math.isinf(tail) and k > 0.0:  # K underflowing to 0 leaves it inf
         log_tail = math.log(6.0) + math.log(2.0 * r / k) / s * (1.0 + 4.0 * _EPS) - e_n

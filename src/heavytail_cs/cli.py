@@ -8,9 +8,10 @@ execution detail, not configuration, and is deliberately not embedded, nor
 are the output paths: identical (config, seed) must produce byte-identical
 files at any --threads.
 
-Each setting is stated once, in `_OPTIONS`.  Flags override `--config`
-JSON file values, which override the table defaults; a file value gets its
-flag's checks (known key, taken by the command, JSON type, choices).
+Each setting is stated once, in `_OPTIONS`, with its range if it has one.
+Flags override `--config` JSON file values, which override the table
+defaults; a file value gets its flag's checks (known key, taken by the
+command, JSON type, choices), and every resolved value its range.
 
 Exit codes: 0 success, 2 usage or validation error, 1 runtime error.
 """
@@ -25,7 +26,7 @@ import json
 import math
 import os
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,7 @@ class _Option(NamedTuple):
     commands: tuple[str, ...] = tuple(_COMMANDS)
     choices: tuple[str, ...] | None = None
     help: str | None = None
+    valid: tuple[str, Callable[[object], bool]] | None = None  # the range's wording and test
 
 
 #: Each distribution kind: its constructor and its parameters' options in
@@ -63,27 +65,29 @@ _DISTS = {
                                       "probs": _Option(str, "0.5,0.5", help="two-point probabilities, comma separated")}),
 }
 _DIST_PARAMS = {key: opt for _, params in _DISTS.values() for key, opt in params.items()}
+_AT_LEAST_1, _IN_0_1 = ("be >= 1", lambda v: v >= 1), ("lie in (0, 1)", lambda v: 0.0 < v < 1.0)
 
-#: Every setting: type, default, commands that take it, choices, help.  The
+#: Every setting: type, default, commands that take it, choices, help, range.  The
 #: flag is "--" + key with "_" as "-" and defaults to None, so that a
 #: config-file value can be told from an unset flag.
 _OPTIONS = {
     "method": _Option(str, "catoni", ("coverage", "width"), ("catoni", "ds", "both")),
     "dist": _Option(str, None, choices=tuple(_DISTS)),
     **_DIST_PARAMS,
-    "p": _Option(float, 2.0, help="moment order in (1,2]"),
-    "alpha": _Option(float, 0.05),
-    "n": _Option(int, 10000, help="stream horizon N"),
-    "reps": _Option(int, 100, ("coverage", "width"), help="replications (width: per checkpoint, default 5)"),
+    "p": _Option(float, 2.0, help="moment order in (1,2]", valid=("lie in (1, 2]", lambda v: 1.0 < v <= 2.0)),
+    "alpha": _Option(float, 0.05, valid=_IN_0_1),
+    "n": _Option(int, 10000, help="stream horizon N", valid=_AT_LEAST_1),
+    "reps": _Option(int, 100, ("coverage", "width"), help="replications (width: per checkpoint, default 5)",
+                    valid=_AT_LEAST_1),
     "seed": _Option(int, None, help="defaults to $HEAVYTAIL_CS_SEED, else 0"),
     "schedule": _Option(str, None, choices=("power_law", "ds_optimal", "custom_list")),
     "schedule_c": _Option(float, 1.0, help="power-law scale c"),
     "schedule_values": _Option(str, None, help="custom schedule values"),
-    "t": _Option(float, 0.5, ("width",), help="width-analysis constant t in (0,1)"),
+    "t": _Option(float, 0.5, ("width",), help="width-analysis constant t in (0,1)", valid=_IN_0_1),
     "tau": _Option(float, 0.1, ("width",), help="width-analysis constant tau > 0"),
     "b": _Option(float, 1.0, help="Dubins-Savage b > 0"),
-    "stride": _Option(int, 1, ("coverage",), help="check every stride-th n"),
-    "threads": _Option(int, 1, help="max parallel replications"),
+    "stride": _Option(int, 1, ("coverage",), help="check every stride-th n", valid=_AT_LEAST_1),
+    "threads": _Option(int, 1, help="max parallel replications", valid=_AT_LEAST_1),
     "format": _Option(str, "csv", choices=("csv", "json")),
     "out": _Option(str, None, help="output path (default stdout)"),
     "svg": _Option(str, None, ("width", "lil-check"), help="write a chart of the report here"),
@@ -155,22 +159,12 @@ def _check_file_value(command: str, key: str, value) -> None:
 
 
 def _validate(cfg: dict) -> None:
+    """ValueError without a dist, or naming the first setting of the command outside its range."""
     if cfg["dist"] is None:
         raise ValueError(f"--dist is required (choose one of {', '.join(_DISTS)})")
-    if not 1.0 < cfg["p"] <= 2.0:
-        raise ValueError(f"p must lie in (1, 2], got {cfg['p']}")
-    if not 0.0 < cfg["alpha"] < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {cfg['alpha']}")
-    if cfg["n"] < 1:
-        raise ValueError(f"n must be >= 1, got {cfg['n']}")
-    if cfg["reps"] < 1:
-        raise ValueError(f"reps must be >= 1, got {cfg['reps']}")
-    if cfg["stride"] < 1:
-        raise ValueError(f"stride must be >= 1, got {cfg['stride']}")
-    if cfg["threads"] < 1:
-        raise ValueError(f"threads must be >= 1, got {cfg['threads']}")
-    if cfg["command"] == "width" and not 0.0 < cfg["t"] < 1.0:  # whatever the method: the report embeds t
-        raise ValueError(f"t must lie in (0, 1), got {cfg['t']}")
+    for key, opt in _OPTIONS.items():
+        if opt.valid and cfg["command"] in opt.commands and not opt.valid[1](cfg[key]):
+            raise ValueError(f"{key} must {opt.valid[0]}, got {cfg[key]}")
 
 
 def _parse_floats(cfg: dict, key: str) -> list[float]:

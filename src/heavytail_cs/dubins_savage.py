@@ -219,13 +219,9 @@ def ds_interval(state: DsState, cfg: DsConfig) -> ConfidenceInterval:
         b v_p times their sum by 2u more, or by under 2^-1074 when subnormal;
       1/S is at most 1 + k times 1/(float S), which moves N +- X by k of
         its magnitude.
-    Raises ValueError on an empty state, or on one that sums lambda_i^p at
-    another p than the config's.
+    Raises ValueError on an empty state or one summing lambda_i^p at another p.
     """
-    if state.n == 0:
-        raise ValueError("ds_interval requires at least one observation")
-    if state.p != cfg.p:
-        raise ValueError(f"state sums lambda^p at p = {state.p}, config has p = {cfg.p}")
+    state.check_query(cfg.p, "ds_interval")
     n, sx = state.n, state.sum_lambda_x
     # Kahan's |mu_i| <= 2u + O(n u^2), with 16 n u^2 for the second-order part; one term is exact.
     k = 2.0 * _U + 16.0 * n * _U * _U if n > 1 else 0.0

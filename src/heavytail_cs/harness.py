@@ -290,31 +290,28 @@ def true_std(dist: DistributionSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _method_setup(
-    method: str,
-    dist: DistributionSpec,
-    p: float,
-    alpha: float,
-    schedule: LambdaSchedule | None,
-    b: float,
-    **width: float,
-):
-    """Resolve (v_p, schedule, config) for one method; `width` holds CatoniConfig's t and tau, if given.
+def _method_setup(method: str, dist: DistributionSpec, p: float, alpha: float, n_max: int, reps: int,
+                  schedule: LambdaSchedule | None, b: float, **width: float):
+    """(v_p, config, lambda_1..lambda_n_max, cumulative sum lambda^p) for a run of `method`.
 
-    v_p is the exact moment true_vp(dist, p).  Default schedules:
-    power_law(c=1, p) for Catoni, the width-optimal ds_optimal schedule
-    for Dubins-Savage.
+    Every experiment starts here, so each rejects n_max or reps below 1
+    first.  v_p is the exact moment true_vp(dist, p); `width` holds
+    CatoniConfig's t and tau, if given.  Default schedules: power_law(1, p)
+    for Catoni, the width-optimal ds_optimal schedule for Dubins-Savage.
     """
+    if n_max < 1 or reps < 1:
+        raise ValueError(f"n_max and reps must be >= 1, got {n_max}, {reps}")
     vp = true_vp(dist, p)
     if method == CATONI:
-        sched = power_law(1.0, p) if schedule is None else schedule
-        cfg = cat.CatoniConfig(p=p, v_p=vp, alpha=alpha, schedule=sched, **width)
-        return vp, sched, cfg
-    if method == DS:
+        schedule = schedule or power_law(1.0, p)
+        cfg = cat.CatoniConfig(p=p, v_p=vp, alpha=alpha, schedule=schedule, **width)
+    elif method == DS:
         cfg = ds.DsConfig(p=p, v_p=vp, alpha=alpha, b=b)
-        sched = ds.ds_optimal_schedule(cfg) if schedule is None else schedule
-        return vp, sched, cfg
-    raise ValueError(f"unknown method {method!r}; expected '{CATONI}' or '{DS}'")
+        schedule = schedule or ds.ds_optimal_schedule(cfg)
+    else:
+        raise ValueError(f"unknown method {method!r}; expected '{CATONI}' or '{DS}'")
+    lam = schedule.head(n_max)
+    return vp, cfg, lam, np.cumsum(lam**p)
 
 
 def _run_reps(fn, reps: int, threads: int) -> list:
@@ -409,43 +406,43 @@ def run_coverage(
 
     The miscoverage event is the existence of any checked n <= n_max with
     mu outside I_n.  Membership is tested through the defining band
-    condition rather than by solving for endpoints: for Catoni,
-    mu in I_n iff |f_n(mu)| <= log(2/alpha) + C_p v_p sum(lambda_i^p), an
-    exact O(1)-per-step cumulative check, so stride > 1 only coarsens the
-    event (it is recorded in the report either way).
+    condition rather than by solving for endpoints: mu in I_n iff a
+    cumulative statistic is within its threshold, |f_n(mu)| <= the band for
+    Catoni, |sum lambda_i (X_i - mu)| <= a + b v_p sum(lambda_i^p) for
+    Dubins-Savage.  That check is exact and O(1) per step, so stride > 1
+    only coarsens the event (it is recorded in the report either way).
     """
-    if n_max < 1 or reps < 1 or stride < 1:
-        raise ValueError(f"n_max, reps, stride must be >= 1, got {n_max}, {reps}, {stride}")
-    vp, sched, cfg = _method_setup(method, dist, p, alpha, schedule, b)
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    vp, cfg, lam, threshold = _method_setup(method, dist, p, alpha, n_max, reps, schedule, b)
     mu = dist.true_mean
-    lam = sched.head(n_max)
     # A plain slice is a view, so stride 1 indexes without a copy.
     idx = slice(None) if stride == 1 else _checked_indices(n_max, stride)
+    # threshold holds sum lambda^p until rebound.  A statistic is formed in the drawn stream's
+    # buffer (Catoni's then in phi's) by its expression's ufuncs in order, so it has their bits.
     if method == CATONI:
-        band = cat.target(cfg, np.cumsum(lam**p))[idx]
+        threshold = cat.target(cfg, threshold)[idx]
         influence = cfg.influence
 
-        # Each replication works in its drawn stream's buffer and then in
-        # phi's, with the ufuncs of |cumsum(phi(lam (x - mu)))| in their
-        # order, so its bits are those of the expression.
-        def one_rep(r: int) -> bool:
-            z = sample_stream(dist, seed, n_max, rep=r)
+        def statistic(z: np.ndarray) -> np.ndarray:  # cumsum(phi(lam (x - mu)))
             z -= mu
             z *= lam
             f_mu = influence(z)
-            np.cumsum(f_mu, out=f_mu)
-            return bool(np.any(np.abs(f_mu, out=f_mu)[idx] > band))
+            return np.cumsum(f_mu, out=f_mu)
 
     else:
+        threshold = (ds.ds_a(cfg) + cfg.b * vp * threshold)[idx]
         mu_cum_lam = mu * np.cumsum(lam)
-        radius_scaled = (ds.ds_a(cfg) + cfg.b * vp * np.cumsum(lam**p))[idx]
 
-        def one_rep(r: int) -> bool:  # |cumsum(lam x) - mu sum lam| in the drawn stream's buffer
-            dev = sample_stream(dist, seed, n_max, rep=r)
+        def statistic(dev: np.ndarray) -> np.ndarray:  # cumsum(lam x) - mu sum lam
             dev *= lam
             np.cumsum(dev, out=dev)
             dev -= mu_cum_lam
-            return bool(np.any(np.abs(dev, out=dev)[idx] > radius_scaled))
+            return dev
+
+    def one_rep(r: int) -> bool:
+        stat = statistic(sample_stream(dist, seed, n_max, rep=r))
+        return bool(np.any(np.abs(stat, out=stat)[idx] > threshold))
 
     misses = _run_reps(one_rep, reps, threads)
     count = int(sum(misses))
@@ -522,17 +519,13 @@ def run_width(
     b: float = 1.0,
     threads: int = 1,
 ) -> WidthReport:
-    """Interval widths at checkpoints plus a fitted log-log shrinkage slope."""
-    if n_max < 1 or reps < 1:
-        raise ValueError(f"n_max and reps must be >= 1, got {n_max}, {reps}")
+    """Interval widths at checkpoints and their fitted log-log slope; data-free DS widths are computed once."""
+    vp, cfg, lam, cum_lam_p = _method_setup(method, dist, p, alpha, n_max, reps, schedule, b, t=t, tau=tau)
     cps = default_checkpoints(n_max) if checkpoints is None else sorted(set(int(c) for c in checkpoints))
     if not cps:
         raise ValueError("checkpoints must not be empty")
     if cps[0] < 1 or cps[-1] > n_max:
         raise ValueError(f"checkpoints must lie in [1, {n_max}], got {cps[0]}..{cps[-1]}")
-    vp, sched, cfg = _method_setup(method, dist, p, alpha, schedule, b, t=t, tau=tau)
-    lam = sched.head(n_max)
-    cum_lam_p = np.cumsum(lam**p)
 
     if method == CATONI:
         def one_rep(r: int) -> list[float]:
@@ -549,10 +542,10 @@ def run_width(
         conds = [bool(c) for c in cond_at]
         widths = np.asarray(_run_reps(one_rep, reps, threads))
     else:
-        cum_lam = np.cumsum(lam)
-        w = [2.0 * ds.ds_radius(cfg, cum_lam[n - 1], cum_lam_p[n - 1]) for n in cps]
-        widths = np.tile(np.asarray(w), (reps, 1))
-        bounds = [2.0 * cfg.b * vp * cum_lam_p[n - 1] / cum_lam[n - 1] for n in cps]
+        at = np.asarray(cps) - 1
+        cum_lam, cum_lam_p = np.cumsum(lam)[at], cum_lam_p[at]
+        widths = 2.0 * ds.ds_radius(cfg, cum_lam, cum_lam_p)[np.newaxis]  # one row, its own mean
+        bounds = 2.0 * cfg.b * vp * cum_lam_p / cum_lam
         conds = [None] * len(cps)
 
     # A width is inf where an endpoint is +-inf; the mean and slope over it
@@ -661,11 +654,10 @@ def run_bound_validity(
     the verdict per n is exact.  The run uses Catoni's default schedule
     power_law(1, p) and CatoniConfig's width constants t = 1/2, tau = 0.1.
     """
-    vp, sched, cfg = _method_setup(CATONI, dist, p, alpha, None, 1.0)
+    vp, cfg, lam, band = _method_setup(CATONI, dist, p, alpha, n_max, reps, None, 1.0)
     budget = cat.failure_budget(cfg)  # raises before any replication on an uncertifiable config
     mu = dist.true_mean
-    lam = sched.head(n_max)
-    band = cat.target(cfg, np.cumsum(lam**p))
+    band = cat.target(cfg, band)  # rebinding drops the sums of lambda^p before the replications
     bounds, condition = cat.width_bound_curve(cfg, n_max)
     if not condition.any():
         raise ValueError(f"width bound never applies up to n_max={n_max}")

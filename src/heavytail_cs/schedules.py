@@ -110,6 +110,13 @@ class PrefixSums:
     def sum_lambda_p(self) -> float:
         return self._sp.total
 
+    def check_query(self, p: float, name: str) -> None:
+        """ValueError unless a lambda was pushed and the sums take lambda^p at p; `name` is the querying function."""
+        if self.n == 0:
+            raise ValueError(f"{name} requires at least one observation")
+        if self.p != p:
+            raise ValueError(f"state sums lambda^p at p = {self.p}, config has p = {p}")
+
     def push(self, lam: float) -> None:
         """Append an explicit lambda value.
 

@@ -27,6 +27,14 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [10.0**e for e in range(math.ceil(math.log10(lo) - 1e-9), math.floor(math.log10(hi) + 1e-9) + 1)]
 
 
+def _log_axis(data: list[float], start: float, span: float):
+    """The map of data's range, on a log scale, onto start .. start + span; one value maps to the middle."""
+    lo, hi = math.log10(min(data)), math.log10(max(data))
+    if hi == lo:
+        return lambda v: start + span / 2
+    return lambda v: start + (math.log10(v) - lo) / (hi - lo) * span
+
+
 def _fmt(v: float) -> str:
     if v != 0 and (abs(v) >= 1e4 or abs(v) < 1e-3):
         return f"{v:.0e}"
@@ -55,18 +63,8 @@ def line_chart(
     if min(allx) <= 0 or min(ally) <= 0:
         raise ValueError("log axes need strictly positive data")
 
-    def tx(v: float) -> float:
-        lo, hi, v = math.log10(min(allx)), math.log10(max(allx)), math.log10(v)
-        if hi == lo:
-            return _ML + (_W - _ML - _MR) / 2
-        return _ML + (v - lo) / (hi - lo) * (_W - _ML - _MR)
-
-    def ty(v: float) -> float:
-        lo, hi, v = math.log10(min(ally)), math.log10(max(ally)), math.log10(v)
-        if hi == lo:
-            return _MT + (_H - _MT - _MB) / 2
-        return _H - _MB - (v - lo) / (hi - lo) * (_H - _MT - _MB)
-
+    tx = _log_axis(allx, _ML, _W - _ML - _MR)
+    ty = _log_axis(ally, _H - _MB, -(_H - _MT - _MB))  # y grows downward
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'font-family="monospace" font-size="12">',

@@ -13,7 +13,7 @@ from scipy.special import digamma
 from heavytail_cs import catoni_cs as cat
 from heavytail_cs.harness import centered_pareto, gaussian, sample_stream, true_vp
 from heavytail_cs.rootfind import bisect
-from heavytail_cs.schedules import custom_list, power_law
+from heavytail_cs.schedules import LambdaSchedule, custom_list, power_law
 
 ALPHA = 0.05
 LOG2A = math.log(2.0 / ALPHA)
@@ -87,9 +87,9 @@ class TestState:
         xs = rng.normal(size=10**5)
         st = state_with(cfg, xs.tolist())
         lam = cfg.schedule.head(10**5)
-        assert st.prefix.n == 10**5
-        assert st.prefix.sum_lambda == pytest.approx(float(np.sum(lam)), rel=1e-13)
-        assert st.prefix.sum_lambda_p == pytest.approx(float(np.sum(lam**2)), rel=1e-13)
+        assert st.n == 10**5
+        assert st.sum_lambda == pytest.approx(float(np.sum(lam)), rel=1e-13)
+        assert st.sum_lambda_p == pytest.approx(float(np.sum(lam**2)), rel=1e-13)
 
 
 class TestPsiSum:
@@ -134,10 +134,10 @@ class TestInterval:
         cfg = config_p2()
         rng = np.random.default_rng(3)
         st = state_with(cfg, rng.normal(size=200).tolist())
-        tgt = cat.target(cfg, st.prefix.sum_lambda_p)
+        tgt = cat.target(cfg, st.sum_lambda_p)
         iv = cat.interval(st, cfg)
         # mapped tolerance: |f(root) - target| <= |f'| * root_tol <= sum(lam) * tol
-        slack = st.prefix.sum_lambda * 1e-8
+        slack = st.sum_lambda * 1e-8
         assert f_n(st, cfg, iv.lower) == pytest.approx(tgt, abs=slack)
         assert f_n(st, cfg, iv.upper) == pytest.approx(-tgt, abs=slack)
         assert iv.lower <= iv.upper
@@ -172,8 +172,8 @@ class TestInterval:
         st = state_with(cfg, rng.standard_t(1.8, size=300).tolist())
         iv = cat.interval(st, cfg)
         assert iv.lower < iv.upper
-        tgt = cat.target(cfg, st.prefix.sum_lambda_p)
-        slack = st.prefix.sum_lambda * 1e-7
+        tgt = cat.target(cfg, st.sum_lambda_p)
+        slack = st.sum_lambda * 1e-7
         assert f_n(st, cfg, iv.lower) == pytest.approx(tgt, abs=slack)
 
     def test_endpoints_beyond_float_range_are_infinite(self):
@@ -196,7 +196,7 @@ class TestInterval:
         st = state_with(cfg, x.tolist())
         lam = cfg.schedule.head(2000)
         tgt = cat.target(cfg, float(np.sum(lam**1.5)))
-        assert st.prefix.sum_lambda_p == pytest.approx(float(np.sum(lam**1.5)), rel=1e-13)
+        assert st.sum_lambda_p == pytest.approx(float(np.sum(lam**1.5)), rel=1e-13)
         assert tgt == pytest.approx(32.27, abs=0.01)
         iv = cat.interval(st, cfg)
         lower, upper = cat.solve_interval_arrays(cfg.influence, lam, x, tgt)
@@ -223,7 +223,7 @@ class TestInterval:
         for n in range(1, n_max + 1):
             cat.update(st, x[n - 1])
             iv = cat.interval(st, cfg)
-            tgt = cat.target(cfg, st.prefix.sum_lambda_p)
+            tgt = cat.target(cfg, st.sum_lambda_p)
             batch = cat.solve_interval_arrays(cfg.influence, schedule.head(n), x[:n], tgt)
             assert (iv.lower, iv.upper) == batch, n
         assert math.isfinite(iv.upper - iv.lower)
@@ -385,6 +385,14 @@ class TestFailureBudget:
         cfg = cat.CatoniConfig(p=1.5, v_p=0.1, alpha=0.05, schedule=power_law(1.0, 1.6))
         lower, _ = power_budget_oracle(cfg)
         assert lower <= cat.failure_budget(cfg) < math.inf
+
+    def test_crude_tail_reads_one_head_block(self, monkeypatch):
+        """That crude bound holds from any N, and no head length lets the gamma tail apply, so one block is read."""
+        cfg = cat.CatoniConfig(p=1.5, v_p=0.1, alpha=0.05, schedule=power_law(1.0, 1.6))
+        span, starts = LambdaSchedule.span, []
+        monkeypatch.setattr(LambdaSchedule, "span", lambda s, start, stop: starts.append(start) or span(s, start, stop))
+        assert 1.0 <= cat.failure_budget(cfg) < math.inf
+        assert starts == [1]
 
     def test_t09_oracle_bracket(self):
         """K = (1 + 1/0.9)/2 ~ 1.056: the tail past 2^22 is about 40 % of the sum."""

@@ -293,6 +293,32 @@ class TestWidthT:
         assert "error: t must lie in (0, 1)" in capsys.readouterr().err
 
 
+class TestRanges:
+    """Each range lives in its _OPTIONS row; a value outside it exits 2 with the same message, for any ranged key."""
+
+    OUT_OF_RANGE = {
+        "p": ("2.5", "p must lie in (1, 2], got 2.5"),
+        "alpha": ("1.5", "alpha must lie in (0, 1), got 1.5"),
+        "n": ("0", "n must be >= 1, got 0"),
+        "reps": ("0", "reps must be >= 1, got 0"),
+        "t": ("1.5", "t must lie in (0, 1), got 1.5"),
+        "stride": ("0", "stride must be >= 1, got 0"),
+        "threads": ("0", "threads must be >= 1, got 0"),
+    }
+
+    def test_every_ranged_option_has_a_case(self):
+        assert {key for key, opt in _OPTIONS.items() if opt.valid} == set(self.OUT_OF_RANGE)
+
+    @pytest.mark.parametrize("key", sorted(OUT_OF_RANGE))
+    def test_out_of_range_exits_2(self, capsys, key):
+        command = _OPTIONS[key].commands[-1]
+        value, message = self.OUT_OF_RANGE[key]
+        settings = {"n": "100", "reps": "1", key: value}
+        args = [a for k, v in settings.items() if command in _OPTIONS[k].commands for a in ("--" + k, v)]
+        assert run_cli([command, "--dist", "gaussian", *args]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestEmbeddedConfig:
     @pytest.mark.parametrize("command", list(_COMMANDS))
     def test_embeds_only_settings_the_command_takes(self, tmp_path, command):

@@ -404,17 +404,34 @@ class TestWidthRuns:
         assert cat_w.checkpoints[-1].mean_width < ds_w.checkpoints[-1].mean_width
 
     def test_ds_width_deterministic_across_reps(self):
-        """Data-free widths: the mean over 3 reps is the single-rep width."""
+        """Data-free widths: at 3 reps each is the single-rep width, exactly 2 ds_radius."""
         many = run_width("ds", gaussian(0, 1), 2.0, 0.05, 500, seed=10, reps=3)
         one = run_width("ds", gaussian(0, 1), 2.0, 0.05, 500, seed=10, reps=1)
         for c, c1 in zip(many.checkpoints, one.checkpoints, strict=True):
-            assert c.mean_width == pytest.approx(c1.mean_width, rel=1e-15)
+            assert c.mean_width == c1.mean_width
 
     def test_bad_checkpoints(self):
         with pytest.raises(ValueError):
             run_width("ds", gaussian(0, 1), 2.0, 0.05, 100, seed=0, checkpoints=[0, 50])
         with pytest.raises(ValueError):
             run_width("ds", gaussian(0, 1), 2.0, 0.05, 100, seed=0, checkpoints=[50, 200])
+
+
+class TestRunSizes:
+    """Every runner rejects n_max or reps below 1 before any other work, the failure budget included."""
+
+    RUNNERS = {
+        "coverage": lambda n_max, reps: run_coverage("ds", gaussian(), 2.0, 0.05, n_max, reps, seed=1),
+        "width": lambda n_max, reps: run_width("catoni", gaussian(), 2.0, 0.05, n_max, seed=1, reps=reps),
+        "bound_validity": lambda n_max, reps: run_bound_validity(gaussian(), 2.0, 0.05, n_max, reps, seed=1),
+    }
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    @pytest.mark.parametrize("n_max, reps", [(5000, 0), (0, 4), (-1, -1)])
+    def test_sizes_checked_first(self, runner, n_max, reps):
+        with mock.patch("heavytail_cs.catoni_cs.failure_budget", side_effect=AssertionError("budget ran")):
+            with pytest.raises(ValueError, match=rf"^n_max and reps must be >= 1, got {n_max}, {reps}$"):
+                self.RUNNERS[runner](n_max, reps)
 
 
 class TestCompare:

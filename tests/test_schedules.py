@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from heavytail_cs.catoni_cs import CatoniConfig, CatoniState, new_state
-from heavytail_cs.dubins_savage import DsConfig, DsState, ds_optimal_schedule
+from heavytail_cs.catoni_cs import CatoniConfig, CatoniState, interval, new_state, update
+from heavytail_cs.dubins_savage import DsConfig, DsState, ds_interval, ds_optimal_schedule, ds_update
 from heavytail_cs.schedules import PrefixSums, _KahanSum, custom_list, power_law
 
 
@@ -192,17 +192,45 @@ class TestStateConstructors:
         lambda: PrefixSums(p=2.0, _sp=_KahanSum()),
         lambda: DsState(p=2.0, _sx=_KahanSum()),
         lambda: DsState(p=2.0, _sabs=_KahanSum()),
-        lambda: CatoniState(schedule=power_law(1.0, 2.0), prefix=PrefixSums(p=2.0), observations=[1.0]),
+        lambda: CatoniState(p=2.0, schedule=power_law(1.0, 2.0), observations=[1.0]),
+        lambda: CatoniState(p=2.0, schedule=power_law(1.0, 2.0), n=5),
     ], ids=["PrefixSums.n", "PrefixSums._s1", "PrefixSums._sp", "DsState._sx", "DsState._sabs",
-            "CatoniState.observations"])
+            "CatoniState.observations", "CatoniState.n"])
     def test_running_sums_are_not_arguments(self, make):
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             make()
 
     def test_fresh_states_are_empty(self):
-        cfg = CatoniConfig(p=2.0, v_p=1.0, alpha=0.05, schedule=power_law(1.0, 2.0))
-        cat_state = new_state(cfg)
-        assert (cat_state.n, cat_state.observations, cat_state.prefix.sum_lambda) == (0, [], 0.0)
-        for ps in (PrefixSums(p=1.5), DsState(p=1.5)):
+        cat_state = new_state(CatoniConfig(p=1.5, v_p=1.0, alpha=0.05, schedule=power_law(1.0, 1.5)))
+        assert cat_state.observations == []
+        for ps in (PrefixSums(p=1.5), DsState(p=1.5), cat_state):
             assert (ps.p, ps.n, ps.sum_lambda, ps.sum_lambda_p) == (1.5, 0, 0.0, 0.0)
         assert DsState(p=1.5).sum_lambda_x == 0.0
+
+
+class TestQueryChecks:
+    """interval and ds_interval reject an empty state and a p mismatch with the same messages (PrefixSums.check_query)."""
+
+    QUERIES = {
+        "interval": (lambda: new_state(CatoniConfig(p=2.0, v_p=1.0, alpha=0.05, schedule=power_law(1.0, 2.0))),
+                     lambda st: update(st, 0.1),
+                     lambda st, p: interval(st, CatoniConfig(p=p, v_p=1.0, alpha=0.05, schedule=power_law(1.0, 2.0)))),
+        "ds_interval": (lambda: DsState(p=2.0),
+                        lambda st: ds_update(st, power_law(1.0, 2.0), 0.1),
+                        lambda st, p: ds_interval(st, DsConfig(p=p, v_p=1.0, alpha=0.05))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_empty_state(self, name):
+        make, _, query = self.QUERIES[name]
+        with pytest.raises(ValueError, match=rf"^{name} requires at least one observation$"):
+            query(make(), 2.0)
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_p_mismatch(self, name):
+        make, push, query = self.QUERIES[name]
+        state = make()
+        push(state)
+        with pytest.raises(ValueError, match=r"^state sums lambda\^p at p = 2\.0, config has p = 1\.5$"):
+            query(state, 1.5)
+        assert query(state, 2.0).lower < 0.1 < query(state, 2.0).upper
