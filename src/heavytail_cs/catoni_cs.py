@@ -437,15 +437,19 @@ def width_bound_curve(
 
     where log(2/eps_n) = log(2/alpha) + C_p v_p sum lam^p (1 + t^-(p-1)).
     bounds is NaN where the condition fails.  The sums run over 1..n_max
-    once, the rest only at the requested n (each in [1, n_max]), with the
-    full curve's bits there.  An overflow (a huge tau) makes the right-hand
-    side 0 or NaN, so the condition false, or a bound +inf, which holds.
+    once, the rest only at the requested n, with the full curve's bits
+    there; ValueError unless each n in `at` is an integer in [1, n_max].
+    An overflow (a huge tau) makes the right-hand side 0 or NaN, so the
+    condition false, or a bound +inf, which holds.
     """
-    q = config.p - 1.0
-    s1, s_plus, s_minus = _schedule_sums(config, n_max)
+    idx = slice(None)
     if at is not None:
-        idx = np.asarray(at, dtype=np.intp) - 1
-        s1, s_plus, s_minus = s1[idx], s_plus[idx], s_minus[idx]
+        ns = np.asarray(at)
+        if ns.size and (ns.dtype.kind not in "iu" or ns.min() < 1 or ns.max() > n_max):
+            raise ValueError(f"at must hold integers in [1, {n_max}]")
+        idx = ns.astype(np.intp) - 1
+    q = config.p - 1.0
+    s1, s_plus, s_minus = (s[idx] for s in _schedule_sums(config, n_max))
     tau = np.full(1, float(config.tau))  # an array, as in _t_array
     log2a = math.log(2.0 / config.alpha)
     cv_splus = config.c_p * config.v_p * s_plus

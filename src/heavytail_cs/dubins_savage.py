@@ -35,14 +35,14 @@ from fractions import Fraction
 import numpy as np
 
 from .interval import ConfidenceInterval
-from .schedules import LambdaSchedule, PrefixSums, _KahanSum, power_law
+from .schedules import LambdaSchedule, PrefixSums, _ExactSum, _ratio_up, power_law
 
 
 #: The smallest positive normal float and the log of the largest float;
 #: `_normal` tells that no step of a computation overflowed or underflowed.
 _TINY, _LOG_MAX = sys.float_info.min, math.log(sys.float_info.max)
-#: The unit roundoff, and the smallest subnormal, which bounds a rounding into the subnormal range.
-_U, _ETA = 2.0**-53, 2.0**-1074
+#: The unit roundoff.
+_U = 2.0**-53
 #: A factor just above 1 for the terms in u^2 and the rounding of the error bounds' own evaluation.
 _SAFE = 1.0 + 2.0**-20
 
@@ -135,65 +135,48 @@ def _ds_a_rounded(cfg: DsConfig) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=256)
-def _a_bounds(cfg: DsConfig) -> tuple[float, float]:
-    """(a_hi, slack): floats with a <= a_hi - slack and slack >= 0, for the exact a of cfg's floats.
+def _radius_terms(cfg: DsConfig) -> tuple[int, int, int]:
+    """Integers (A, B, D) with A/D >= a, for the exact a of cfg's floats, and B/D = b v_p exactly.
 
-    At p = 2, where m_p = 1 and a = (2/alpha - 1)/b is rational, a_hi is
-    the smallest float >= a and slack their distance rounded down.
-    Elsewhere a_hi is ds_a's float times 1 + 2e, which is at least e^e for
-    e <= 1, and slack is 0.  Cached, so a stream of queries pays once.
+    At p = 2, where m_p = 1 and a = (2/alpha - 1)/b is rational, A/D is a
+    itself.  Elsewhere it is ds_a's float times 1 + 2e, which is at least
+    e^e for e <= 1.  Cached, so a stream of queries pays once.
     """
-    a, e = _ds_a_rounded(cfg)
-    if cfg.p != 2.0:
-        return a * (1.0 + 2.0 * e * _SAFE + 4.0 * _U), 0.0
-    exact = (2 / Fraction(cfg.alpha) - 1) / Fraction(cfg.b)
-    a_hi = _float_up(exact)
-    return a_hi, -_float_up(exact - Fraction(a_hi)) if a_hi < math.inf else 0.0
-
-
-def _float_up(value: Fraction) -> float:
-    """The smallest float >= value (inf above the float range)."""
-    try:
-        out = float(value)  # int / int: correctly rounded
-    except OverflowError:
-        return math.inf if value > 0 else -sys.float_info.max
-    return math.nextafter(out, math.inf) if out < value else out
+    if cfg.p == 2.0:
+        a = (2 / Fraction(cfg.alpha) - 1) / Fraction(cfg.b)
+    else:
+        a_float, e = _ds_a_rounded(cfg)
+        a = Fraction(a_float) * (1 + Fraction(2.0 * e * _SAFE))
+    bv = Fraction(cfg.b) * Fraction(cfg.v_p)
+    return a.numerator * bv.denominator, bv.numerator * a.denominator, a.denominator * bv.denominator
 
 
 @dataclass
 class DsState(PrefixSums):
-    """PrefixSums' sum(lambda_i) and sum(lambda_i^p), plus sum(lambda_i X_i) and sum(|lambda_i X_i|).
+    """PrefixSums' sum(lambda_i) and sum(lambda_i^p), plus the exact sum(lambda_i X_i).
 
     Unlike the Catoni state this is a finite sufficient statistic, so no
-    observations are retained; the sum of magnitudes bounds the rounding
-    of the centre.  Works with any positive schedule; pass the schedule
-    whose weights should be applied at each update.
+    observations are retained.  Works with any positive schedule; pass the
+    schedule whose weights should be applied at each update.
     """
 
-    _sx: _KahanSum = field(default_factory=_KahanSum, init=False, repr=False)
-    _sabs: _KahanSum = field(default_factory=_KahanSum, init=False, repr=False)
+    _sx: _ExactSum = field(default_factory=_ExactSum, init=False, repr=False)
 
     @property
     def sum_lambda_x(self) -> float:
-        return self._sx.total
+        """Sum lambda_i X_i, correctly rounded (+-inf beyond the float range)."""
+        return self._sx.nearest()
 
 
 def ds_update(state: DsState, schedule: LambdaSchedule, x: float) -> DsState:
-    """Fold one observation into the running sums.
-
-    Rejects non-finite input, and input whose sum of |lambda_i X_i| would
-    overflow, leaving the state unchanged.
-    """
+    """Fold one observation into the running sums.  Rejects non-finite input, leaving the state unchanged."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"observations must be finite, got {x}")
     lam = schedule.at(state.n + 1)
-    term = lam * x
-    if not math.isfinite(state._sabs.total + abs(term)):
-        raise ValueError(f"sum of |lambda_i X_i| overflows at observation {state.n + 1} ({x})")
     state.push(lam)
-    state._sx.add(term)
-    state._sabs.add(abs(term))
+    (m, d), (mx, dx) = lam.as_integer_ratio(), x.as_integer_ratio()
+    state._sx.add(m * mx, d * dx)
     return state
 
 
@@ -205,54 +188,23 @@ def ds_radius(cfg: DsConfig, sum_lambda: float, sum_lambda_p: float) -> float:
 def ds_interval(state: DsState, cfg: DsConfig) -> ConfidenceInterval:
     """Weighted-mean centre +- the union-bound-certified radius, rounded outward.
 
-    The interval contains the exact [c - r, c + r] of the pushed float
-    lambda_i and X_i and the exact a.  With X = sum lambda_i X_i,
-    S = sum lambda_i and N = a + b v_p sum lambda_i^p, the ends are
-    (X - N)/S and (X + N)/S.  Each is bounded by one sum of floats, rounded
-    up exactly (math.fsum), over the float S, also rounded up.  The sum
-    adds to +-X's float, a's bound and b v_p sum lambda_i^p's float a bound
-    on every rounding, with u = 2^-53:
-      a Kahan sum of n terms y_i is sum (1 + mu_i) y_i with |mu_i| <= k
-        below (Higham, Accuracy and Stability of Numerical Algorithms,
-        sec. 4.3), so each running sum errs by k of its terms' magnitudes;
-      a product lambda_i X_i errs by u, lambda_i^p by under an ulp (2u) and
-        b v_p times their sum by 2u more, or by under 2^-1074 when subnormal;
-      1/S is at most 1 + k times 1/(float S), which moves N +- X by k of
-        its magnitude.
+    With X = sum lambda_i X_i, S = sum lambda_i and N = a + b v_p sum
+    lambda_i^p, the ends are (X - N)/S and (X + N)/S.  X and S are the
+    state's exact sums and N is formed exactly from its upper bound on
+    sum lambda_i^p and an upper bound on a (a itself at p = 2), so each end
+    is one ratio of integers, rounded outward once.  The interval thus
+    contains the exact [c - r, c + r] of the pushed float lambda_i and X_i
+    and the exact a.
     Raises ValueError on an empty state or one summing lambda_i^p at another p.
     """
     state.check_query(cfg.p, "ds_interval")
-    n, sx = state.n, state.sum_lambda_x
-    # Kahan's |mu_i| <= 2u + O(n u^2), with 16 n u^2 for the second-order part; one term is exact.
-    k = 2.0 * _U + 16.0 * n * _U * _U if n > 1 else 0.0
-    a_hi, a_slack = _a_bounds(cfg)
-    bv = cfg.b * cfg.v_p
-    bv_sp = bv * state.sum_lambda_p
-    err = ((_U + k) * state._sabs.total + k * (abs(sx) + a_hi) + (2.0 * k + 4.0 * _U) * bv_sp) * _SAFE
-    err += (n + 2) * (bv + 2.0) * _ETA
-
-    def upper(x: float) -> float:  # >= (x' + N)/S, for x' the exact value whose float is x (X or -X)
-        return _div_up(_sum_up(x, err, a_hi, -a_slack, bv_sp), state.sum_lambda)
-
-    return ConfidenceInterval(-upper(-sx), upper(sx))
-
-
-def _sum_up(*terms: float) -> float:
-    """The smallest float >= the exact sum of terms (inf above the float range)."""
-    try:
-        out = math.fsum(terms)  # correctly rounded
-    except OverflowError:
-        return math.inf
-    return math.nextafter(out, math.inf) if math.fsum((*terms, -out)) > 0.0 else out
-
-
-def _div_up(num: float, den: float) -> float:
-    """The smallest float >= num / den, for den > 0."""
-    q = num / den  # correctly rounded
-    if math.isinf(q):
-        return q if q > 0 else -sys.float_info.max
-    (a, b), (c, d), (e, f) = num.as_integer_ratio(), den.as_integer_ratio(), q.as_integer_ratio()
-    return math.nextafter(q, math.inf) if e * c * b < a * f * d else q  # q < num/den, as b, d, f > 0
+    a_num, bv_num, den = _radius_terms(cfg)
+    sx, s1, sp = state._sx, state._s1, state._sp
+    k = max(sx.shift, s1.shift, sp.shift)  # each sum as an integer over 2**k
+    x = (sx.num << (k - sx.shift)) * den
+    n = (a_num << k) + bv_num * (sp.num << (k - sp.shift))
+    s = (s1.num << (k - s1.shift)) * den
+    return ConfidenceInterval(-_ratio_up(n - x, s), _ratio_up(x + n, s))
 
 
 def ds_optimal_schedule(cfg: DsConfig) -> LambdaSchedule:

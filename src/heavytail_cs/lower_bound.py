@@ -44,8 +44,8 @@ class LilConfig:
     a: float | None = None
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.a is None:
             object.__setattr__(self, "a", self.sigma * math.sqrt(2.0))
         if not 0.0 < self.a < 2.0 * self.sigma * math.sqrt(2.0):

@@ -4,15 +4,16 @@ A schedule is either the power law lambda_t = c * t^(-1/p) or an explicit
 finite list.  Valid schedules must satisfy lambda_t -> 0 and
 sum_t lambda_t^p = infinity; the power law meets both (its p-th powers sum
 like the harmonic series), and the Dubins-Savage width-optimal weights are
-one (`dubins_savage.ds_optimal_schedule`).  Prefix sums use compensated
-(Kahan) summation: downstream interval widths divide by sum(lambda_i) at n
-up to 10^6, where naive accumulation drifts past the 1e-12 agreement the
-tests demand.
+one (`dubins_savage.ds_optimal_schedule`).  Prefix sums are exact: every
+finite float is an integer over a power of two, so a running sum is one
+integer over a power of two, and a streaming interval rounds once, at the
+query, instead of once per observation.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,20 +74,50 @@ def custom_list(values) -> LambdaSchedule:
     return LambdaSchedule(values=vals)
 
 
-class _KahanSum:
-    """Compensated scalar accumulator."""
+#: The largest float as an integer: a sum above it has no finite float.
+_MAX = int(sys.float_info.max)
 
-    __slots__ = ("total", "_comp")
+
+class _ExactSum:
+    """An exact running sum of floats (or their products): the integer num over 2**shift.
+
+    The shift grows only when a term with a finer power of two arrives.
+    """
+
+    __slots__ = ("num", "shift")
 
     def __init__(self):
-        self.total = 0.0
-        self._comp = 0.0
+        self.num = 0
+        self.shift = 0
 
-    def add(self, x: float) -> None:
-        y = x - self._comp
-        t = self.total + y
-        self._comp = (t - self.total) - y
-        self.total = t
+    def add(self, m: int, d: int) -> None:
+        """Add m / d, for d a power of two (as float.as_integer_ratio gives)."""
+        k = d.bit_length() - 1
+        if k > self.shift:
+            self.num <<= k - self.shift
+            self.shift = k
+        self.num += m << (self.shift - k)
+
+    def finite(self) -> bool:
+        """Whether a sum of positive terms is at most the largest float; an integer test, no float conversion."""
+        return self.num.bit_length() - self.shift <= 1023 or self.num <= _MAX << self.shift
+
+    def nearest(self) -> float:
+        """The sum correctly rounded (+-inf beyond the float range)."""
+        try:
+            return self.num / (1 << self.shift)  # int / int: correctly rounded
+        except OverflowError:
+            return math.inf if self.num > 0 else -math.inf
+
+
+def _ratio_up(num: int, den: int) -> float:
+    """The smallest float >= num / den, for den > 0 (inf above the float range)."""
+    try:
+        q = num / den  # int / int: correctly rounded
+    except OverflowError:
+        return math.inf if num > 0 else -sys.float_info.max
+    e, f = q.as_integer_ratio()
+    return math.nextafter(q, math.inf) if e * den < num * f else q  # q < num/den, as den, f > 0
 
 
 @dataclass
@@ -94,21 +125,25 @@ class PrefixSums:
     """Running sums of lambda_i and lambda_i^p over i <= n.
 
     A value owned and updated by a single writer; `push` appends the next
-    lambda value in O(1).
+    lambda value in O(1).  Sum lambda_i is exact.  Sum lambda_i^p is exact
+    at p = 2 and otherwise sums nextafter(lambda_i**p, inf), which is at
+    least lambda_i^p as the float pow errs by under an ulp.
     """
 
     p: float
     n: int = field(default=0, init=False)
-    _s1: _KahanSum = field(default_factory=_KahanSum, init=False, repr=False)
-    _sp: _KahanSum = field(default_factory=_KahanSum, init=False, repr=False)
+    _s1: _ExactSum = field(default_factory=_ExactSum, init=False, repr=False)
+    _sp: _ExactSum = field(default_factory=_ExactSum, init=False, repr=False)
 
     @property
     def sum_lambda(self) -> float:
-        return self._s1.total
+        """Sum lambda_i, correctly rounded."""
+        return self._s1.nearest()
 
     @property
     def sum_lambda_p(self) -> float:
-        return self._sp.total
+        """The smallest float >= the kept sum of lambda_i^p: never below the true sum."""
+        return _ratio_up(self._sp.num, 1 << self._sp.shift)
 
     def check_query(self, p: float, name: str) -> None:
         """ValueError unless a lambda was pushed and the sums take lambda^p at p; `name` is the querying function."""
@@ -125,12 +160,18 @@ class PrefixSums:
         """
         if not 0.0 < lam < math.inf:
             raise ValueError(f"lambda values must be positive and finite, got {lam}")
-        try:
-            lam_p = lam**self.p
-        except OverflowError:
-            lam_p = math.inf
-        if not (math.isfinite(self.sum_lambda + lam) and math.isfinite(self.sum_lambda_p + lam_p)):
+        m, d = lam.as_integer_ratio()
+        if self.p == 2.0:
+            m_p, d_p = m * m, d * d
+        else:
+            try:
+                m_p, d_p = math.nextafter(lam**self.p, math.inf).as_integer_ratio()
+            except OverflowError:  # lambda**p, or the float above it, is past the float range
+                m_p, d_p = 1 << 1024, 1
+        self._s1.add(m, d)
+        self._sp.add(m_p, d_p)
+        if not (self._s1.finite() and self._sp.finite()):
+            self._s1.add(-m, d)
+            self._sp.add(-m_p, d_p)
             raise ValueError(f"sums of lambda_i and lambda_i^p overflow at lambda = {lam}")
         self.n += 1
-        self._s1.add(lam)
-        self._sp.add(lam_p)

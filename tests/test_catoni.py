@@ -470,6 +470,12 @@ class TestWidthBoundAt:
         np.testing.assert_array_equal(at_b, full_b[idx])
         np.testing.assert_array_equal(at_c, full_c[idx])
 
+    @pytest.mark.parametrize("at", [[0], [-1], [1.7], [10**4 + 1], [5, 0, 7], [True]])
+    def test_index_outside_curve_rejected(self, at):
+        """Each would index the curve at a wrong n: 0 and -1 wrap to its end, 1.7 truncates to 1."""
+        with pytest.raises(ValueError, match=r"^at must hold integers in \[1, 10000\]$"):
+            cat.width_bound_curve(config_p2(), 10**4, at=at)
+
 
 class TestCondition:
     def test_tiny_lambda_fails(self):

@@ -24,17 +24,16 @@ from heavytail_cs.harness import centered_pareto, gaussian, sample_stream, true_
 from heavytail_cs.influence import default_influence
 from heavytail_cs.schedules import power_law
 
-mpmath.mp.dps = 50
-
 
 def exact_f(influence, lam, xs, y) -> mpmath.mpf:
-    """f_n(y) = sum phi(lambda_i (X_i - y)) on the exact values of the float inputs."""
-    p, c = mpmath.mpf(influence.p), mpmath.mpf(influence.c_p)
-    total = mpmath.mpf(0)
-    for li, xi in zip(lam.tolist(), xs.tolist()):
-        z = mpmath.mpf(li) * (mpmath.mpf(xi) - mpmath.mpf(y))
-        total += mpmath.sign(z) * mpmath.log(1 + abs(z) + c * abs(z) ** p)
-    return total
+    """f_n(y) = sum phi(lambda_i (X_i - y)) on the exact values of the float inputs, in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        p, c = mpmath.mpf(influence.p), mpmath.mpf(influence.c_p)
+        total = mpmath.mpf(0)
+        for li, xi in zip(lam.tolist(), xs.tolist()):
+            z = mpmath.mpf(li) * (mpmath.mpf(xi) - mpmath.mpf(y))
+            total += mpmath.sign(z) * mpmath.log(1 + abs(z) + c * abs(z) ** p)
+        return total
 
 
 def setup(n, p, shift, log10_scale, seed):
@@ -76,9 +75,10 @@ def test_model_error_within_bound(offset, log10_step, negative, n, p, shift, log
     step = 0.0 if log10_step is None else (-1.0 if negative else 1.0) * scale * 10.0**log10_step
     y = x + step
     f, slope = cat._f_and_slope(influence, lam, xs, x)
-    d = mpmath.mpf(y) - mpmath.mpf(x)
-    gap = abs(exact_f(influence, lam, xs, y) - (mpmath.mpf(f) + mpmath.mpf(slope) * d))
-    assert gap <= cert.bound(x, f, slope, abs(float(d)))
+    with mpmath.workdps(50):
+        d = mpmath.mpf(y) - mpmath.mpf(x)
+        gap = abs(exact_f(influence, lam, xs, y) - (mpmath.mpf(f) + mpmath.mpf(slope) * d))
+        assert gap <= cert.bound(x, f, slope, abs(float(d)))
 
 
 @settings(max_examples=60, deadline=None)

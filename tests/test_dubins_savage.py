@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import mp_intervals, mp_m_p, mp_tail_bound
 
 from heavytail_cs import catoni_cs as cat
 from heavytail_cs import dubins_savage as ds
@@ -38,17 +39,6 @@ class TestMp:
         """m_p(1.0005) = exp(-16587) is below the float range: a typed error, not 0."""
         with pytest.raises(ValueError, match="m_p underflows at p = 1.0005"):
             ds.m_p(1.0005)
-
-
-def mp_m_p(p):
-    return ((p - 1) / 2 ** (2 - p)) ** (1 / (p - 1))
-
-
-def mp_tail_bound(a, b, p):
-    """The one-sided bound 1 / (1 + m_p a b^(1/(p-1)))^(p-1) in 60-digit mpmath, as a float."""
-    with mp.workdps(60):
-        a_, b_, p_ = mp.mpf(a), mp.mpf(b), mp.mpf(p)
-        return float(1 / (1 + mp_m_p(p_) * a_ * b_ ** (1 / (p_ - 1))) ** (p_ - 1))
 
 
 class TestNearOneVsMpmath:
@@ -188,12 +178,20 @@ class TestInterval:
         assert iv.lower == pytest.approx(center - radius, rel=1e-12)
         assert iv.upper == pytest.approx(center + radius, rel=1e-12)
 
-    def test_overflowing_sum_rejected_state_unchanged(self):
-        st = ds.ds_update(ds.DsState(p=2.0), power_law(1.0, 2.0), 1.7e308)
-        with pytest.raises(ValueError, match="overflow"):
-            ds.ds_update(st, power_law(1.0, 2.0), 1.7e308)
-        assert (st.n, st.sum_lambda, st.sum_lambda_x, st.sum_lambda_p) == (1, 1.0, 1.7e308, 1.0)
-
+    def test_sum_beyond_float_range_contains_exact(self):
+        """Sum lambda_i X_i = 1.7e308 (1 + 2^-1/2) has no float, yet the sums are exact and the interval contains the exact one."""
+        cfg = ds.DsConfig(p=2.0, v_p=1.0, alpha=0.05)
+        xs = [1.7e308, 1.7e308]
+        st = ds.DsState(p=2.0)
+        for x in xs:
+            ds.ds_update(st, power_law(1.0, 2.0), x)
+        assert (st.n, st.sum_lambda_x) == (2, math.inf)
+        iv = ds.ds_interval(st, cfg)
+        lam = [Fraction(v) for v in power_law(1.0, 2.0).head(2).tolist()]
+        s1, sx = sum(lam), sum(v * Fraction(x) for v, x in zip(lam, xs))
+        center, radius = sx / s1, (2 / Fraction(cfg.alpha) - 1 + sum(v * v for v in lam)) / s1
+        assert Fraction(iv.lower) <= center - radius and center + radius <= Fraction(iv.upper)
+        assert (iv.lower, iv.upper) == (math.nextafter(1.7e308, 0.0), math.nextafter(1.7e308, math.inf))
 
     @pytest.mark.parametrize("x", [1.7e308, 1e17])
     def test_rounding_never_cuts_the_radius(self, x):
@@ -210,25 +208,6 @@ class TestInterval:
         assert iv.upper - iv.lower > 0.0
 
 
-def mp_intervals(cfg, lam, xs):
-    """The exact [c - r, c + r] after each observation, in 60-digit mpmath.
-
-    c = sum lambda_i x_i / sum lambda_i and r = (a + b v_p sum lambda_i^p) / sum lambda_i
-    of the float lambda_i and x_i, with the exact a of cfg's floats.
-    """
-    out = []
-    with mp.workdps(60):
-        p, alpha, b, v_p = map(mp.mpf, (cfg.p, cfg.alpha, cfg.b, cfg.v_p))
-        q = 1 / (p - 1)
-        a = ((2 / alpha) ** q - 1) / (mp_m_p(p) * b**q)
-        s1 = sx = sp = mp.mpf(0)
-        for lam_i, x_i in zip(lam, xs):
-            s1, sx, sp = s1 + lam_i, sx + mp.mpf(lam_i) * x_i, sp + mp.mpf(lam_i) ** p
-            c, r = sx / s1, (a + b * v_p * sp) / s1
-            out.append((c - r, c + r, c, r))
-    return out
-
-
 def streamed(cfg, sched, xs):
     state = ds.DsState(p=cfg.p)
     for x in xs:
@@ -243,16 +222,15 @@ class TestIntervalContainsExact:
     def test_shifted_gaussian(self, shift):
         """Shifts at which the float centre alone left an end up to 2.69 inside.
 
-        Each end is at most 8 ulp of |c| plus 8 ulp of r outside the exact
-        one: the rounding bound of the sums and products is 5u |c| (under
-        5 ulp), and the end's sum and quotient each round up once.
+        At p = 2 every sum and a are exact, and each end is one ratio
+        rounded outward once, so it lies within an ulp of the exact end.
         """
         cfg = ds.DsConfig(p=2.0, v_p=1.0, alpha=0.05)
         sched = ds.ds_optimal_schedule(cfg)
         xs = (np.random.default_rng(0).standard_normal(50) + shift).tolist()
         *_, iv = streamed(cfg, sched, xs)
         lo, hi, c, r = mp_intervals(cfg, sched.head(50).tolist(), xs)[-1]
-        slack = 8 * math.ulp(float(c)) + 8 * math.ulp(float(r))
+        slack = 2 * math.ulp(float(c)) + 2 * math.ulp(float(r))
         assert lo - slack <= iv.lower <= lo and hi <= iv.upper <= hi + slack
 
     @pytest.mark.parametrize("p, alpha, b, log_form", [

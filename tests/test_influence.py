@@ -164,7 +164,6 @@ class TestEvaluation:
         """Against 40-digit mpmath at |z| = 1e200, 1e300, where C|z|^p overflows
         for p = 1.5 and 2; no warning is raised."""
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
         f = default_influence(p)
         z = np.array([1e200, -1e200, 1e300, -1e300])
         with warnings.catch_warnings():
@@ -172,14 +171,15 @@ class TestEvaluation:
             phi, slope = f.value_and_slope(z)
             values = f(z)
             scalar = [f(float(zi)) for zi in z]
-        mp_p, mp_c = mpmath.mpf(p), mpmath.mpf(f.c_p)
-        for i, zi in enumerate(z):
-            az = abs(mpmath.mpf(float(zi)))
-            exact_phi = mpmath.sign(zi) * mpmath.log1p(az + mp_c * az**mp_p)
-            exact_slope = (1 + mp_p * mp_c * az ** (mp_p - 1)) / (1 + az + mp_c * az**mp_p)
-            for got in (phi[i], values[i], scalar[i]):
-                assert abs(got - exact_phi) <= 1e-15 * abs(exact_phi)
-            assert abs(slope[i] - exact_slope) <= 1e-13 * exact_slope
+        with mpmath.workdps(40):
+            mp_p, mp_c = mpmath.mpf(p), mpmath.mpf(f.c_p)
+            for i, zi in enumerate(z):
+                az = abs(mpmath.mpf(float(zi)))
+                exact_phi = mpmath.sign(zi) * mpmath.log1p(az + mp_c * az**mp_p)
+                exact_slope = (1 + mp_p * mp_c * az ** (mp_p - 1)) / (1 + az + mp_c * az**mp_p)
+                for got in (phi[i], values[i], scalar[i]):
+                    assert abs(got - exact_phi) <= 1e-15 * abs(exact_phi)
+                assert abs(slope[i] - exact_slope) <= 1e-13 * exact_slope
 
 
 class TestSlopeBound:

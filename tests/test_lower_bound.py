@@ -34,6 +34,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             lil_config(a=0.0)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="^sigma must be positive and finite"):
+            lil_config(sigma=sigma)
+
+
 class TestFloor:
     def test_not_applicable_while_sum_below_e(self):
         # harmonic sums: H_8 = 2.71786 < e < H_9 = 2.82897

@@ -1,13 +1,16 @@
-"""Schedules, prefix sums, compensated summation accuracy."""
+"""Schedules and their exact prefix sums."""
 
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
+from oracles import mp_sums
 
 from heavytail_cs.catoni_cs import CatoniConfig, CatoniState, interval, new_state, update
 from heavytail_cs.dubins_savage import DsConfig, DsState, ds_interval, ds_optimal_schedule, ds_update
-from heavytail_cs.schedules import PrefixSums, _KahanSum, custom_list, power_law
+from heavytail_cs.schedules import PrefixSums, _ExactSum, custom_list, power_law
 
 
 class TestLambdaAt:
@@ -140,20 +143,42 @@ class TestPrefixSums:
         ps.push(0.5)
         with pytest.raises(ValueError, match="positive and finite"):
             ps.push(bad)
-        assert (ps.n, ps.sum_lambda, ps.sum_lambda_p) == (1, 0.5, 0.5**ps.p)
+        # 0.5^2 is exact; the float 0.5**1.5 is rounded up to bound the irrational 2^-1.5
+        lam_p = 0.25 if ps.p == 2.0 else math.nextafter(0.5**1.5, math.inf)
+        assert (ps.n, ps.sum_lambda, ps.sum_lambda_p) == (1, 0.5, lam_p)
 
     def test_overflowing_sums_rejected_state_unchanged(self):
-        """1e200^2 is past the float range (an OverflowError from float pow);
-        a second 1e154 takes the sum of lambda^2 past it."""
+        """1e200^2 is past the float range; a second 1e154 takes the sum of
+        lambda^2 past it.  The exact 1e154^2 lies just above the float 1e308,
+        so the sum of lambda^2 reads the float above that."""
         ps = PrefixSums(p=2.0)
         ps.push(1e154)
         for lam in (1e200, 1e154):
             with pytest.raises(ValueError, match="overflow"):
                 ps.push(lam)
-        assert (ps.n, ps.sum_lambda, ps.sum_lambda_p) == (1, 1e154, 1e154**2.0)
+        assert (ps.n, ps.sum_lambda, ps.sum_lambda_p) == (1, 1e154, math.nextafter(1e308, math.inf))
+
+    def test_sum_may_reach_the_largest_float(self):
+        """Weights whose squares sum to exactly the largest float, 2^1024 - 2^971,
+        are kept; any further weight is rejected, however small."""
+        ps = PrefixSums(p=2.0)
+        for e in range(971, 1024):  # 2^e is (2^(e/2))^2, or twice (2^((e-1)/2))^2
+            for _ in range(1 + e % 2):
+                ps.push(2.0 ** (e // 2))
+        assert ps.sum_lambda_p == sys.float_info.max
+        with pytest.raises(ValueError, match="overflow"):
+            ps.push(2.0**-537)
+        assert ps.sum_lambda_p == sys.float_info.max
+
+    def test_power_past_float_range_rejected(self):
+        """1e300^1.5 overflows the float pow."""
+        ps = PrefixSums(p=1.5)
+        with pytest.raises(ValueError, match="overflow"):
+            ps.push(1e300)
+        assert (ps.n, ps.sum_lambda, ps.sum_lambda_p) == (0, 0.0, 0.0)
 
     def test_incremental_matches_batch_at_1e6(self):
-        """Kahan-compensated running sums vs pairwise batch, 1e-12 relative."""
+        """Exact running sums vs pairwise batch, 1e-12 relative."""
         n = 10**6
         s = power_law(1.0, 2.0)
         ps = PrefixSums(p=2.0)
@@ -183,18 +208,39 @@ class TestPrefixSums:
         assert abs(ratio_1e6 - 1.0) < 0.05
 
 
+class TestExactSums:
+    """The running sums against the mpmath oracle's, which are exact here: the terms span under 2^30, so each sum fits its 60 digits."""
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0])
+    def test_against_mpmath_at_1e4(self, p):
+        """At every n <= 10^4, sum_lambda is the exact sum correctly rounded and
+        sum_lambda_p is at least the exact sum of lambda^p: the least such
+        float at p = 2, and within 2^-50 of it otherwise (each term is
+        rounded up from a pow that errs by under an ulp)."""
+        n = 10**4
+        lam = power_law(1.0, p).head(n).tolist()
+        ps = PrefixSums(p=p)
+        with mp.workdps(60):
+            for v, (s1, _, sp) in zip(lam, mp_sums(p, lam, [0.0] * n), strict=True):
+                ps.push(v)
+                got1, gotp = ps.sum_lambda, ps.sum_lambda_p
+                assert abs(got1 - s1) <= mp.mpf(math.ulp(got1)) / 2
+                assert sp <= gotp <= sp * (1 + mp.mpf(2) ** -50)
+                if p == 2.0:
+                    assert math.nextafter(gotp, 0.0) < sp
+
+
 class TestStateConstructors:
     """The running sums start at zero and only push/update/ds_update change them: no constructor argument sets them."""
 
     @pytest.mark.parametrize("make", [
         lambda: PrefixSums(p=2.0, n=5),
-        lambda: PrefixSums(p=2.0, _s1=_KahanSum()),
-        lambda: PrefixSums(p=2.0, _sp=_KahanSum()),
-        lambda: DsState(p=2.0, _sx=_KahanSum()),
-        lambda: DsState(p=2.0, _sabs=_KahanSum()),
+        lambda: PrefixSums(p=2.0, _s1=_ExactSum()),
+        lambda: PrefixSums(p=2.0, _sp=_ExactSum()),
+        lambda: DsState(p=2.0, _sx=_ExactSum()),
         lambda: CatoniState(p=2.0, schedule=power_law(1.0, 2.0), observations=[1.0]),
         lambda: CatoniState(p=2.0, schedule=power_law(1.0, 2.0), n=5),
-    ], ids=["PrefixSums.n", "PrefixSums._s1", "PrefixSums._sp", "DsState._sx", "DsState._sabs",
+    ], ids=["PrefixSums.n", "PrefixSums._s1", "PrefixSums._sp", "DsState._sx",
             "CatoniState.observations", "CatoniState.n"])
     def test_running_sums_are_not_arguments(self, make):
         with pytest.raises(TypeError, match="unexpected keyword argument"):
