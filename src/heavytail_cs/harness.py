@@ -8,8 +8,10 @@ run with master seed s draws from the substream
 SeedSequence(entropy=s, spawn_key=(r,)), so serial and thread-parallel
 executions produce identical reports.  Every experiment hands its
 replications to one runner, _run_reps: at threads = k, k long-lived worker
-threads pull replication indices from one shared iterator, and numpy
-releases the GIL inside its large array operations.
+threads pull replication indices from one shared iterator.  numpy releases
+the GIL inside most large array operations, but holds it for an
+accumulation written over its own input, so a replication's cumulative
+sums go to another buffer.
 """
 
 from __future__ import annotations
@@ -418,8 +420,9 @@ def run_coverage(
     mu = dist.true_mean
     # A plain slice is a view, so stride 1 indexes without a copy.
     idx = slice(None) if stride == 1 else _checked_indices(n_max, stride)
-    # threshold holds sum lambda^p until rebound.  A statistic is formed in the drawn stream's
-    # buffer (Catoni's then in phi's) by its expression's ufuncs in order, so it has their bits.
+    # threshold holds sum lambda^p until rebound.  A statistic is formed by its expression's ufuncs
+    # in order, so it has their bits, and accumulates into a buffer other than its input (see the
+    # module docstring): Catoni's into the drawn stream's, free once phi is evaluated.
     if method == CATONI:
         threshold = cat.target(cfg, threshold)[idx]
         influence = cfg.influence
@@ -427,8 +430,7 @@ def run_coverage(
         def statistic(z: np.ndarray) -> np.ndarray:  # cumsum(phi(lam (x - mu)))
             z -= mu
             z *= lam
-            f_mu = influence(z)
-            return np.cumsum(f_mu, out=f_mu)
+            return np.cumsum(influence(z), out=z)
 
     else:
         threshold = (ds.ds_a(cfg) + cfg.b * vp * threshold)[idx]
@@ -436,9 +438,9 @@ def run_coverage(
 
         def statistic(dev: np.ndarray) -> np.ndarray:  # cumsum(lam x) - mu sum lam
             dev *= lam
-            np.cumsum(dev, out=dev)
-            dev -= mu_cum_lam
-            return dev
+            stat = np.cumsum(dev)
+            stat -= mu_cum_lam
+            return stat
 
     def one_rep(r: int) -> bool:
         stat = statistic(sample_stream(dist, seed, n_max, rep=r))

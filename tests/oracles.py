@@ -1,4 +1,4 @@
-"""Exact mpmath oracles for the Dubins-Savage constants and the running sums, shared by the test modules.
+"""Exact mpmath oracles for phi and f_n, the Dubins-Savage constants and the running sums, shared by the test modules.
 
 Each function sets its own precision with `mpmath.workdps`, so it leaves
 the global `mpmath.mp.dps` as it found it.
@@ -51,3 +51,26 @@ def mp_intervals(cfg, lam, xs):
             c, r = sx / s1, (a + b * v_p * sp) / s1
             out.append((c - r, c + r, c, r))
     return out
+
+
+def mp_phi(p, c_p, z):
+    """(phi(z), phi'(z)) of order p with constant c_p, at the exact value of z, in 50-digit mpmath.
+
+    phi(z) = sign(z) log(1 + |z| + c_p |z|^p) and
+    phi'(z) = (1 + p c_p |z|^(p-1)) / (1 + |z| + c_p |z|^p), with |z|^(p-1) read as |z|^p / |z|.
+    """
+    with mp.workdps(50):
+        p, c_p, z = mp.mpf(p), mp.mpf(c_p), mp.mpf(z)
+        az = abs(z)
+        az_p = az**p
+        t = az + c_p * az_p
+        return mp.sign(z) * mp.log1p(t), (1 + p * c_p * (az_p / az if az else 0)) / (1 + t)
+
+
+def exact_f(influence, lam, xs, y):
+    """f_n(y) = sum phi(lambda_i (X_i - y)) on the exact values of the float inputs, in 50-digit mpmath."""
+    with mp.workdps(50):
+        total = mp.mpf(0)
+        for li, xi in zip(lam.tolist(), xs.tolist()):
+            total += mp_phi(influence.p, influence.c_p, mp.mpf(li) * (mp.mpf(xi) - mp.mpf(y)))[0]
+        return total

@@ -18,22 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import exact_f
 
 from heavytail_cs import catoni_cs as cat
 from heavytail_cs.harness import centered_pareto, gaussian, sample_stream, true_vp
 from heavytail_cs.influence import default_influence
 from heavytail_cs.schedules import power_law
-
-
-def exact_f(influence, lam, xs, y) -> mpmath.mpf:
-    """f_n(y) = sum phi(lambda_i (X_i - y)) on the exact values of the float inputs, in 50-digit mpmath."""
-    with mpmath.workdps(50):
-        p, c = mpmath.mpf(influence.p), mpmath.mpf(influence.c_p)
-        total = mpmath.mpf(0)
-        for li, xi in zip(lam.tolist(), xs.tolist()):
-            z = mpmath.mpf(li) * (mpmath.mpf(xi) - mpmath.mpf(y))
-            total += mpmath.sign(z) * mpmath.log(1 + abs(z) + c * abs(z) ** p)
-        return total
 
 
 def setup(n, p, shift, log10_scale, seed):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from heavytail_cs import harness
 from heavytail_cs.harness import (
     _run_reps,
     centered_pareto,
@@ -297,10 +298,32 @@ class TestCoverage:
         rep = run_coverage(method, gaussian(0, 1), 2.0, 0.05, 2000, 200, seed=3)
         assert rep.miscoverage_rate <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / 200)
 
-    def test_parallel_serial_equivalence(self):
-        serial = run_coverage("catoni", gaussian(0, 1), 2.0, 0.05, 500, 60, seed=4, threads=1)
-        parallel = run_coverage("catoni", gaussian(0, 1), 2.0, 0.05, 500, 60, seed=4, threads=4)
+    @pytest.mark.parametrize("method", ["catoni", "ds"])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_parallel_serial_equivalence(self, method, stride):
+        serial = run_coverage(method, gaussian(0, 1), 2.0, 0.05, 500, 60, seed=4, stride=stride, threads=1)
+        parallel = run_coverage(method, gaussian(0, 1), 2.0, 0.05, 500, 60, seed=4, stride=stride, threads=4)
         assert serial == parallel
+
+    @pytest.mark.parametrize("method", ["catoni", "ds"])
+    def test_statistic_accumulates_into_another_buffer(self, monkeypatch, method):
+        """numpy holds the GIL for a cumulative sum written over its own input, which
+        would serialize the replications; reports are unchanged by the buffer used."""
+
+        class NumpyWithCheckedCumsum:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def cumsum(a, *args, out=None, **kwargs):
+                assert out is None or not np.shares_memory(a, out), "cumsum over its own input"
+                return np.cumsum(a, *args, out=out, **kwargs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any host
+        args = (method, centered_pareto(1.9), 1.5, 0.05, 2000, 8)
+        unpatched = run_coverage(*args, seed=5, threads=2)
+        monkeypatch.setattr(harness, "np", NumpyWithCheckedCumsum())
+        assert run_coverage(*args, seed=5, threads=2) == unpatched
 
     @pytest.mark.parametrize("method", ["catoni", "ds"])
     @pytest.mark.parametrize("v_p", [math.nan, math.inf, -math.inf])
