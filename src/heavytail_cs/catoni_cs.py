@@ -39,14 +39,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .influence import InfluenceFunction, default_influence
 from .interval import ConfidenceInterval
 from .rootfind import solve_monotone
-from .schedules import LambdaSchedule, PrefixSums
+from .schedules import LambdaSchedule, PrefixSums, cumulative_sums
 
 
 @dataclass(frozen=True)
@@ -308,32 +307,40 @@ def interval(state: CatoniState, config: CatoniConfig) -> ConfidenceInterval:
 # ---------------------------------------------------------------------------
 
 
-def _t_array(config: CatoniConfig) -> np.ndarray:
-    """t as a one-element array: numpy's array pow, not Python's scalar one, so the bounds keep their bits."""
-    return np.full(1, float(config.t))
+def width_bound_sums(config: CatoniConfig, sum_lambda: np.ndarray, sum_lambda_p: np.ndarray):
+    """(bounds, condition) at the n whose sum lambda_i and sum lambda_i^p are given; elementwise over arrays.
 
+    With E_n = C_p v_p (1 + t^-(p-1)) sum lam^p,
+    bounds = 4 (1+tau) (E_n + log 2/alpha) / sum lam, and the bound applies at n (condition) iff
 
-def _plus_sums(config: CatoniConfig, lam_p: np.ndarray) -> np.ndarray:
-    """Cumulative sum lam^p (1 + t^-(p-1)), formed in lam_p's buffer; E_n is C_p v_p times it."""
-    lam_p *= 1.0 + _t_array(config) ** -(config.p - 1.0)
-    return np.cumsum(lam_p, out=lam_p)
+        E_n + log(2/alpha) + log(2/eps_n)
+        <= tau^(1/(p-1)) / (1+tau)^(p/(p-1))
+           * (sum lam)^(p/(p-1)) / (C_p (1-t)^-(p-1) sum lam^p)^(1/(p-1)),
 
-
-def _schedule_sums(config: CatoniConfig, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cumulative sum lam, sum lam^p (1 + t^-(p-1)), sum lam^p (1-t)^-(p-1) over 1..n."""
-    lam = config.schedule.head(n)
-    lam_p = lam**config.p
-    s1 = np.cumsum(lam)
-    del lam  # at most three n-arrays live at once
-    s_minus = lam_p * (1.0 - _t_array(config)) ** -(config.p - 1.0)
-    np.cumsum(s_minus, out=s_minus)
-    return s1, _plus_sums(config, lam_p), s_minus
+    where log(2/eps_n) = log(2/alpha) + E_n.  bounds is NaN where the
+    condition fails.  t and tau enter as numpy arrays, so an overflow (a
+    huge tau) quietly makes the right-hand side 0 or NaN, so the condition
+    false, or a bound +inf, which holds.
+    """
+    p, q = config.p, config.p - 1.0
+    t, tau = np.full(1, float(config.t)), np.full(1, float(config.tau))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = sum_lambda ** (p / q)
+        rhs *= tau ** (1.0 / q) / (1.0 + tau) ** (p / q)
+        rhs /= (config.c_p * (1.0 - t) ** -q * sum_lambda_p) ** (1.0 / q)
+        bounds = config.c_p * config.v_p * (1.0 + t**-q) * sum_lambda_p
+        bounds += math.log(2.0 / config.alpha)  # E_n + log(2/alpha), half the left-hand side
+        condition = 2.0 * bounds <= rhs
+        bounds *= 4.0 * (1.0 + tau)
+        bounds /= sum_lambda
+    bounds[~condition] = np.nan
+    return bounds, condition
 
 
 def failure_budget(config: CatoniConfig) -> float:
     """alpha * sum_{n>=1} eps_n: its first N terms summed, plus a closed-form bound on the rest.
 
-    E_n = C_p v_p sum_{i<=n} lambda_i^p (1 + t^-(p-1)), from _plus_sums.
+    E_n = C_p v_p (1 + t^-(p-1)) sum_{i<=n} lambda_i^p, from cumulative_sums.
     With a power_law(c, p_s) schedule, p_s >= p, each increment of E_n is
     K i^-r, r = p/p_s and K = C_p v_p c^p (1 + t^-(p-1)).
 
@@ -379,8 +386,8 @@ def failure_budget(config: CatoniConfig) -> float:
     if sched.p < config.p:
         raise ValueError(f"power_law schedule at p = {sched.p} < config p = {config.p}: sum lambda_i^p converges, "
                          "so the failure budget is infinite")
-    cv = config.c_p * config.v_p
-    k = cv * sched.c**config.p * (1.0 + config.t ** (1.0 - config.p)) * (1.0 - 16.0 * _EPS)  # the tail falls in K
+    cv, plus = config.c_p * config.v_p, 1.0 + config.t ** (1.0 - config.p)
+    k = cv * sched.c**config.p * plus * (1.0 - 16.0 * _EPS)  # the tail falls in K
     r = math.nextafter(config.p / sched.p, math.inf)  # at least the exact p/p_s; r >= 1 only at p_s = p
     if r >= 1.0 and not k > 1.0:
         raise ValueError(f"failure budget needs K = C_p v_p c^p (1 + t^-(p-1)) > 1, got K = {k:.6g}")
@@ -391,11 +398,11 @@ def failure_budget(config: CatoniConfig) -> float:
     crude = k * (_BUDGET_HEAD_MAX + 1.0) ** s * (1.0 - 4.0 * _EPS) <= r
     n, carry, head = 0, 0.0, 0.0
     while True:
-        expos = _plus_sums(config, sched.span(n + 1, n + _BUDGET_HEAD) ** config.p)
+        _, expos = cumulative_sums(sched.span(n + 1, n + _BUDGET_HEAD), config.p)
         expos += carry
         carry = float(expos[-1])
         n += _BUDGET_HEAD
-        expos *= cv * (1.0 - (n + 64) * _EPS)  # below each exact E_n: its lambda^p, t factor, sums, products round
+        expos *= cv * plus * (1.0 - (n + 64) * _EPS)  # below each exact E_n: lambda^p, t factor, sums, products
         if n == _BUDGET_HEAD:
             e1 = float(expos[0])
         expos -= e1  # rounds too, within the lowering above
@@ -416,52 +423,14 @@ def failure_budget(config: CatoniConfig) -> float:
 
 
 def width_bound(config: CatoniConfig, n: int) -> float | None:
-    """width_bound_curve at n; None (not applicable) where its condition fails."""
+    """width_bound_sums at n's cumulative sums; None (not applicable) where its condition fails."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    bound = width_bound_curve(config, n, at=[n])[0][0]
+    cum_lam, cum_lam_p = cumulative_sums(config.schedule.head(n), config.p)
+    bound = width_bound_sums(config, cum_lam[-1:], cum_lam_p[-1:])[0][0]
     return None if math.isnan(bound) else float(bound)
 
 
-def width_bound_curve(
-    config: CatoniConfig, n_max: int, at: Sequence[int] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(bounds, condition) for every n = 1..n_max, or only for the n in `at`.
-
-    bounds = 4 (1+tau) (C_p v_p sum lam^p (1+t^-(p-1)) + log 2/alpha) / sum lam,
-    and the bound applies at n (condition) iff
-
-        C_p v_p sum lam^p (1 + t^-(p-1)) + log(2/alpha) + log(2/eps_n)
-        <= tau^(1/(p-1)) / (1+tau)^(p/(p-1))
-           * (sum lam)^(p/(p-1)) / (C_p sum lam^p (1-t)^-(p-1))^(1/(p-1)),
-
-    where log(2/eps_n) = log(2/alpha) + C_p v_p sum lam^p (1 + t^-(p-1)).
-    bounds is NaN where the condition fails.  The sums run over 1..n_max
-    once, the rest only at the requested n, with the full curve's bits
-    there; ValueError unless each n in `at` is an integer in [1, n_max].
-    An overflow (a huge tau) makes the right-hand side 0 or NaN, so the
-    condition false, or a bound +inf, which holds.
-    """
-    idx = slice(None)
-    if at is not None:
-        ns = np.asarray(at)
-        if ns.size and (ns.dtype.kind not in "iu" or ns.min() < 1 or ns.max() > n_max):
-            raise ValueError(f"at must hold integers in [1, {n_max}]")
-        idx = ns.astype(np.intp) - 1
-    q = config.p - 1.0
-    s1, s_plus, s_minus = (s[idx] for s in _schedule_sums(config, n_max))
-    tau = np.full(1, float(config.tau))  # an array, as in _t_array
-    log2a = math.log(2.0 / config.alpha)
-    cv_splus = config.c_p * config.v_p * s_plus
-    lhs = 2.0 * cv_splus + 2.0 * log2a
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs = (
-            tau ** (1.0 / q)
-            / (1.0 + tau) ** (config.p / q)
-            * s1 ** (config.p / q)
-            / (config.c_p * s_minus) ** (1.0 / q)
-        )
-        bounds = 4.0 * (1.0 + tau) * (cv_splus + log2a) / s1
-    condition = lhs <= rhs
-    bounds[~condition] = np.nan
-    return bounds, condition
+def width_bound_curve(config: CatoniConfig, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bounds, condition) of width_bound_sums for every n = 1..n_max."""
+    return width_bound_sums(config, *cumulative_sums(config.schedule.head(n_max), config.p))

@@ -30,29 +30,20 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
-import numpy as np
-
 from .interval import ConfidenceInterval
-from .schedules import LambdaSchedule, PrefixSums, _ExactSum, _ratio_up, power_law
+from .schedules import LambdaSchedule, PrefixSums, _ExactSum, _ratio_up, cumulative_sums, power_law
 
 
 #: The smallest positive normal float and the log of the largest float;
 #: `_normal` tells that no step of a computation overflowed or underflowed.
 _TINY, _LOG_MAX = sys.float_info.min, math.log(sys.float_info.max)
-#: The unit roundoff.
-_U = 2.0**-53
-#: A factor just above 1 for the terms in u^2 and the rounding of the error bounds' own evaluation.
-_SAFE = 1.0 + 2.0**-20
 
 
 def _normal(*xs: float) -> bool:
     return all(_TINY <= x < math.inf for x in xs)
-
-
-def _log_m_p(p: float) -> float:
-    return math.log((p - 1.0) / 2.0 ** (2.0 - p)) / (p - 1.0)
 
 
 def m_p(p: float) -> float:
@@ -93,45 +84,41 @@ def ds_a(cfg: DsConfig) -> float:
     where the direct form over- or underflows (near p = 1).  ValueError
     where a is not a positive normal float.
     """
-    return _ds_a_rounded(cfg)[0]
-
-
-def _ds_a_rounded(cfg: DsConfig) -> tuple[float, float]:
-    """(ds_a's float a, e) with |ln(float a) - ln a| <= e for the exact a of cfg's floats.
-
-    With u = 2^-53, each pow, log and exp errs by under an ulp (2u), each
-    other operation by u, and the rounded q = 1/(p-1) moves x^q by u |ln x^q|.
-    Write L = ln R = q ln(2/alpha), Lm = |ln m_p| and Lb = |ln b^q|.
-
-    Direct form, a = (R - 1) / (m_p b^q):
-      m_p: 3u in its base, raised to q, u Lm from q, 2u the pow: u (3q + Lm + 2);
-      b^q: u (Lb + 2);  R: u (q + L + 2), at most doubled by R - 1 as R > 2, plus u;
-      the product and the quotient: 2u;  in all u (5q + 2L + Lm + Lb + 11).
-    Log form, ln a = L + log1p(-e^-L) - ln m_p - ln b^q:
-      L: u q from 2/alpha, 2u L the log, u L from q, u L the product: u (q + 4L),
-        counted twice, as L + log1p(-e^-L) = ln(R - 1) moves by R/(R - 1) <= 2 times it;
-      the exp and log1p: 2u each (e^-L <= 1/2, so |log1p| <= ln 2);
-      ln m_p = ln((p-1)/2^(2-p))/(p-1): 3u q from the base, 3u Lm the log and the quotient;
-      ln b^q: 4u Lb;  the three sums: u (L + 1 + Lm + Lb) each;  the final exp: 2u;
-      in all u (11L + 5q + 6Lm + 7Lb + 9).
-    Each bound takes one more u for the terms in u^2.
-    """
     q = 1.0 / (cfg.p - 1.0)
     try:
         mb = m_p(cfg.p) * cfg.b**q
-        big_r = (2.0 / cfg.alpha) ** q
-        a = (big_r - 1.0) / mb
+        a = ((2.0 / cfg.alpha) ** q - 1.0) / mb
     except (OverflowError, ValueError, ZeroDivisionError):
         mb = a = math.nan
-    log_m, log_bq = _log_m_p(cfg.p), q * math.log(cfg.b)
     if _normal(mb, a):
-        return a, _U * (5.0 * q + 2.0 * math.log(big_r) + abs(log_m) + abs(log_bq) + 12.0)
-    log_r = q * math.log(2.0 / cfg.alpha)
-    log_a = log_r + math.log1p(-math.exp(-log_r)) - log_m - log_bq
+        return a
+    log_r, log_m = q * math.log(2.0 / cfg.alpha), math.log((cfg.p - 1.0) / 2.0 ** (2.0 - cfg.p)) / (cfg.p - 1.0)
+    log_a = log_r + math.log1p(-math.exp(-log_r)) - log_m - q * math.log(cfg.b)
     a = math.exp(log_a) if log_a <= _LOG_MAX else math.inf
     if not _normal(a):
         raise ValueError(f"a is not a positive normal float at p = {cfg.p}, alpha = {cfg.alpha}, b = {cfg.b}")
-    return a, _U * (11.0 * log_r + 5.0 * q + 6.0 * abs(log_m) + 7.0 * abs(log_bq) + 10.0)
+    return a
+
+
+def _a_upper(cfg: DsConfig) -> Decimal:
+    """At least the exact a of cfg's floats, and within about 10^-30 of it, relative.
+
+    With d = p - 1, q = 1/d, L = q ln(2/alpha) >= ln 2 and
+    N = ln(2/alpha) - ln d + (2 - p) ln 2 - ln b, ln a = N / d + ln(1 - e^-L).
+    d and 2 - p are exact floats and a Decimal holds a float exactly, so
+    only the decimal operations round, each within e = 5 10^-P of its
+    result (ln and exp are correctly rounded).  Logs of floats are at most
+    745 in size, so N errs by under 10^4 e, N / d by under q 10^4 e + 746 e
+    and ln(1 - e^-L) by under q 746 e + 7 e (e^-L <= 1/2, L e^-L <= 1/e).
+    P = 40 + floor(log10 q) keeps q e under 5 10^-38, so ln a errs by under
+    10^-33 and the result, raised by 10^-30 of itself, is at least a.
+    """
+    p, d = cfg.p, Decimal(cfg.p - 1.0)
+    with localcontext(Context(prec=40 + math.floor(math.log10(1.0 / (p - 1.0))))):
+        ln_two_over_alpha = (2 / Decimal(cfg.alpha)).ln()
+        numerator = ln_two_over_alpha - d.ln() + Decimal(2.0 - p) * Decimal(2).ln() - Decimal(cfg.b).ln()
+        log_a = numerator / d + (1 - (-ln_two_over_alpha / d).exp()).ln()
+        return log_a.exp() * (1 + Decimal("1e-30"))
 
 
 @functools.lru_cache(maxsize=256)
@@ -139,14 +126,14 @@ def _radius_terms(cfg: DsConfig) -> tuple[int, int, int]:
     """Integers (A, B, D) with A/D >= a, for the exact a of cfg's floats, and B/D = b v_p exactly.
 
     At p = 2, where m_p = 1 and a = (2/alpha - 1)/b is rational, A/D is a
-    itself.  Elsewhere it is ds_a's float times 1 + 2e, which is at least
-    e^e for e <= 1.  Cached, so a stream of queries pays once.
+    itself; elsewhere it is _a_upper.  ValueError wherever ds_a raises.
+    Cached, so a stream of queries pays once.
     """
+    ds_a(cfg)  # its ValueError
     if cfg.p == 2.0:
         a = (2 / Fraction(cfg.alpha) - 1) / Fraction(cfg.b)
     else:
-        a_float, e = _ds_a_rounded(cfg)
-        a = Fraction(a_float) * (1 + Fraction(2.0 * e * _SAFE))
+        a = Fraction(_a_upper(cfg))
     bv = Fraction(cfg.b) * Fraction(cfg.v_p)
     return a.numerator * bv.denominator, bv.numerator * a.denominator, a.denominator * bv.denominator
 
@@ -216,8 +203,11 @@ def ds_optimal_schedule(cfg: DsConfig) -> LambdaSchedule:
 
 
 def ds_width(cfg: DsConfig, n: int) -> float:
-    """Deterministic interval width 2 (a + b v_p sum lam^p) / sum lam at n, under ds_optimal_schedule."""
+    """Deterministic interval width 2 (a + b v_p sum lam^p) / sum lam at n, under ds_optimal_schedule.
+
+    The sums are the cumulative curves' values at n, as in `harness.run_width`.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    lam = ds_optimal_schedule(cfg).head(n)
-    return 2.0 * ds_radius(cfg, float(np.sum(lam)), float(np.sum(lam**cfg.p)))
+    cum_lam, cum_lam_p = cumulative_sums(ds_optimal_schedule(cfg).head(n), cfg.p)
+    return float(2.0 * ds_radius(cfg, cum_lam[-1], cum_lam_p[-1]))

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import catoni_cs as cat
 from . import dubins_savage as ds
-from .schedules import LambdaSchedule, power_law
+from .schedules import LambdaSchedule, cumulative_sums, power_law
 
 CATONI = "catoni"
 DS = "ds"
@@ -294,7 +294,7 @@ def true_std(dist: DistributionSpec) -> float:
 
 def _method_setup(method: str, dist: DistributionSpec, p: float, alpha: float, n_max: int, reps: int,
                   schedule: LambdaSchedule | None, b: float, **width: float):
-    """(v_p, config, lambda_1..lambda_n_max, cumulative sum lambda^p) for a run of `method`.
+    """(v_p, config, lambda_1..lambda_n_max, *schedules.cumulative_sums of them) for a run of `method`.
 
     Every experiment starts here, so each rejects n_max or reps below 1
     first.  v_p is the exact moment true_vp(dist, p); `width` holds
@@ -313,7 +313,7 @@ def _method_setup(method: str, dist: DistributionSpec, p: float, alpha: float, n
     else:
         raise ValueError(f"unknown method {method!r}; expected '{CATONI}' or '{DS}'")
     lam = schedule.head(n_max)
-    return vp, cfg, lam, np.cumsum(lam**p)
+    return vp, cfg, lam, *cumulative_sums(lam, p)
 
 
 def _run_reps(fn, reps: int, threads: int) -> list:
@@ -416,15 +416,16 @@ def run_coverage(
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    vp, cfg, lam, threshold = _method_setup(method, dist, p, alpha, n_max, reps, schedule, b)
+    vp, cfg, lam, cum_lam, cum_lam_p = _method_setup(method, dist, p, alpha, n_max, reps, schedule, b)
     mu = dist.true_mean
     # A plain slice is a view, so stride 1 indexes without a copy.
     idx = slice(None) if stride == 1 else _checked_indices(n_max, stride)
-    # threshold holds sum lambda^p until rebound.  A statistic is formed by its expression's ufuncs
-    # in order, so it has their bits, and accumulates into a buffer other than its input (see the
-    # module docstring): Catoni's into the drawn stream's, free once phi is evaluated.
+    # A statistic is formed by its expression's ufuncs in order, so it has their bits, and accumulates
+    # into a buffer other than its input (see the module docstring): Catoni's into the drawn stream's,
+    # free once phi is evaluated.
     if method == CATONI:
-        threshold = cat.target(cfg, threshold)[idx]
+        threshold = cat.target(cfg, cum_lam_p)[idx]
+        del cum_lam, cum_lam_p  # before the replications, which read neither
         influence = cfg.influence
 
         def statistic(z: np.ndarray) -> np.ndarray:  # cumsum(phi(lam (x - mu)))
@@ -433,8 +434,10 @@ def run_coverage(
             return np.cumsum(influence(z), out=z)
 
     else:
-        threshold = (ds.ds_a(cfg) + cfg.b * vp * threshold)[idx]
-        mu_cum_lam = mu * np.cumsum(lam)
+        cum_lam_p *= cfg.b * vp  # a + b v_p sum lambda^p, formed in place
+        cum_lam_p += ds.ds_a(cfg)
+        threshold = cum_lam_p[idx]
+        mu_cum_lam = np.multiply(mu, cum_lam, out=cum_lam)
 
         def statistic(dev: np.ndarray) -> np.ndarray:  # cumsum(lam x) - mu sum lam
             dev *= lam
@@ -522,30 +525,29 @@ def run_width(
     threads: int = 1,
 ) -> WidthReport:
     """Interval widths at checkpoints and their fitted log-log slope; data-free DS widths are computed once."""
-    vp, cfg, lam, cum_lam_p = _method_setup(method, dist, p, alpha, n_max, reps, schedule, b, t=t, tau=tau)
+    vp, cfg, lam, cum_lam, cum_lam_p = _method_setup(method, dist, p, alpha, n_max, reps, schedule, b, t=t, tau=tau)
     cps = default_checkpoints(n_max) if checkpoints is None else sorted(set(int(c) for c in checkpoints))
     if not cps:
         raise ValueError("checkpoints must not be empty")
     if cps[0] < 1 or cps[-1] > n_max:
         raise ValueError(f"checkpoints must lie in [1, {n_max}], got {cps[0]}..{cps[-1]}")
+    at = np.asarray(cps) - 1
+    cum_lam, cum_lam_p = cum_lam[at], cum_lam_p[at]  # the curves are read only here: drop the rest
 
     if method == CATONI:
         def one_rep(r: int) -> list[float]:
             x = sample_stream(dist, seed, n_max, rep=r)
             out = []
-            for n in cps:
-                tgt = cat.target(cfg, cum_lam_p[n - 1])
+            for n, tgt in zip(cps, cat.target(cfg, cum_lam_p)):
                 lo, hi = cat.solve_interval_arrays(cfg.influence, lam[:n], x[:n], tgt)
                 out.append(hi - lo)
             return out
 
-        bounds_at, cond_at = cat.width_bound_curve(cfg, cps[-1], at=cps)
-        bounds = [None if math.isnan(b) else float(b) for b in bounds_at]
+        bounds_at, cond_at = cat.width_bound_sums(cfg, cum_lam, cum_lam_p)
+        bounds = [None if math.isnan(v) else float(v) for v in bounds_at]
         conds = [bool(c) for c in cond_at]
         widths = np.asarray(_run_reps(one_rep, reps, threads))
     else:
-        at = np.asarray(cps) - 1
-        cum_lam, cum_lam_p = np.cumsum(lam)[at], cum_lam_p[at]
         widths = 2.0 * ds.ds_radius(cfg, cum_lam, cum_lam_p)[np.newaxis]  # one row, its own mean
         bounds = 2.0 * cfg.b * vp * cum_lam_p / cum_lam
         conds = [None] * len(cps)
@@ -585,7 +587,7 @@ def _bound_blocks(n0: int, n_max: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])] or [(n0, n_max)]
 
 
-def _bound_suspects(influence, lam, mu, band, bounds, blocks):
+def _bound_suspects(influence, lam, cum_lam, mu, band, bounds, blocks):
     """suspects(x): the sorted n of `blocks` at which run_bound_validity's sufficient test fails.
 
     Block k tests f_n(mu + w_k) <= -band_n and f_n(mu - w_k) >= band_n for
@@ -593,10 +595,11 @@ def _bound_suspects(influence, lam, mu, band, bounds, blocks):
     over from block k-1 (see run_bound_validity).  Both sides are the rows
     of one (2, m) array: mu + (-1.0) w is mu - w exactly, and the row-wise
     cumulative sum adds in order, so each row has the bits of a one-sided pass.
+    cum_lam, the cumulative sum of lam, is read only at the block edges.
     """
     w = [0.5 * float(np.min(bounds[a - 1 : b])) for a, b in blocks]
     # The next block starts at n = b, so its prefix is lambda_1..lambda_{b-1}.
-    lam_before = np.cumsum(lam)[[b - 2 for _, b in blocks[:-1]]]
+    lam_before = cum_lam[[b - 2 for _, b in blocks[:-1]]]
     drift = influence.slope_bound * np.abs(np.diff(w)) * lam_before
     sign = np.array([[1.0], [-1.0]])
 
@@ -656,11 +659,11 @@ def run_bound_validity(
     the verdict per n is exact.  The run uses Catoni's default schedule
     power_law(1, p) and CatoniConfig's width constants t = 1/2, tau = 0.1.
     """
-    vp, cfg, lam, band = _method_setup(CATONI, dist, p, alpha, n_max, reps, None, 1.0)
+    vp, cfg, lam, cum_lam, cum_lam_p = _method_setup(CATONI, dist, p, alpha, n_max, reps, None, 1.0)
     budget = cat.failure_budget(cfg)  # raises before any replication on an uncertifiable config
     mu = dist.true_mean
-    band = cat.target(cfg, band)  # rebinding drops the sums of lambda^p before the replications
-    bounds, condition = cat.width_bound_curve(cfg, n_max)
+    bounds, condition = cat.width_bound_sums(cfg, cum_lam, cum_lam_p)
+    band = cat.target(cfg, cum_lam_p)
     if not condition.any():
         raise ValueError(f"width bound never applies up to n_max={n_max}")
     n0 = int(np.argmax(condition)) + 1
@@ -668,7 +671,8 @@ def run_bound_validity(
     if not permanent:
         raise ValueError("the width-bound condition is not permanent over [n0, n_max]; blocks assume it")
     influence = cfg.influence
-    suspects = _bound_suspects(influence, lam, mu, band, bounds, _bound_blocks(n0, n_max))
+    suspects = _bound_suspects(influence, lam, cum_lam, mu, band, bounds, _bound_blocks(n0, n_max))
+    del cum_lam, cum_lam_p  # before the replications, which read neither
 
     def one_rep(r: int) -> tuple[bool, int]:
         x = sample_stream(dist, seed, n_max, rep=r)

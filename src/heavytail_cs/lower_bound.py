@@ -27,7 +27,7 @@ import numpy as np
 
 from .harness import sample_stream, true_std
 from .influence import default_influence
-from .schedules import LambdaSchedule
+from .schedules import LambdaSchedule, cumulative_sums
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,7 @@ def lil_floor_curve(cfg: LilConfig, n_max: int) -> np.ndarray:
     S2 = sum lam_i^2 and S1 = sum lam_i.  Defined once S2 > e (so the
     double log is positive); NaN (not applicable) before that.
     """
-    lam = cfg.schedule.head(n_max)
-    s1 = np.cumsum(lam)
-    s2 = np.cumsum(lam * lam)
+    s1, s2 = cumulative_sums(cfg.schedule.head(n_max), 2.0)
     out = np.full(n_max, np.nan)
     ok = s2 > math.e
     out[ok] = cfg.a * np.sqrt(s2[ok] * np.log(np.log(s2[ok]))) / s1[ok]
@@ -85,7 +83,7 @@ def lil_trace(dist, schedule: LambdaSchedule, n: int, seed: int) -> np.ndarray:
     x = sample_stream(dist, seed, n)
     lam = schedule.head(n)
     y = psi(lam * (x - mu))
-    s2 = np.cumsum(lam * lam) * sigma * sigma
+    s2 = cumulative_sums(lam, 2.0)[1] * sigma * sigma
     sums = np.cumsum(y)
     ratio = np.full(n, np.nan)
     ok = s2 > math.e

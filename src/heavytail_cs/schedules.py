@@ -59,6 +59,16 @@ class LambdaSchedule:
         return np.asarray(self.values[start - 1 : stop], dtype=np.float64)
 
 
+def cumulative_sums(lam: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(sum lambda_i, sum lambda_i^p) over i <= n, for n = 1..lam.size; the second in lambda^p's buffer.
+
+    Every batch band, width bound, failure budget and floor reads these two
+    curves, so a value at one n is an index into them.
+    """
+    lam_p = lam**p
+    return np.cumsum(lam), np.cumsum(lam_p, out=lam_p)
+
+
 def power_law(c: float = 1.0, p: float = 2.0) -> LambdaSchedule:
     if not 0.0 < c < math.inf:
         raise ValueError(f"scale c must be positive and finite, got {c}")

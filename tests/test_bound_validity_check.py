@@ -13,7 +13,7 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_catoni import budget_oracle
+from oracles import budget_oracle
 
 from heavytail_cs import catoni_cs as cat
 from heavytail_cs import harness
@@ -76,7 +76,7 @@ def test_chained_check_is_sufficient(kind, p, n_max, c, shift, log10_scale, offs
     assert condition[n0 - 1 :].all()
     blocks = harness._bound_blocks(n0, n_max)
 
-    chained = harness._bound_suspects(cfg.influence, lam, mu, band, bounds, blocks)(x)
+    chained = harness._bound_suspects(cfg.influence, lam, np.cumsum(lam), mu, band, bounds, blocks)(x)
     assert set(reference_suspects(cfg.influence, lam, x, mu, band, bounds, blocks)) <= set(chained)
 
     passed = sorted(set(range(n0, n_max + 1)) - set(chained))
@@ -133,7 +133,8 @@ def test_suspects_and_offset_run_are_pinned():
     band = math.log(2.0 / 0.05) + cfg.c_p * cfg.v_p * np.cumsum(lam**2)
     bounds, condition = cat.width_bound_curve(cfg, n_max)
     n0 = int(np.argmax(condition)) + 1
-    suspects = harness._bound_suspects(cfg.influence, lam, mu, band, bounds, harness._bound_blocks(n0, n_max))(x)
+    suspects = harness._bound_suspects(cfg.influence, lam, np.cumsum(lam), mu, band, bounds,
+                                      harness._bound_blocks(n0, n_max))(x)
     assert n0 == 154
     assert _runs(suspects) == [(2171, 2213), (2217, 2218), (2220, 2231), (2662, 3214), (3263, 4000)]
 

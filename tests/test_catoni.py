@@ -8,7 +8,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import digamma
+from oracles import budget_oracle, power_budget_oracle
 
 from heavytail_cs import catoni_cs as cat
 from heavytail_cs.harness import centered_pareto, gaussian, sample_stream, true_vp
@@ -288,66 +288,6 @@ class TestEpsilonN:
         assert 0.0 < budget15 < 0.05
 
 
-def budget_oracle(cfg, m=1 << 22):
-    """[L, U] around the exact alpha * sum eps_n for a power_law(c, p) schedule at the config's p.
-
-    The first m terms are summed with numpy.
-    E_n = K H_n with K = C_p v_p c^p (1 + t^-(p-1)) and H_n = digamma(n + 1)
-    + gamma to float accuracy.  DeTemple's bracket
-    1/(24 (n+1)^2) < H_n - ln(n + 1/2) - gamma < 1/(24 n^2) bounds each
-    later term, and sum_{n>m} (n + 1/2)^-K lies between the integral of
-    x^-K from m + 1, less the midpoint rule's error (f'' is decreasing),
-    and that integral.
-    """
-    a2 = cfg.alpha**2
-    q = cfg.p - 1.0
-    cvp = cfg.c_p * cfg.v_p * cfg.schedule.c**cfg.p
-    n = np.arange(1.0, m + 1.0)
-    k = cvp * (1.0 + cfg.t**-q)
-    head = float(np.sum(np.exp(-k * (digamma(n + 1.0) + np.euler_gamma))))
-    m1 = m + 1.0
-    upper = m1 ** (1.0 - k) / (k - 1.0)
-    lower = upper - k * (m1 ** (-k - 1.0) + (k + 1.0) * m1 ** (-k - 2.0)) / 24.0
-    g = math.exp(-k * np.euler_gamma)
-    return (a2 * (head + g * math.exp(-k / (24.0 * m1**2)) * lower) * (1.0 - 1e-12),
-            a2 * (head + g * upper) * (1.0 + 1e-12))
-
-
-def power_budget_oracle(cfg, m=2000):
-    """[L, U] around the exact alpha * sum eps_n for a power_law(c, p_s) schedule with p_s > p, at 40 digits.
-
-    E_n = K sum_{i<=n} i^-r with r = p/p_s, which is K (zeta(r) - zeta(r, n + 1))
-    for real n.  The first m - 1 terms are summed exactly; Euler-Maclaurin gives
-    the rest from the integral of f = e^-E over [m, inf) (tanh-sinh quadrature
-    in u = ln(x/m), out to where E has grown by 250 more), f(m)/2, -f'(m)/12
-    and f'''(m)/720, whose derivatives come from
-    E^(j) = (-1)^(j-1) K r (r + 1) ... (r + j - 1) zeta(r + j, x + 1).
-    The next term is about E'(m)^5/30240 of the tail, under 1e-14 at m = 2000
-    for the configurations tested, so [L, U] is +-1e-12 around the result.
-    """
-    with mpmath.workdps(40):
-        p = mpmath.mpf(cfg.p)
-        r = p / mpmath.mpf(cfg.schedule.p)
-        s = 1 - r
-        k = mpmath.mpf(cfg.c_p) * cfg.v_p * mpmath.mpf(cfg.schedule.c) ** p * (1 + mpmath.mpf(cfg.t) ** (1 - p))
-        zeta_r = mpmath.zeta(r)
-
-        def big_e(x):
-            return k * (zeta_r - mpmath.zeta(r, x + 1))
-
-        e = head = mpmath.mpf(0)
-        for n in range(1, m):
-            e += k * mpmath.mpf(n) ** -r
-            head += mpmath.exp(-e)
-        d1, d2, d3 = (k * mpmath.rf(r, j) * (-1) ** (j - 1) * mpmath.zeta(r + j, m + 1) for j in (1, 2, 3))
-        f_m = mpmath.exp(-big_e(m))
-        u_end = mpmath.log((250 * s / k + mpmath.mpf(m + 1) ** s) ** (1 / s) / m)
-        integral = mpmath.quad(lambda u: m * mpmath.exp(u - big_e(m * mpmath.exp(u))), [0, u_end])
-        tail = integral + f_m / 2 + d1 * f_m / 12 + (3 * d1 * d2 - d3 - d1**3) * f_m / 720
-        total = mpmath.mpf(cfg.alpha) ** 2 * (head + tail)
-        return total * (1 - mpmath.mpf(1e-12)), total * (1 + mpmath.mpf(1e-12))
-
-
 class TestFailureBudget:
     """failure_budget is a certified upper bound within 1e-6 of exact, and rejects what it cannot certify."""
 
@@ -452,7 +392,7 @@ class TestFailureBudget:
 
 
 class TestWidthBoundAt:
-    """width_bound_curve(cfg, n_max, at=ns) is the full curve read at ns, bit for bit."""
+    """width_bound(cfg, n) is width_bound_curve(cfg, n_max) read at n, bit for bit."""
 
     @pytest.mark.parametrize(
         "cfg",
@@ -463,18 +403,13 @@ class TestWidthBoundAt:
         ids=["p2", "p1.5"],
     )
     def test_equals_full_curve(self, cfg):
-        ns = [1, 2, 643, 644, 1000, 4999, 5000]
         full_b, full_c = cat.width_bound_curve(cfg, 5000)
-        at_b, at_c = cat.width_bound_curve(cfg, 5000, at=ns)
-        idx = np.asarray(ns) - 1
-        np.testing.assert_array_equal(at_b, full_b[idx])
-        np.testing.assert_array_equal(at_c, full_c[idx])
-
-    @pytest.mark.parametrize("at", [[0], [-1], [1.7], [10**4 + 1], [5, 0, 7], [True]])
-    def test_index_outside_curve_rejected(self, at):
-        """Each would index the curve at a wrong n: 0 and -1 wrap to its end, 1.7 truncates to 1."""
-        with pytest.raises(ValueError, match=r"^at must hold integers in \[1, 10000\]$"):
-            cat.width_bound_curve(config_p2(), 10**4, at=at)
+        for n in (1, 2, 643, 644, 1000, 4999, 5000):
+            bound = cat.width_bound(cfg, n)
+            if full_c[n - 1]:
+                assert bound == full_b[n - 1]
+            else:
+                assert bound is None and math.isnan(full_b[n - 1])
 
 
 class TestCondition:

@@ -215,17 +215,24 @@ def streamed(cfg, sched, xs):
         yield ds.ds_interval(state, cfg)
 
 
+#: Shifts of TestIntervalContainsExact's gaussian stream.
+SHIFTS = [0.0, 1e6, 1e15, 1e17]
+
+
 class TestIntervalContainsExact:
     """ds_interval contains the exact interval, rounding of the centre included."""
 
-    @pytest.mark.parametrize("shift", [0.0, 1e6, 1e15, 1e17])
-    def test_shifted_gaussian(self, shift):
+    @pytest.mark.parametrize("p, shift", [pytest.param(2.0, s, id=str(s)) for s in SHIFTS]
+                             + [pytest.param(p, s, id=f"p{p}-{s}") for p in (1.5, 1.2) for s in SHIFTS])
+    def test_shifted_gaussian(self, p, shift):
         """Shifts at which the float centre alone left an end up to 2.69 inside.
 
         At p = 2 every sum and a are exact, and each end is one ratio
         rounded outward once, so it lies within an ulp of the exact end.
+        Below p = 2, sum lambda^p adds lambda_i^p rounded up, and a is raised
+        by about 10^-30 of itself, which leaves each end within the same slack.
         """
-        cfg = ds.DsConfig(p=2.0, v_p=1.0, alpha=0.05)
+        cfg = ds.DsConfig(p=p, v_p=1.0, alpha=0.05)
         sched = ds.ds_optimal_schedule(cfg)
         xs = (np.random.default_rng(0).standard_normal(50) + shift).tolist()
         *_, iv = streamed(cfg, sched, xs)

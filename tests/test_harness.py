@@ -6,15 +6,18 @@ import os
 import re
 import threading
 import time
+import tracemalloc
 from unittest import mock
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import mp_pareto_vp
 from scipy import integrate, stats
 
+from heavytail_cs import catoni_cs as cat
+from heavytail_cs import dubins_savage as ds
 from heavytail_cs import harness
 from heavytail_cs.harness import (
     _run_reps,
@@ -30,7 +33,7 @@ from heavytail_cs.harness import (
     true_vp,
     two_point,
 )
-from heavytail_cs.schedules import power_law
+from heavytail_cs.schedules import LambdaSchedule, power_law
 
 RADEMACHER = two_point([-1.0, 1.0], [0.5, 0.5])
 #: (shape, p) pairs for the centred-Pareto moment; 1.5/1.45, 1.95/1.9 and
@@ -151,16 +154,11 @@ class TestTrueVp:
 
     @pytest.mark.parametrize("beta, p", PARETO_GRID)
     def test_pareto_closed_form_vs_hypergeometric(self, beta, p):
-        """The same closed form at 40 digits, the part below the mean as
-        mpmath's 2F1(beta+1, p+1; p+2; 1/beta)/(p+1): checks the truncated
+        """The same closed form at 40 digits (oracles.mp_pareto_vp), the part
+        below the mean as a hypergeometric function: checks the truncated
         series and the float evaluation, at shapes where mpmath quadrature
         does not converge."""
-        with mp.workdps(40):
-            b, q = mp.mpf(beta), mp.mpf(p)
-            above = b ** (q - b) * mp.gamma(b - q) * mp.gamma(q + 1) / mp.gamma(b)
-            below = b**-b * mp.hyp2f1(b + 1, q + 1, q + 2, 1 / b) / (q + 1)
-            exact = float((b - 1) ** (b - q) * (above + below))
-        assert true_vp(centered_pareto(beta, 1.0), p) == pytest.approx(exact, rel=1e-14)
+        assert true_vp(centered_pareto(beta, 1.0), p) == pytest.approx(mp_pareto_vp(beta, p), rel=1e-14)
 
     @pytest.mark.parametrize("beta, p", PARETO_GRID)
     def test_pareto_scale_law(self, beta, p):
@@ -438,6 +436,51 @@ class TestWidthRuns:
             run_width("ds", gaussian(0, 1), 2.0, 0.05, 100, seed=0, checkpoints=[0, 50])
         with pytest.raises(ValueError):
             run_width("ds", gaussian(0, 1), 2.0, 0.05, 100, seed=0, checkpoints=[50, 200])
+
+
+class TestRunsReadOneCurve:
+    """A value at one n is an index into the run's cumulative sums, which a run forms once."""
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_ds_width_is_the_reported_width(self, p):
+        rep = run_width("ds", gaussian(0, 1), p, 0.05, 3000, seed=3)
+        cfg = ds.DsConfig(p=p, v_p=rep.v_p, alpha=0.05)
+        for ck in rep.checkpoints:
+            assert ds.ds_width(cfg, ck.n) == ck.mean_width
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_width_bound_is_the_reported_bound(self, p):
+        rep = run_width("catoni", gaussian(0, 1), p, 0.05, 3000, seed=3, t=0.3, tau=0.2)
+        cfg = cat.CatoniConfig(p=p, v_p=rep.v_p, alpha=0.05, schedule=power_law(1.0, p), t=0.3, tau=0.2)
+        assert any(ck.bound is not None for ck in rep.checkpoints)
+        for ck in rep.checkpoints:
+            assert cat.width_bound(cfg, ck.n) == ck.bound
+
+    def test_schedule_evaluated_once(self, monkeypatch):
+        """A Catoni width run evaluates its weights once; a bound-validity run too, besides the
+        failure budget's own first block of 2^16 terms."""
+        span, calls = LambdaSchedule.span, []
+        monkeypatch.setattr(LambdaSchedule, "span",
+                            lambda s, start, stop: calls.append((start, stop)) or span(s, start, stop))
+        run_width("catoni", gaussian(0, 1), 2.0, 0.05, 3000, seed=3, reps=2)
+        assert calls == [(1, 3000)]
+        calls.clear()
+        run_bound_validity(gaussian(0, 1), 2.0, 0.05, 5000, 2, seed=3)
+        assert calls == [(1, 5000), (1, 1 << 16)]
+
+    @pytest.mark.parametrize("method, arrays", [("catoni", 4.5), ("ds", 3.0)])
+    def test_width_run_memory(self, method, arrays):
+        """tracemalloc peak of a width run at n = 2e5, counted in arrays of n floats: the weights and
+        their two cumulative sums, then the weights and the stream.  Evaluating the schedule a
+        second time for the Catoni width bound peaked at 5; 64 kB allow for everything else."""
+        n = 2 * 10**5
+        tracemalloc.start()
+        try:
+            run_width(method, gaussian(0, 1), 1.5, 0.05, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < arrays * 8 * n + 65536
 
 
 class TestRunSizes:
