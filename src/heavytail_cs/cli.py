@@ -87,7 +87,7 @@ _OPTIONS = {
     "tau": _Option(float, 0.1, ("width",), help="width-analysis constant tau > 0"),
     "b": _Option(float, 1.0, help="Dubins-Savage b > 0"),
     "stride": _Option(int, 1, ("coverage",), help="check every stride-th n", valid=_AT_LEAST_1),
-    "threads": _Option(int, 1, help="max parallel replications", valid=_AT_LEAST_1),
+    "threads": _Option(int, 1, ("coverage", "width"), help="max parallel replications", valid=_AT_LEAST_1),
     "format": _Option(str, "csv", choices=("csv", "json")),
     "out": _Option(str, None, help="output path (default stdout)"),
     "svg": _Option(str, None, ("width", "lil-check"), help="write a chart of the report here"),
@@ -340,8 +340,7 @@ def _cmd_lil_check(cfg: dict) -> int:
     config = _embedded_config(cfg, dist)
     lil = LilConfig(sigma=sigma, schedule=schedule, a=cfg["lil_a"])
     width_rep = harness.run_width(
-        "catoni", dist, 2.0, cfg["alpha"], cfg["n"], cfg["seed"], _checkpoints(cfg),
-        schedule=schedule, threads=cfg["threads"],
+        "catoni", dist, 2.0, cfg["alpha"], cfg["n"], cfg["seed"], _checkpoints(cfg), schedule=schedule
     )
     floor = lil_floor_curve(lil, cfg["n"])
     trace = lil_trace(dist, schedule, cfg["n"], cfg["seed"])

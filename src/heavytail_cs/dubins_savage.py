@@ -19,6 +19,11 @@ i.e. an interval centred at the lambda-weighted mean with radius
 the union bound certifies, rather than the 2 b v_p sum(lambda^p)/sum(lambda)
 width display that drops it.
 
+a is formed in one place, `_radius_terms`: exactly at p = 2, and as a
+`decimal` upper bound elsewhere.  `ds_a` is the smallest float at or
+above it, so the batch thresholds, widths and weights and the streaming
+interval all read one a, never below the exact one.
+
 The per-time width minimizer of b v_p lam^(p-1) + a/(t lam) is
 lambda_t = (a / (t b v_p (p-1)))^(1/p); with it the radius shrinks at the
 rate O(log t / t^((p-1)/p)) with an O(alpha^(-1/p)) confidence dependence.
@@ -35,25 +40,6 @@ from fractions import Fraction
 
 from .interval import ConfidenceInterval
 from .schedules import LambdaSchedule, PrefixSums, _ExactSum, _ratio_up, cumulative_sums, power_law
-
-
-#: The smallest positive normal float and the log of the largest float;
-#: `_normal` tells that no step of a computation overflowed or underflowed.
-_TINY, _LOG_MAX = sys.float_info.min, math.log(sys.float_info.max)
-
-
-def _normal(*xs: float) -> bool:
-    return all(_TINY <= x < math.inf for x in xs)
-
-
-def m_p(p: float) -> float:
-    """m_p = ((p-1) / 2^(2-p))^(1/(p-1)) on (1, 2]; -> 0 as p -> 1, ValueError where it underflows (p < 1.00782)."""
-    if not 1.0 < p <= 2.0:
-        raise ValueError(f"p must lie in (1, 2], got {p}")
-    m = ((p - 1.0) / 2.0 ** (2.0 - p)) ** (1.0 / (p - 1.0))
-    if not _normal(m):
-        raise ValueError(f"m_p underflows at p = {p}")
-    return m
 
 
 @dataclass(frozen=True)
@@ -76,32 +62,8 @@ class DsConfig:
             raise ValueError(f"b must be positive and finite, got {self.b}")
 
 
-def ds_a(cfg: DsConfig) -> float:
-    """a = (1 / (m_p b^(1/(p-1)))) ((2/alpha)^(1/(p-1)) - 1).
-
-    Chosen so the one-sided tail bound equals alpha/2; positive and
-    decreasing in alpha, growing like alpha^(-1/(p-1)).  Evaluated in logs
-    where the direct form over- or underflows (near p = 1).  ValueError
-    where a is not a positive normal float.
-    """
-    q = 1.0 / (cfg.p - 1.0)
-    try:
-        mb = m_p(cfg.p) * cfg.b**q
-        a = ((2.0 / cfg.alpha) ** q - 1.0) / mb
-    except (OverflowError, ValueError, ZeroDivisionError):
-        mb = a = math.nan
-    if _normal(mb, a):
-        return a
-    log_r, log_m = q * math.log(2.0 / cfg.alpha), math.log((cfg.p - 1.0) / 2.0 ** (2.0 - cfg.p)) / (cfg.p - 1.0)
-    log_a = log_r + math.log1p(-math.exp(-log_r)) - log_m - q * math.log(cfg.b)
-    a = math.exp(log_a) if log_a <= _LOG_MAX else math.inf
-    if not _normal(a):
-        raise ValueError(f"a is not a positive normal float at p = {cfg.p}, alpha = {cfg.alpha}, b = {cfg.b}")
-    return a
-
-
 def _a_upper(cfg: DsConfig) -> Decimal:
-    """At least the exact a of cfg's floats, and within about 10^-30 of it, relative.
+    """At least min(a, e^710), for the exact a of cfg's floats; within about 10^-30 of a, relative, if |ln a| <= 710.
 
     With d = p - 1, q = 1/d, L = q ln(2/alpha) >= ln 2 and
     N = ln(2/alpha) - ln d + (2 - p) ln 2 - ln b, ln a = N / d + ln(1 - e^-L).
@@ -112,13 +74,16 @@ def _a_upper(cfg: DsConfig) -> Decimal:
     and ln(1 - e^-L) by under q 746 e + 7 e (e^-L <= 1/2, L e^-L <= 1/e).
     P = 40 + floor(log10 q) keeps q e under 5 10^-38, so ln a errs by under
     10^-33 and the result, raised by 10^-30 of itself, is at least a.
+    ln a is clamped to [-710, 710] before exp: beyond it a has no normal
+    float, nor has the clamped result, and an exponent in the thousands
+    would only cost a long Fraction (or a decimal Overflow).
     """
     p, d = cfg.p, Decimal(cfg.p - 1.0)
     with localcontext(Context(prec=40 + math.floor(math.log10(1.0 / (p - 1.0))))):
         ln_two_over_alpha = (2 / Decimal(cfg.alpha)).ln()
         numerator = ln_two_over_alpha - d.ln() + Decimal(2.0 - p) * Decimal(2).ln() - Decimal(cfg.b).ln()
         log_a = numerator / d + (1 - (-ln_two_over_alpha / d).exp()).ln()
-        return log_a.exp() * (1 + Decimal("1e-30"))
+        return min(max(log_a, Decimal(-710)), Decimal(710)).exp() * (1 + Decimal("1e-30"))
 
 
 @functools.lru_cache(maxsize=256)
@@ -126,16 +91,31 @@ def _radius_terms(cfg: DsConfig) -> tuple[int, int, int]:
     """Integers (A, B, D) with A/D >= a, for the exact a of cfg's floats, and B/D = b v_p exactly.
 
     At p = 2, where m_p = 1 and a = (2/alpha - 1)/b is rational, A/D is a
-    itself; elsewhere it is _a_upper.  ValueError wherever ds_a raises.
-    Cached, so a stream of queries pays once.
+    itself; elsewhere it is _a_upper.  The only place a is formed: ValueError
+    where the smallest float >= A/D is not a positive normal float.  Cached,
+    so a stream of queries pays once.
     """
-    ds_a(cfg)  # its ValueError
     if cfg.p == 2.0:
         a = (2 / Fraction(cfg.alpha) - 1) / Fraction(cfg.b)
     else:
         a = Fraction(_a_upper(cfg))
+    if not sys.float_info.min <= _ratio_up(a.numerator, a.denominator) < math.inf:
+        raise ValueError(f"a is not a positive normal float at p = {cfg.p}, alpha = {cfg.alpha}, b = {cfg.b}")
     bv = Fraction(cfg.b) * Fraction(cfg.v_p)
     return a.numerator * bv.denominator, bv.numerator * a.denominator, a.denominator * bv.denominator
+
+
+def ds_a(cfg: DsConfig) -> float:
+    """a = (1 / (m_p b^(1/(p-1)))) ((2/alpha)^(1/(p-1)) - 1), as the smallest float at or above _radius_terms' bound.
+
+    Chosen so the one-sided tail bound equals alpha/2; positive and
+    decreasing in alpha, growing like alpha^(-1/(p-1)).  Never below the
+    exact a, and above it by at most an ulp (plus the bound's 10^-30 of a);
+    the same a the streaming interval reads.  ValueError where a is not a
+    positive normal float.
+    """
+    a_num, _, den = _radius_terms(cfg)
+    return _ratio_up(a_num, den)
 
 
 @dataclass

@@ -13,6 +13,7 @@ query, instead of once per observation.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -47,7 +48,9 @@ class LambdaSchedule:
 
         Each value is computed from its own index, so a late window costs
         O(stop - start) and equals the same slice of head(stop) bit for bit.
+        TypeError on a non-integer index (numpy integers pass).
         """
+        start, stop = operator.index(start), operator.index(stop)
         if start < 1:
             raise ValueError(f"schedule index must be >= 1, got {start}")
         if not self.values:

@@ -25,6 +25,14 @@ def mp_tail_bound(a, b, p):
         return float(1 / (1 + mp_m_p(p_) * a_ * b_ ** (1 / (p_ - 1))) ** (p_ - 1))
 
 
+def mp_a(p, alpha, b):
+    """The Dubins-Savage a = ((2/alpha)^q - 1) / (m_p b^q), q = 1/(p-1), of floats p, alpha, b, in 60-digit mpmath."""
+    with mp.workdps(60):
+        p, alpha, b = mp.mpf(p), mp.mpf(alpha), mp.mpf(b)
+        q = 1 / (p - 1)
+        return ((2 / alpha) ** q - 1) / (mp_m_p(p) * b**q)
+
+
 def mp_sums(p, lam, xs):
     """(sum lambda_i, sum lambda_i x_i, sum lambda_i^p) after each observation, in 60-digit mpmath.
 
@@ -49,9 +57,7 @@ def mp_intervals(cfg, lam, xs):
     """
     out = []
     with mp.workdps(60):
-        p, alpha, b, v_p = map(mp.mpf, (cfg.p, cfg.alpha, cfg.b, cfg.v_p))
-        q = 1 / (p - 1)
-        a = ((2 / alpha) ** q - 1) / (mp_m_p(p) * b**q)
+        a, b, v_p = mp_a(cfg.p, cfg.alpha, cfg.b), mp.mpf(cfg.b), mp.mpf(cfg.v_p)
         for s1, sx, sp in mp_sums(cfg.p, lam, xs):
             c, r = sx / s1, (a + b * v_p * sp) / s1
             out.append((c - r, c + r, c, r))

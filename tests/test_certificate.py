@@ -12,6 +12,7 @@ first property fails on the explicit examples.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -112,3 +113,26 @@ class TestPasses:
             lower, upper = cat.solve_interval_arrays(cfg.influence, lam, sample_stream(dist, seed, n), tgt)
             assert lower < upper
             assert len(calls) <= most
+
+
+class _Identity:
+    """A stub influence: phi(z) = z and phi'(z) = 1, so f_n is the plain sum of the z_i."""
+
+    @staticmethod
+    def value_and_slope(z):
+        return z.copy(), np.ones_like(z)
+
+
+def test_block_sum_is_pairwise():
+    """_rounding_error's _SUM_DEPTH assumes numpy sums a block pairwise.
+
+    One 1.0 and then 2^15 - 1 values of 0.99 u (u = 2^-53): added one by
+    one, each small value rounds away against the 1.0 (about 32439 u in
+    all); a pairwise sum adds the small values among themselves first.
+    """
+    u = 2.0**-53
+    xs = np.full(cat._BLOCK, 0.99 * u)
+    xs[0] = 1.0
+    f, _ = cat._f_and_slope(_Identity(), np.ones(cat._BLOCK), xs, 0.0)
+    exact = sum(map(Fraction, xs.tolist()))
+    assert abs(Fraction(f) - exact) <= cat._SUM_DEPTH * Fraction(cat._EPS) * exact

@@ -275,9 +275,11 @@ class TestNonFiniteSettings:
          "error: v_p = E|X - mu|^2.0 of two_point(values=[5.0],probs=[1.0]) is not positive: 0.0"),
         (["width", "--dist", "gaussian", "--sigma", "1e-300", "--p", "1.5"],
          "error: v_p = E|X - mu|^1.5 of gaussian(mean=0.0,sigma=1e-300) is not positive: 0.0"),
+        (["width", "--method", "ds", "--dist", "gaussian", "--p", "1.0000001"],
+         "error: a is not a positive normal float at p = 1.0000001, alpha = 0.05"),
     ], ids=["two_point_values", "sigma", "mean", "schedule_values", "schedule_c", "b", "b_unused",
             "schedule_c_unused", "schedule_c_default", "tau_unused", "tau", "ds_a_overflow", "gaussian_moment_overflow",
-            "pareto_moment_overflow", "point_mass_moment", "underflowing_moment"])
+            "pareto_moment_overflow", "point_mass_moment", "underflowing_moment", "ds_a_far_beyond_float_range"])
     def test_exit_2_naming_setting(self, capsys, args, message):
         assert run_cli(args + ["--n", "100", "--reps", "1"]) == 2
         assert message in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Dubins-Savage tail bound, interval, width, and alpha scaling."""
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import mp_intervals, mp_m_p, mp_tail_bound
+from oracles import mp_a, mp_intervals, mp_m_p, mp_tail_bound
 
 from heavytail_cs import catoni_cs as cat
 from heavytail_cs import dubins_savage as ds
@@ -16,48 +18,33 @@ from heavytail_cs.harness import centered_pareto, gaussian, run_width, sample_st
 from heavytail_cs.schedules import custom_list, power_law
 
 
-class TestMp:
-    def test_p2(self):
-        assert ds.m_p(2.0) == 1.0
-
-    def test_p_1_5(self):
-        # (0.5 / 2^0.5)^2 = 1/8
-        assert ds.m_p(1.5) == pytest.approx(0.125, rel=1e-12)
-
-    def test_vanishes_toward_one(self):
-        grid = np.linspace(1.01, 2.0, 40)
-        vals = [ds.m_p(float(p)) for p in grid]
-        assert all(a < b for a, b in zip(vals, vals[1:]))  # increasing in p
-        assert vals[0] < 1e-8  # -> 0 as p -> 1+
-
-    def test_domain(self):
-        for p in (1.0, 0.9, 2.1):
-            with pytest.raises(ValueError):
-                ds.m_p(p)
-
-    def test_underflow_rejected(self):
-        """m_p(1.0005) = exp(-16587) is below the float range: a typed error, not 0."""
-        with pytest.raises(ValueError, match="m_p underflows at p = 1.0005"):
-            ds.m_p(1.0005)
-
-
 class TestNearOneVsMpmath:
-    """ds_a against 60-digit mpmath at the same float inputs.
+    """ds_a against 60-digit mpmath at the same float inputs: never below the exact a, and at most an ulp above."""
 
-    Inputs where b^(1/(p-1)) or (2/alpha)^(1/(p-1)) overflows, or m_p or
-    b^(1/(p-1)) underflows, take the log form; the others the direct one.
-    """
+    @staticmethod
+    def check(p, alpha, b):
+        exact = mp_a(p, alpha, b)
+        a = ds.ds_a(ds.DsConfig(p=p, v_p=1.0, alpha=alpha, b=b))
+        assert mp.mpf(math.nextafter(a, 0.0)) < exact <= mp.mpf(a)
 
     @pytest.mark.parametrize("p, alpha, b", [
         (1.01, 0.05, 1e6), (1.005, 0.5, 1e3), (1.0005, 0.9, 1e4), (1.02, 0.05, 30.0),
         (2.0, 0.05, 1.0), (1.5, 0.02, 0.7), (1.1, 1e-3, 4.0),
     ])
     def test_ds_a(self, p, alpha, b):
-        with mp.workdps(60):
-            p_, alpha_, b_ = mp.mpf(p), mp.mpf(alpha), mp.mpf(b)
-            q = 1 / (p_ - 1)
-            exact = ((2 / alpha_) ** q - 1) / (mp_m_p(p_) * b_**q)
-            assert ds.ds_a(ds.DsConfig(p=p, v_p=1.0, alpha=alpha, b=b)) == pytest.approx(float(exact), rel=1e-11)
+        self.check(p, alpha, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.one_of(st.just(2.0), st.floats(1.001, 1.05), st.floats(1.05, 2.0)),
+        alpha=st.builds(lambda e: 10.0**e, st.floats(-12.0, -0.01)),
+        b=st.builds(lambda e: 10.0**e, st.floats(-3.0, 3.0)),
+    )
+    def test_ds_a_sweep(self, p, alpha, b):
+        """p down to 1.001, where the closed form in floats loses hundreds of ulp; skips a beyond the float range."""
+        exact = mp_a(p, alpha, b)
+        assume(mp.mpf(sys.float_info.min) <= exact < mp.mpf(sys.float_info.max))
+        self.check(p, alpha, b)
 
 
 class TestDsA:
@@ -79,14 +66,21 @@ class TestDsA:
         vals = [ds.ds_a(ds.DsConfig(1.5, 1.0, a)) for a in alphas]
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("p, alpha", [(1.01, 1e-5), (1.001, 0.99)])
+    @pytest.mark.parametrize("p, alpha", [(1.01, 1e-5), (1.001, 0.99), (1.0000001, 0.5), (1.0001, 1e-10),
+                                          (1.001, 1e-300), (1.0000001, 1e-300)])
     def test_beyond_float_range_rejected(self, p, alpha):
-        """Near p = 1, (2/alpha)^(1/(p-1)) overflows or m_p underflows to 0:
-        a typed error naming p and alpha, not an OverflowError."""
+        """Near p = 1, a is e^700 or more (e^(1.4 10^7) at p = 1.0000001):
+        a typed error naming p and alpha, not a decimal Overflow or an OverflowError."""
         cfg = ds.DsConfig(p=p, v_p=1.0, alpha=alpha)
         for fn in (ds.ds_a, ds.ds_optimal_schedule):
             with pytest.raises(ValueError, match=f"p = {p}, alpha = {alpha}"):
                 fn(cfg)
+
+    @pytest.mark.parametrize("p, b", [(1.5, 1e300), (1.2, 1e-300), (2.0, 5e-324), (2.0, 1.7e308)])
+    def test_b_beyond_float_range_rejected(self, p, b):
+        """b^(1/(p-1)) divides a: a above the float range, or below its normal floats, is a typed error too."""
+        with pytest.raises(ValueError, match=re.escape(f"p = {p}, alpha = 0.5, b = {b}")):
+            ds.ds_a(ds.DsConfig(p=p, v_p=1.0, alpha=0.5, b=b))
 
     @pytest.mark.parametrize("b", [0.0, math.nan, math.inf])
     def test_b_must_be_positive_and_finite(self, b):
@@ -240,22 +234,22 @@ class TestIntervalContainsExact:
         slack = 2 * math.ulp(float(c)) + 2 * math.ulp(float(r))
         assert lo - slack <= iv.lower <= lo and hi <= iv.upper <= hi + slack
 
-    @pytest.mark.parametrize("p, alpha, b, log_form", [
+    @pytest.mark.parametrize("p, alpha, b, beyond_float", [
         (1.005, 0.5, 1e3, True), (1.01, 0.05, 1e6, True), (1.2, 1e-6, 1.0, False),
     ])
-    def test_bound_on_a(self, p, alpha, b, log_form):
-        """Containment rests on the bound on a's rounding, in its log form near p = 1 and its direct form elsewhere.
+    def test_bound_on_a(self, p, alpha, b, beyond_float):
+        """Containment rests on the bound on a, where m_p or b^(1/(p-1)) has no float (near p = 1) and where both have.
 
-        At these points the float a is 735, 338 and 37 u below the exact
-        one.  The weights are a millionth of the width-optimal ones, so that
-        a dominates the radius and no other term's slack hides that error.
+        At these points the closed form evaluated in floats (in logs where
+        it leaves the float range) lands 735, 338 and 37 u below the exact
+        a.  The weights are a millionth of the width-optimal ones, so that
+        a dominates the radius and no other term's slack would hide an a
+        below the exact one.
         """
         cfg = ds.DsConfig(p=p, v_p=1.0, alpha=alpha, b=b)
-        try:  # the log form is taken where m_p underflows or b^(1/(p-1)) overflows
-            direct = ds.m_p(p) * b ** (1.0 / (p - 1.0))
-        except (ValueError, OverflowError):
-            direct = None
-        assert (direct is None) == log_form
+        with mp.workdps(60):
+            factors = mp_m_p(mp.mpf(p)), mp.mpf(b) ** (1 / (mp.mpf(p) - 1))
+            assert (not all(sys.float_info.min <= f <= sys.float_info.max for f in factors)) == beyond_float
         sched = power_law(1e-6 * ds.ds_optimal_schedule(cfg).c, p)
         xs = np.random.default_rng(1).standard_normal(100).tolist()
         for iv, (lo, hi, _, _) in zip(streamed(cfg, sched, xs), mp_intervals(cfg, sched.head(100).tolist(), xs),

@@ -21,7 +21,7 @@ import heavytail_cs
 #: The public names the package root stopped exporting, each under the module that defines it.
 MODULE_NAMES = {
     "catoni_cs": ["CatoniState", "width_bound"],
-    "dubins_savage": ["ds_width", "m_p"],
+    "dubins_savage": ["ds_width"],
     "harness": ["CoverageReport", "DistributionSpec", "WidthReport", "centered_pareto", "gaussian", "run_coverage",
                 "run_width", "sample_stream", "student_t", "true_vp", "two_point"],
     "influence": ["InfluenceFunction", "catoni_constant", "make_influence"],

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from oracles import mp_sums
 
-from heavytail_cs.catoni_cs import CatoniConfig, CatoniState, interval, new_state, update
-from heavytail_cs.dubins_savage import DsConfig, DsState, ds_interval, ds_optimal_schedule, ds_update
+from heavytail_cs.catoni_cs import CatoniConfig, CatoniState, interval, new_state, update, width_bound
+from heavytail_cs.dubins_savage import DsConfig, DsState, ds_interval, ds_optimal_schedule, ds_update, ds_width
 from heavytail_cs.schedules import PrefixSums, _ExactSum, custom_list, power_law
 
 
@@ -57,6 +57,14 @@ class TestLambdaAt:
             custom_list([])
         with pytest.raises(ValueError):
             custom_list([0.5, -0.1])
+        # A non-integer n is refused where it used to answer for a neighbouring integer.
+        with pytest.raises(TypeError):
+            width_bound(CatoniConfig(p=2.0, v_p=1.0, alpha=0.05, schedule=power_law(1, 2)), 1000.7)
+        with pytest.raises(TypeError):
+            ds_width(DsConfig(2.0, 1.0, 0.05), 10.5)
+        with pytest.raises(TypeError):
+            power_law(1, 2).head(2.5)
+        assert power_law(1, 2).head(np.int64(3)).size == 3
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):
