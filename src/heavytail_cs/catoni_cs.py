@@ -45,7 +45,7 @@ import numpy as np
 from .influence import InfluenceFunction, default_influence
 from .interval import ConfidenceInterval
 from .rootfind import solve_monotone
-from .schedules import LambdaSchedule, PrefixSums, cumulative_sums
+from .schedules import LambdaSchedule, PrefixSums, cumulative_powers, cumulative_sums
 
 
 @dataclass(frozen=True)
@@ -128,9 +128,9 @@ _BLOCK = 1 << 15
 
 #: 2^-52, twice float64's unit roundoff: the rounding bounds below count in it.
 _EPS = float(np.finfo(np.float64).eps)
-#: Relative rounding of one phi or phi' term, with room to spare: forming
-#: z_i (a subtraction and a product) and the kernel's pow, product, sum and
-#: log1p or quotient, each within an ulp or two.
+#: Relative rounding of one phi or phi' term, with room to spare: z_i (a subtraction and a product),
+#: u = |z|^(p-1), two products and a sum for t, then log1p (7 roundings), or p C_p, a product,
+#: two sums and one quotient for phi' (11), each within an ulp; the kernel alone errs by < 2 eps.
 _TERM_ULPS = 16
 #: Roundings a term sees in numpy's pairwise np.sum of at most _BLOCK
 #: elements: 15 in an 8-way unrolled leaf of <= 128, 3 joining the 8
@@ -155,16 +155,17 @@ def _f_and_slope(influence: InfluenceFunction, lam: np.ndarray, xs: np.ndarray, 
     _TaylorCertificate.
     """
     f = slope = abs_z = lam_sq = 0.0
-    for start in range(0, xs.size, _BLOCK):
-        lam_b = lam[start : start + _BLOCK]
-        with np.errstate(over="ignore"):
-            z = lam_b * (xs[start : start + _BLOCK] - x)
-        phi, dphi = influence.value_and_slope(z)
-        f += float(np.sum(phi))
-        slope -= float(np.dot(lam_b, dphi))
-        if sums:
-            abs_z += float(np.sum(np.abs(z, out=z)))
-            lam_sq += float(np.dot(lam_b, lam_b))
+    with np.errstate(over="ignore"):
+        for start in range(0, xs.size, _BLOCK):
+            lam_b = lam[start : start + _BLOCK]
+            z = xs[start : start + _BLOCK] - x
+            z *= lam_b
+            phi, dphi = influence.value_and_slope(z)
+            f += float(np.sum(phi))
+            slope -= float(np.dot(lam_b, dphi))
+            if sums:
+                abs_z += float(np.sum(np.abs(z, out=z)))
+                lam_sq += float(np.dot(lam_b, lam_b))
     return (f, slope, abs_z, lam_sq) if sums else (f, slope)
 
 
@@ -340,7 +341,7 @@ def width_bound_sums(config: CatoniConfig, sum_lambda: np.ndarray, sum_lambda_p:
 def failure_budget(config: CatoniConfig) -> float:
     """alpha * sum_{n>=1} eps_n: its first N terms summed, plus a closed-form bound on the rest.
 
-    E_n = C_p v_p (1 + t^-(p-1)) sum_{i<=n} lambda_i^p, from cumulative_sums.
+    E_n = C_p v_p (1 + t^-(p-1)) sum_{i<=n} lambda_i^p, from cumulative_powers.
     With a power_law(c, p_s) schedule, p_s >= p, each increment of E_n is
     K i^-r, r = p/p_s and K = C_p v_p c^p (1 + t^-(p-1)).
 
@@ -398,7 +399,7 @@ def failure_budget(config: CatoniConfig) -> float:
     crude = k * (_BUDGET_HEAD_MAX + 1.0) ** s * (1.0 - 4.0 * _EPS) <= r
     n, carry, head = 0, 0.0, 0.0
     while True:
-        _, expos = cumulative_sums(sched.span(n + 1, n + _BUDGET_HEAD), config.p)
+        expos = cumulative_powers(sched.span(n + 1, n + _BUDGET_HEAD), config.p)
         expos += carry
         carry = float(expos[-1])
         n += _BUDGET_HEAD

@@ -66,18 +66,14 @@ class InfluenceFunction:
     def __call__(self, x):
         """Evaluate phi at x (scalar or ndarray); finite for all finite x."""
         out = _phi_parts(np.asarray(x, dtype=np.float64), self.p, self.c_p, want_slope=False)[0]
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
+        return float(out) if np.ndim(x) == 0 else out
 
     def value_and_slope(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(phi(x), phi'(x)) as numpy values of x's shape, sharing one pass over |x|^p.
+        """(phi(x), phi'(x)) as numpy values of x's shape, sharing one power u = |x|^(p-1).
 
-        phi'(x) = (1 + p C_p |x|^(p-1)) / (1 + |x| + C_p |x|^p), where
-        C_p |x|^(p-1) is read off phi's log argument t = |x| + C_p |x|^p as
-        (t - |x|) / |x|, and is 0 at x = 0.  Both are finite for every
-        finite x; at x = +-inf phi is +-inf and the slope NaN, without a
-        warning.
+        phi's log argument is t = |x| + C_p u |x| and phi'(x) = (1 + p C_p u) / (1 + t),
+        so phi'(0) = 1 exactly.  Both are finite for every finite x; at x = +-inf
+        phi is +-inf and the slope NaN, without a warning.  x is left unchanged.
         """
         return _phi_parts(np.asarray(x, dtype=np.float64), self.p, self.c_p, want_slope=True)
 
@@ -150,9 +146,7 @@ class InfluenceFunction:
         return solve_monotone(g, 0.0, INVERT_TOL)
 
 
-#: Stands in for |x| = 0 in the slope's (t - |x|) / |x|, whose numerator is then 0.
-_TINY = np.finfo(np.float64).tiny
-#: Up to this |x| (p <= 2, C_p <= 1) neither C|x|^p nor the slope's p (t - |x|) overflows.
+#: Up to this |x| (p <= 2, C_p <= 1) no product in the kernel overflows.
 _X_SAFE = 1e150
 
 
@@ -160,34 +154,37 @@ def _phi_parts(x: np.ndarray, p: float, c_p: float, want_slope: bool):
     """(phi(x), phi'(x) or None), finite for every finite x.
 
     Where some |x| exceeds _X_SAFE (or x is not finite), the log1p form is
-    evaluated without warnings, and the finite x at which it overflowed
-    take their values from _log_form; every other element keeps its bits.
+    evaluated without warnings, and the finite x at which t overflowed
+    take phi and phi' from _log_form; every other element keeps its bits.
     """
     ax = np.abs(x)
     if not ax.size or ax.max() <= _X_SAFE:
         return _log1p_form(x, ax, p, c_p, want_slope)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         phi, slope = _log1p_form(x, ax, p, c_p, want_slope)
-        finite = np.isfinite(x)
+        over = np.isinf(phi) & np.isfinite(x)
         mag, big_slope = _log_form(ax, p, c_p)
-        phi = np.where(np.isinf(phi) & finite, np.copysign(mag, x), phi)
+        phi = np.where(over, np.copysign(mag, x), phi)
         if want_slope:
-            slope = np.where(~np.isfinite(slope) & finite, big_slope, slope)
+            slope = np.where(over, big_slope, slope)
     return phi, slope
 
 
 def _log1p_form(x: np.ndarray, ax: np.ndarray, p: float, c_p: float, want_slope: bool):
-    """phi = copysign(log1p(t), x), computed in place in the buffer t = |x| + C|x|^p.
+    """phi = copysign(log1p(t), x) and phi' = (1 + p C u) / (1 + t), from one power u = |x|^(p-1).
 
-    phi is log(1 + x + C|x|^p) for x >= 0 and -log(1 - x + C|x|^p) for
-    x < 0: both branches vanish at 0 and glue to an odd, strictly
-    increasing map.  The slope, when wanted, is read off t before the log
-    overwrites it.  A 0-d x stays on numpy scalars, which have no buffer.
+    t = |x| + C (u |x|) is formed in u's buffer once the slope has read u, and
+    the log overwrites it.  u is a fresh array (numpy takes a sqrt at p = 1.5,
+    a copy at p = 2), so x and ax keep their values.  phi is log(1 + x + C|x|^p)
+    for x >= 0 and -log(1 - x + C|x|^p) for x < 0.  A 0-d x stays on numpy scalars.
     """
-    t = ax**p
+    t = ax ** (p - 1.0)
+    slope = t * (p * c_p) + 1.0 if want_slope else None
+    t *= ax
     t *= c_p
     t += ax
-    slope = (1.0 + p * (t - ax) / np.maximum(ax, _TINY)) / (1.0 + t) if want_slope else None
+    if want_slope:
+        slope /= t + 1.0
     if np.ndim(t) == 0:
         return np.copysign(np.log1p(t), x), slope
     np.log1p(t, out=t)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .harness import sample_stream, true_std
 from .influence import default_influence
-from .schedules import LambdaSchedule, cumulative_sums
+from .schedules import LambdaSchedule, cumulative_powers, cumulative_sums
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def lil_trace(dist, schedule: LambdaSchedule, n: int, seed: int) -> np.ndarray:
     x = sample_stream(dist, seed, n)
     lam = schedule.head(n)
     y = psi(lam * (x - mu))
-    s2 = cumulative_sums(lam, 2.0)[1] * sigma * sigma
+    s2 = cumulative_powers(lam, 2.0) * sigma * sigma
     sums = np.cumsum(y)
     ratio = np.full(n, np.nan)
     ok = s2 > math.e

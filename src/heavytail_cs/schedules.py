@@ -63,13 +63,14 @@ class LambdaSchedule:
 
 
 def cumulative_sums(lam: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """(sum lambda_i, sum lambda_i^p) over i <= n, for n = 1..lam.size; the second in lambda^p's buffer.
+    """(sum_{i<=n} lambda_i, cumulative_powers(lam, p)) for n = 1..lam.size; batch bands, bounds and floors index these."""
+    return np.cumsum(lam), cumulative_powers(lam, p)
 
-    Every batch band, width bound, failure budget and floor reads these two
-    curves, so a value at one n is an index into them.
-    """
+
+def cumulative_powers(lam: np.ndarray, p: float) -> np.ndarray:
+    """sum lambda_i^p over i <= n, for n = 1..lam.size, in lambda^p's buffer: the one batch sum lambda_i^p."""
     lam_p = lam**p
-    return np.cumsum(lam), np.cumsum(lam_p, out=lam_p)
+    return np.cumsum(lam_p, out=lam_p)
 
 
 def power_law(c: float = 1.0, p: float = 2.0) -> LambdaSchedule:

@@ -78,6 +78,13 @@ def mp_phi(p, c_p, z):
         return mp.sign(z) * mp.log1p(t), (1 + p * c_p * (az_p / az if az else 0)) / (1 + t)
 
 
+def mp_phi_errors(p, c_p, z, phi, slope):
+    """(|phi - phi(z)|, |slope - phi'(z)| / phi'(z)) of computed floats at the float z, from mp_phi, in 50-digit mpmath."""
+    with mp.workdps(50):
+        exact_phi, exact_slope = mp_phi(p, c_p, z)
+        return float(abs(phi - exact_phi)), float(abs(slope - exact_slope) / exact_slope)
+
+
 def exact_f(influence, lam, xs, y):
     """f_n(y) = sum phi(lambda_i (X_i - y)) on the exact values of the float inputs, in 50-digit mpmath."""
     with mp.workdps(50):

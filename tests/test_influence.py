@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import mp_phi
+from oracles import mp_phi, mp_phi_errors
 
 from heavytail_cs.influence import catoni_constant, default_influence, make_influence
 
@@ -134,9 +134,9 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("p", [1.01] + P_GRID)
     def test_matches_reference_formula(self, p):
-        """phi and phi' equal sign(z) log1p(|z| + C|z|^p) and
-        (1 + p (t - |z|) / |z|) / (1 + t) bit for bit, arrays and 0-d alike
-        (phi(-0.0) may differ in the sign of its zero only)."""
+        """phi and phi' equal sign(z) log1p(t) and (1 + p C u) / (1 + t), with
+        u = |z|^(p-1) and t = |z| + C (u |z|), bit for bit, arrays and 0-d
+        alike (phi(-0.0) may differ in the sign of its zero only)."""
         f = default_influence(p)
         rng = np.random.default_rng(17)
         z = np.clip(rng.standard_cauchy(4000) * 10.0 ** rng.uniform(-300.0, 150.0, 4000), -1e150, 1e150)
@@ -144,9 +144,9 @@ class TestEvaluation:
 
         def reference(z):
             az = np.abs(z)
-            t = az + f.c_p * az**p
-            slope = (1.0 + p * (t - az) / np.maximum(az, np.finfo(np.float64).tiny)) / (1.0 + t)
-            return np.sign(z) * np.log1p(t), slope
+            u = az ** (p - 1.0)
+            t = az + f.c_p * (u * az)
+            return np.sign(z) * np.log1p(t), (1.0 + p * f.c_p * u) / (1.0 + t)
 
         ref_phi, ref_slope = reference(z)
         # One element past the overflow point sends the array down the guarded path.
@@ -159,6 +159,34 @@ class TestEvaluation:
             phi, slope = f.value_and_slope(zi)
             assert f(zi) == float(ref_phi)
             assert (float(phi), float(slope)) == (float(ref_phi), float(ref_slope))
+
+    @pytest.mark.parametrize("p", [1.01, 1.1, 1.5, 1.9, 2.0])
+    def test_kernel_error_against_mpmath(self, p):
+        """|phi - exact| <= 4 eps L_p |z| and |phi' - exact| <= 4 eps phi' for z of
+        both signs, log-uniform over [1e-300, 1e150], and +-0: a quarter of the
+        per-term margin catoni_cs._TERM_ULPS allows."""
+        f = default_influence(p)
+        eps = np.finfo(np.float64).eps
+        rng = np.random.default_rng(29)
+        z = 10.0 ** rng.uniform(-300.0, 150.0, 1500) * rng.choice([-1.0, 1.0], 1500)
+        z = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 1e150, -1e150], z])
+        phi, slope = f.value_and_slope(z)
+        for zi, phi_i, slope_i in zip(z.tolist(), phi.tolist(), slope.tolist()):
+            err_phi, err_slope = mp_phi_errors(p, f.c_p, zi, phi_i, slope_i)
+            assert err_phi <= 4.0 * eps * f.slope_bound * abs(zi), (zi, err_phi)
+            assert err_slope <= 4.0 * eps, (zi, err_slope)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_leaves_its_input_alone(self, p):
+        """phi and (phi, phi') leave z unchanged and share no memory with it,
+        also on the guarded path past the overflow point."""
+        f = default_influence(p)
+        z = np.random.default_rng(3).standard_normal(1000) * 10.0
+        for arr in (z, np.append(z, -1e300)):
+            before = arr.copy()
+            for out in (f(arr), *f.value_and_slope(arr)):
+                assert not np.shares_memory(out, arr)
+            assert np.array_equal(arr, before)
 
     @pytest.mark.parametrize("p", [1.01, 1.5, 2.0])
     def test_finite_where_power_overflows(self, p):
