@@ -138,10 +138,8 @@ _TERM_ULPS = 16
 _SUM_DEPTH = 40
 #: The certificate gives up on Newton steps this long (|d|^p must not overflow).
 _MAX_REACH = 1e150
-#: Terms of failure_budget summed one by one, per block and at most; a closed form bounds the rest.
-_BUDGET_HEAD, _BUDGET_HEAD_MAX = 1 << 16, 1 << 22
-#: The log of the largest float.
-_LOG_MAX = math.log(sys.float_info.max)
+#: Terms of failure_budget summed one by one; DeTemple's closed form bounds the rest.
+_BUDGET_HEAD = 1 << 16
 
 
 def _f_and_slope(influence: InfluenceFunction, lam: np.ndarray, xs: np.ndarray, x: float, sums: bool = False):
@@ -339,47 +337,26 @@ def width_bound_sums(config: CatoniConfig, sum_lambda: np.ndarray, sum_lambda_p:
 
 
 def failure_budget(config: CatoniConfig) -> float:
-    """alpha * sum_{n>=1} eps_n: its first N terms summed, plus a closed-form bound on the rest.
+    """alpha * sum_{n>=1} eps_n: its first N = _BUDGET_HEAD terms summed, plus a closed-form bound on the rest.
 
     E_n = C_p v_p (1 + t^-(p-1)) sum_{i<=n} lambda_i^p, from cumulative_powers.
-    With a power_law(c, p_s) schedule, p_s >= p, each increment of E_n is
-    K i^-r, r = p/p_s and K = C_p v_p c^p (1 + t^-(p-1)).
-
-    p_s = p (N = _BUDGET_HEAD): the increment is K / i.  DeTemple's
-    H_n >= ln(n + 1/2) + gamma (Amer. Math. Monthly 100, 1993),
-    H_N - gamma <= ln N + 1/(2N) and the convexity of x^-K (midpoint rule)
-    bound the rest:
+    With a power_law(c, p) schedule each increment of E_n is K / i, with
+    K = C_p v_p c^p (1 + t^-(p-1)).  DeTemple's H_n >= ln(n + 1/2) + gamma
+    (Amer. Math. Monthly 100, 1993), H_N - gamma <= ln N + 1/(2N) and the
+    convexity of x^-K (midpoint rule) bound the rest:
 
         alpha^2 sum_{n>N} e^-E_n <= alpha^2 exp(-E_N + K (ln N + 1/(2N))) (N + 1)^(1-K) / (K - 1)
                                   = alpha^2 (N + 1) exp(-E_N - K (ln(1 + 1/N) - 1/(2N))) / (K - 1),
 
     the second form free of large terms that cancel.
 
-    p_s > p: with r rounded up and s = 1 - r, K i^-r is at least the
-    integral of K x^-r over [i, i + 1], so E_n - E_N >= K ((n + 1)^s - (N + 1)^s)/s.
-    That decreasing bound on e^-(E_n - E_N), summed over n > N, is at most
-    its integral over x > N, which the substitution y = K (x + 1)^s / s
-    turns into e^y0 a (s/K)^a Gamma(a, y0), a = 1/s, y0 = K (N + 1)^s / s.
-    Gamma(a, y) <= y^(a-1) e^-y y / (y - a + 1) for y > a - 1 then gives
-
-        sum_{n>N} e^-E_n <= e^-E_N (N + 1) / (K (N + 1)^s - r)    where K (N + 1)^s > r,
-
-    which exceeds the integral by at most r / (K (N + 1)^s) of itself, as
-    Gamma(a, y) >= y^(a-1) e^-y.  N grows by _BUDGET_HEAD terms until that
-    excess is below 2^-22 of the summed head, up to _BUDGET_HEAD_MAX.  If
-    K (N + 1)^s <= r even there, the terms up to the first M with
-    K (M + 1)^s >= 2r are each at most e^-E_N, and past M the bound adds
-    (M + 1)/r, so the tail is at most 3 (M + 1) e^-E_N <= 6 (2r/K)^(1/s) e^-E_N
-    (r > 1/2 as p_s <= 2 < 2p).  That holds from any N, so the head then
-    stops at its first block.
-
     The terms are scaled by e^E_1, so none exceeds 1, and the result is
-    formed in logs; below the smallest normal float, that is returned, and
-    inf where the tail bound passes the float range.  E_n are lowered, and
-    the sum raised, by bounds on their rounding, so the result is never
-    below the exact alpha sum eps_n.  ValueError before any term is summed
-    for a custom_list schedule, for p_s < p (eps_n does not vanish) and for
-    K <= 1 at p_s = p (the sum diverges).
+    formed in logs; below the smallest normal float, that is returned.  E_n
+    are lowered, and the sum raised, by bounds on their rounding, so the
+    result is never below the exact alpha sum eps_n.  ValueError before any
+    term is summed for a custom_list schedule, for a power_law(c, p_s) one at
+    p_s != p (at p_s < p, eps_n does not vanish) and for K <= 1 (the sum
+    diverges).
     """
     sched = config.schedule
     if sched.values:
@@ -387,38 +364,23 @@ def failure_budget(config: CatoniConfig) -> float:
     if sched.p < config.p:
         raise ValueError(f"power_law schedule at p = {sched.p} < config p = {config.p}: sum lambda_i^p converges, "
                          "so the failure budget is infinite")
+    if sched.p != config.p:
+        raise ValueError(f"power_law schedule at p = {sched.p} > config p = {config.p}: failure_budget "
+                         "certifies only a schedule at the config's p")
     cv, plus = config.c_p * config.v_p, 1.0 + config.t ** (1.0 - config.p)
     k = cv * sched.c**config.p * plus * (1.0 - 16.0 * _EPS)  # the tail falls in K
-    r = math.nextafter(config.p / sched.p, math.inf)  # at least the exact p/p_s; r >= 1 only at p_s = p
-    if r >= 1.0 and not k > 1.0:
+    if not k > 1.0:
         raise ValueError(f"failure budget needs K = C_p v_p c^p (1 + t^-(p-1)) > 1, got K = {k:.6g}")
     if k > 750.0:  # sum_n e^-E_n <= sum_n e^-K H_n < 2 e^-K, below the smallest normal float
         return sys.float_info.min
-    s = 1.0 - r  # exact
-    # K (N + 1)^s <= r at every head length: only the crude tail applies, and from any N.
-    crude = k * (_BUDGET_HEAD_MAX + 1.0) ** s * (1.0 - 4.0 * _EPS) <= r
-    n, carry, head = 0, 0.0, 0.0
-    while True:
-        expos = cumulative_powers(sched.span(n + 1, n + _BUDGET_HEAD), config.p)
-        expos += carry
-        carry = float(expos[-1])
-        n += _BUDGET_HEAD
-        expos *= cv * plus * (1.0 - (n + 64) * _EPS)  # below each exact E_n: lambda^p, t factor, sums, products
-        if n == _BUDGET_HEAD:
-            e1 = float(expos[0])
-        expos -= e1  # rounds too, within the lowering above
-        e_n = float(expos[-1])
-        head += float(np.sum(np.exp(-expos, out=expos)))
-        if r >= 1.0:
-            tail = math.exp(-e_n + math.log(n + 1.0) - k * (math.log1p(1.0 / n) - 0.5 / n)) / (k - 1.0)
-            break
-        kn = k * (n + 1.0) ** s * (1.0 - 4.0 * _EPS)  # below K (N + 1)^s
-        tail = math.exp(math.log(n + 1.0) - math.log(kn - r) - e_n) if kn > r else math.inf
-        if crude or tail * r <= 2.0**-22 * head * kn or n >= _BUDGET_HEAD_MAX:
-            break
-    if math.isinf(tail) and k > 0.0:  # K underflowing to 0 leaves it inf
-        log_tail = math.log(6.0) + math.log(2.0 * r / k) / s * (1.0 + 4.0 * _EPS) - e_n
-        tail = math.exp(log_tail) if log_tail < _LOG_MAX else math.inf
+    n = _BUDGET_HEAD
+    expos = cumulative_powers(sched.span(1, n), config.p)
+    expos *= cv * plus * (1.0 - (n + 64) * _EPS)  # below each exact E_n: lambda^p, t factor, sums, products
+    e1 = float(expos[0])
+    expos -= e1  # rounds too, within the lowering above
+    e_n = float(expos[-1])
+    head = float(np.sum(np.exp(-expos, out=expos)))
+    tail = math.exp(-e_n + math.log(n + 1.0) - k * (math.log1p(1.0 / n) - 0.5 / n)) / (k - 1.0)
     budget = math.exp(2.0 * math.log(config.alpha) - e1 + math.log(head + tail))
     return max(budget * (1.0 + (n + 64) * _EPS), sys.float_info.min)  # the exps, logs and sum round up to this
 

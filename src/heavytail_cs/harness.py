@@ -552,9 +552,9 @@ def run_width(
         bounds = 2.0 * cfg.b * vp * cum_lam_p / cum_lam
         conds = [None] * len(cps)
 
-    # A width is inf where an endpoint is +-inf; the mean and slope over it
-    # are then inf or NaN, which the reports print as NA, so no warning is due.
-    with np.errstate(invalid="ignore"):
+    # A width is inf where an endpoint is +-inf, or 0 where both ends coincide; the mean
+    # and slope over it are then inf or NaN, which the reports print as NA, so no warning is due.
+    with np.errstate(divide="ignore", invalid="ignore"):
         mean_w = widths.mean(axis=0)
         slope = fit_loglog_slope(cps, mean_w, n_max)
     rows = [WidthCheckpoint(n, float(mean_w[j]), bounds[j], conds[j]) for j, n in enumerate(cps)]

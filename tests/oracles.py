@@ -119,41 +119,6 @@ def budget_oracle(cfg, m=1 << 22):
             a2 * (head + g * upper) * (1.0 + 1e-12))
 
 
-def power_budget_oracle(cfg, m=2000):
-    """[L, U] around the exact alpha * sum eps_n for a power_law(c, p_s) schedule with p_s > p, at 40 digits.
-
-    E_n = K sum_{i<=n} i^-r with r = p/p_s, which is K (zeta(r) - zeta(r, n + 1))
-    for real n.  The first m - 1 terms are summed exactly; Euler-Maclaurin gives
-    the rest from the integral of f = e^-E over [m, inf) (tanh-sinh quadrature
-    in u = ln(x/m), out to where E has grown by 250 more), f(m)/2, -f'(m)/12
-    and f'''(m)/720, whose derivatives come from
-    E^(j) = (-1)^(j-1) K r (r + 1) ... (r + j - 1) zeta(r + j, x + 1).
-    The next term is about E'(m)^5/30240 of the tail, under 1e-14 at m = 2000
-    for the configurations tested, so [L, U] is +-1e-12 around the result.
-    """
-    with mp.workdps(40):
-        p = mp.mpf(cfg.p)
-        r = p / mp.mpf(cfg.schedule.p)
-        s = 1 - r
-        k = mp.mpf(cfg.c_p) * cfg.v_p * mp.mpf(cfg.schedule.c) ** p * (1 + mp.mpf(cfg.t) ** (1 - p))
-        zeta_r = mp.zeta(r)
-
-        def big_e(x):
-            return k * (zeta_r - mp.zeta(r, x + 1))
-
-        e = head = mp.mpf(0)
-        for n in range(1, m):
-            e += k * mp.mpf(n) ** -r
-            head += mp.exp(-e)
-        d1, d2, d3 = (k * mp.rf(r, j) * (-1) ** (j - 1) * mp.zeta(r + j, m + 1) for j in (1, 2, 3))
-        f_m = mp.exp(-big_e(m))
-        u_end = mp.log((250 * s / k + mp.mpf(m + 1) ** s) ** (1 / s) / m)
-        integral = mp.quad(lambda u: m * mp.exp(u - big_e(m * mp.exp(u))), [0, u_end])
-        tail = integral + f_m / 2 + d1 * f_m / 12 + (3 * d1 * d2 - d3 - d1**3) * f_m / 720
-        total = mp.mpf(cfg.alpha) ** 2 * (head + tail)
-        return total * (1 - mp.mpf(1e-12)), total * (1 + mp.mpf(1e-12))
-
-
 def mp_pareto_vp(beta, p):
     """E|Y - m|^p for Y ~ Pareto(beta, 1) with mean m, at 40 digits, as a float.
 

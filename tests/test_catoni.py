@@ -8,7 +8,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from oracles import budget_oracle, power_budget_oracle
+from oracles import budget_oracle
 
 from heavytail_cs import catoni_cs as cat
 from heavytail_cs.harness import centered_pareto, gaussian, sample_stream, true_vp
@@ -306,33 +306,13 @@ class TestFailureBudget:
         lower, upper = budget_oracle(cfg)
         assert lower <= cat.failure_budget(cfg) <= upper * (1.0 + 1e-6)
 
-    @pytest.mark.parametrize(
-        "p, v_p, p_s, t",
-        [(1.5, 0.5, 1.75, 0.5), (1.5, 0.5, 2.0, 0.5), (1.2, 3.0, 1.6, 0.3), (1.2, 3.0, 2.0, 0.3)],
-        ids=["p1.5-K<1-ps1.75", "p1.5-K<1-ps2", "p1.2-ps1.6", "p1.2-ps2"],
-    )
-    def test_decaying_schedule_within_mpmath_oracle(self, p, v_p, p_s, t):
-        """p_s = (p + 2)/2 and p_s = 2 (the power_law(c, p) cases above cover p_s = p): the
-        incomplete-gamma tail bound is certified and within 1e-6 of exact, also where K < 1
-        (K = 0.53 at p = 1.5, v_p = 0.5, where p_s = p diverges)."""
-        cfg = cat.CatoniConfig(p=p, v_p=v_p, alpha=0.05, schedule=power_law(1.0, p_s), t=t)
-        lower, upper = power_budget_oracle(cfg)
-        assert lower <= cat.failure_budget(cfg) <= upper * (1 + mpmath.mpf(1e-6))
-
-    def test_decaying_schedule_past_the_longest_head(self):
-        """p = 1.5, p_s = 1.6, v_p = 0.1: K (N + 1)^s <= r even at N = 2^22, so the tail is the crude
-        6 (2r/K)^(1/s) e^-E_N bound: far above the exact 5.8e7 (a vacuous budget), but never below."""
-        cfg = cat.CatoniConfig(p=1.5, v_p=0.1, alpha=0.05, schedule=power_law(1.0, 1.6))
-        lower, _ = power_budget_oracle(cfg)
-        assert lower <= cat.failure_budget(cfg) < math.inf
-
-    def test_crude_tail_reads_one_head_block(self, monkeypatch):
-        """That crude bound holds from any N, and no head length lets the gamma tail apply, so one block is read."""
-        cfg = cat.CatoniConfig(p=1.5, v_p=0.1, alpha=0.05, schedule=power_law(1.0, 1.6))
-        span, starts = LambdaSchedule.span, []
-        monkeypatch.setattr(LambdaSchedule, "span", lambda s, start, stop: starts.append(start) or span(s, start, stop))
-        assert 1.0 <= cat.failure_budget(cfg) < math.inf
-        assert starts == [1]
+    def test_reads_one_head_block(self, monkeypatch):
+        """The bound-validity config (p = 2, Gaussian v_p): one head block of 2^16 terms, then the closed-form tail."""
+        cfg = config_p2(v_p=true_vp(gaussian(), 2.0))
+        span, calls = LambdaSchedule.span, []
+        monkeypatch.setattr(LambdaSchedule, "span", lambda s, start, stop: calls.append((start, stop)) or span(s, start, stop))
+        assert 0.0 < cat.failure_budget(cfg) < ALPHA
+        assert calls == [(1, 1 << 16)]
 
     def test_t09_oracle_bracket(self):
         """K = (1 + 1/0.9)/2 ~ 1.056: the tail past 2^22 is about 40 % of the sum."""
@@ -367,8 +347,10 @@ class TestFailureBudget:
             (cat.CatoniConfig(p=1.5, v_p=0.5, alpha=0.05, schedule=power_law(1.0, 1.5)), r"K = 0\.529547\b"),
             (config_p2(schedule=custom_list([1.0] * 1000)), "every n >= 1"),
             (config_p2(schedule=power_law(1.0, 1.5)), "converges"),
+            (cat.CatoniConfig(p=1.5, v_p=0.5, alpha=0.05, schedule=power_law(1, 2)), r"p = 2\b.*p = 1\.5\b"),
+            (cat.CatoniConfig(p=1.5, v_p=0.1, alpha=0.05, schedule=power_law(1, 1.6)), r"p = 1\.6\b.*p = 1\.5\b"),
         ],
-        ids=["K<1", "K<1-p1.5", "custom_list", "schedule-p-below-p"],
+        ids=["K<1", "K<1-p1.5", "custom_list", "schedule-p-below-p", "schedule-p2-above-p1.5", "schedule-p1.6-above-p1.5"],
     )
     def test_rejects_at_once(self, cfg, match):
         start = time.perf_counter()

@@ -431,6 +431,13 @@ class TestWidthRuns:
         for c, c1 in zip(many.checkpoints, one.checkpoints, strict=True):
             assert c.mean_width == c1.mean_width
 
+    def test_zero_width_gives_nan_slope_without_warning(self, monkeypatch):
+        """Both ends at one float (a zero width) make log width -inf: the slope is NaN, with no warning."""
+        monkeypatch.setattr(cat, "solve_interval_arrays", lambda influence, lam, xs, tgt: (1.0, 1.0))
+        rep = run_width("catoni", gaussian(0, 1), 2.0, 0.05, 2000, seed=8, checkpoints=[100, 1000, 2000])
+        assert [c.mean_width for c in rep.checkpoints] == [0.0, 0.0, 0.0]
+        assert math.isnan(rep.slope)
+
     def test_bad_checkpoints(self):
         with pytest.raises(ValueError):
             run_width("ds", gaussian(0, 1), 2.0, 0.05, 100, seed=0, checkpoints=[0, 50])
