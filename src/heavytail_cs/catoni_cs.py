@@ -45,7 +45,7 @@ import numpy as np
 from .influence import InfluenceFunction, default_influence
 from .interval import ConfidenceInterval
 from .rootfind import solve_monotone
-from .schedules import LambdaSchedule, PrefixSums, cumulative_powers, cumulative_sums
+from .schedules import LambdaSchedule, PrefixSums, checkpoint_sums, cumulative_powers, cumulative_sums
 
 
 @dataclass(frozen=True)
@@ -386,11 +386,10 @@ def failure_budget(config: CatoniConfig) -> float:
 
 
 def width_bound(config: CatoniConfig, n: int) -> float | None:
-    """width_bound_sums at n's cumulative sums; None (not applicable) where its condition fails."""
+    """width_bound_sums at n's sums (checkpoint_sums, in chunks); None (not applicable) where its condition fails."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    cum_lam, cum_lam_p = cumulative_sums(config.schedule.head(n), config.p)
-    bound = width_bound_sums(config, cum_lam[-1:], cum_lam_p[-1:])[0][0]
+    bound = width_bound_sums(config, *checkpoint_sums(config.schedule.span, config.p, [n]))[0][0]
     return None if math.isnan(bound) else float(bound)
 
 

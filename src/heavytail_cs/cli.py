@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -32,7 +33,8 @@ import numpy as np
 
 from . import harness
 from .dubins_savage import DsConfig, ds_optimal_schedule
-from .lower_bound import LilConfig, lil_floor_curve, lil_trace
+# lil_floor_curve and lil_trace are bound here for perfbench/tracer.py, which times them at cli's names.
+from .lower_bound import LilConfig, lil_check, lil_floor_curve, lil_trace  # noqa: F401
 from .schedules import LambdaSchedule, custom_list, power_law
 from .svg import line_chart
 
@@ -96,7 +98,9 @@ _OPTIONS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: main may run many commands."""
     parser = argparse.ArgumentParser(
         prog="heavytail-cs",
         description="Anytime-valid confidence sequences for heavy-tailed streams",
@@ -339,15 +343,11 @@ def _cmd_lil_check(cfg: dict) -> int:
     schedule = _schedule_from(cfg, dist, harness.CATONI)
     config = _embedded_config(cfg, dist)
     lil = LilConfig(sigma=sigma, schedule=schedule, a=cfg["lil_a"])
-    width_rep = harness.run_width(
-        "catoni", dist, 2.0, cfg["alpha"], cfg["n"], cfg["seed"], _checkpoints(cfg), schedule=schedule
-    )
-    floor = lil_floor_curve(lil, cfg["n"])
-    trace = lil_trace(dist, schedule, cfg["n"], cfg["seed"])
-    rows = [{"n": ck.n, "width": ck.mean_width,
-             "lil_floor": None if math.isnan(floor[ck.n - 1]) else float(floor[ck.n - 1]),
-             "lil_ratio": None if math.isnan(trace[ck.n - 1]) else float(trace[ck.n - 1])}
-            for ck in width_rep.checkpoints]
+    ns, widths, floor, trace = lil_check(lil, dist, cfg["alpha"], cfg["n"], cfg["seed"], _checkpoints(cfg))
+    rows = [{"n": n, "width": width,
+             "lil_floor": None if math.isnan(f) else float(f),
+             "lil_ratio": None if math.isnan(r) else float(r)}
+            for n, width, f, r in zip(ns, widths, floor, trace)]
     # The first checkpoint with a floor from which the width stays at or above
     # every floor; a NaN width fails `>=`, so it disqualifies its checkpoint.
     n0 = None
@@ -367,9 +367,8 @@ def _cmd_lil_check(cfg: dict) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

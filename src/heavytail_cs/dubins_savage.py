@@ -39,7 +39,7 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 from .interval import ConfidenceInterval
-from .schedules import LambdaSchedule, PrefixSums, _ExactSum, _ratio_up, cumulative_sums, power_law
+from .schedules import LambdaSchedule, PrefixSums, _ExactSum, _ratio_up, checkpoint_sums, power_law
 
 
 @dataclass(frozen=True)
@@ -185,9 +185,9 @@ def ds_optimal_schedule(cfg: DsConfig) -> LambdaSchedule:
 def ds_width(cfg: DsConfig, n: int) -> float:
     """Deterministic interval width 2 (a + b v_p sum lam^p) / sum lam at n, under ds_optimal_schedule.
 
-    The sums are the cumulative curves' values at n, as in `harness.run_width`.
+    The sums are checkpoint_sums' at n, read in chunks as in `harness.run_width`.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    cum_lam, cum_lam_p = cumulative_sums(ds_optimal_schedule(cfg).head(n), cfg.p)
-    return float(2.0 * ds_radius(cfg, cum_lam[-1], cum_lam_p[-1]))
+    cum_lam, cum_lam_p = checkpoint_sums(ds_optimal_schedule(cfg).span, cfg.p, [n])
+    return float(2.0 * ds_radius(cfg, cum_lam[0], cum_lam_p[0]))

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import catoni_cs as cat
 from . import dubins_savage as ds
-from .schedules import LambdaSchedule, cumulative_sums, power_law
+from .schedules import LambdaSchedule, checkpoint_sums, cumulative_sums, power_law
 
 CATONI = "catoni"
 DS = "ds"
@@ -294,7 +294,7 @@ def true_std(dist: DistributionSpec) -> float:
 
 def _method_setup(method: str, dist: DistributionSpec, p: float, alpha: float, n_max: int, reps: int,
                   schedule: LambdaSchedule | None, b: float, **width: float):
-    """(v_p, config, lambda_1..lambda_n_max, *schedules.cumulative_sums of them) for a run of `method`.
+    """(v_p, config, schedule) for a run of `method`; the run evaluates the weights it needs.
 
     Every experiment starts here, so each rejects n_max or reps below 1
     first.  v_p is the exact moment true_vp(dist, p); `width` holds
@@ -312,8 +312,7 @@ def _method_setup(method: str, dist: DistributionSpec, p: float, alpha: float, n
         schedule = schedule or ds.ds_optimal_schedule(cfg)
     else:
         raise ValueError(f"unknown method {method!r}; expected '{CATONI}' or '{DS}'")
-    lam = schedule.head(n_max)
-    return vp, cfg, lam, *cumulative_sums(lam, p)
+    return vp, cfg, schedule
 
 
 def _run_reps(fn, reps: int, threads: int) -> list:
@@ -416,7 +415,9 @@ def run_coverage(
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    vp, cfg, lam, cum_lam, cum_lam_p = _method_setup(method, dist, p, alpha, n_max, reps, schedule, b)
+    vp, cfg, schedule = _method_setup(method, dist, p, alpha, n_max, reps, schedule, b)
+    lam = schedule.head(n_max)
+    cum_lam, cum_lam_p = cumulative_sums(lam, p)
     mu = dist.true_mean
     # A plain slice is a view, so stride 1 indexes without a copy.
     idx = slice(None) if stride == 1 else _checked_indices(n_max, stride)
@@ -508,6 +509,25 @@ def fit_loglog_slope(ns, widths, n_max: int) -> float:
     return float(np.sum(xc * (y - y.mean())) / np.sum(xc * xc))
 
 
+def checkpoint_list(checkpoints, n_max: int) -> list[int]:
+    """The sorted distinct checkpoints (default_checkpoints(n_max) for None); ValueError if none or not in [1, n_max]."""
+    cps = default_checkpoints(n_max) if checkpoints is None else sorted(set(int(c) for c in checkpoints))
+    if not cps:
+        raise ValueError("checkpoints must not be empty")
+    if cps[0] < 1 or cps[-1] > n_max:
+        raise ValueError(f"checkpoints must lie in [1, {n_max}], got {cps[0]}..{cps[-1]}")
+    return cps
+
+
+def catoni_widths(cfg: cat.CatoniConfig, lam: np.ndarray, x: np.ndarray, ns, sum_lambda_p) -> list[float]:
+    """Widths of cfg's Catoni intervals at the ascending ns for weights lam and stream x, with sum_lambda_p at ns."""
+    widths = []
+    for n, tgt in zip(ns, cat.target(cfg, sum_lambda_p)):
+        lo, hi = cat.solve_interval_arrays(cfg.influence, lam[:n], x[:n], tgt)
+        widths.append(hi - lo)
+    return widths
+
+
 def run_width(
     method: str,
     dist: DistributionSpec,
@@ -524,30 +544,26 @@ def run_width(
     b: float = 1.0,
     threads: int = 1,
 ) -> WidthReport:
-    """Interval widths at checkpoints and their fitted log-log slope; data-free DS widths are computed once."""
-    vp, cfg, lam, cum_lam, cum_lam_p = _method_setup(method, dist, p, alpha, n_max, reps, schedule, b, t=t, tau=tau)
-    cps = default_checkpoints(n_max) if checkpoints is None else sorted(set(int(c) for c in checkpoints))
-    if not cps:
-        raise ValueError("checkpoints must not be empty")
-    if cps[0] < 1 or cps[-1] > n_max:
-        raise ValueError(f"checkpoints must lie in [1, {n_max}], got {cps[0]}..{cps[-1]}")
-    at = np.asarray(cps) - 1
-    cum_lam, cum_lam_p = cum_lam[at], cum_lam_p[at]  # the curves are read only here: drop the rest
+    """Interval widths at checkpoints and their fitted log-log slope; data-free DS widths are computed once.
+
+    Both methods read sum lambda_i and sum lambda_i^p at the checkpoints only
+    (schedules.checkpoint_sums), never as curves over every n.  A Catoni run
+    holds the weights and the stream of each running replication, arrays of
+    n_max floats; a DS run reads its weights SUM_CHUNK at a time and keeps none.
+    """
+    vp, cfg, schedule = _method_setup(method, dist, p, alpha, n_max, reps, schedule, b, t=t, tau=tau)
+    cps = checkpoint_list(checkpoints, n_max)
 
     if method == CATONI:
-        def one_rep(r: int) -> list[float]:
-            x = sample_stream(dist, seed, n_max, rep=r)
-            out = []
-            for n, tgt in zip(cps, cat.target(cfg, cum_lam_p)):
-                lo, hi = cat.solve_interval_arrays(cfg.influence, lam[:n], x[:n], tgt)
-                out.append(hi - lo)
-            return out
-
+        lam = schedule.head(n_max)  # the solves read it; the sums read its slices
+        cum_lam, cum_lam_p = checkpoint_sums(lambda start, stop: lam[start - 1 : stop], p, cps)
         bounds_at, cond_at = cat.width_bound_sums(cfg, cum_lam, cum_lam_p)
         bounds = [None if math.isnan(v) else float(v) for v in bounds_at]
         conds = [bool(c) for c in cond_at]
-        widths = np.asarray(_run_reps(one_rep, reps, threads))
+        widths = np.asarray(_run_reps(
+            lambda r: catoni_widths(cfg, lam, sample_stream(dist, seed, n_max, rep=r), cps, cum_lam_p), reps, threads))
     else:
+        cum_lam, cum_lam_p = checkpoint_sums(schedule.span, p, cps)  # data-free: no weights are kept
         widths = 2.0 * ds.ds_radius(cfg, cum_lam, cum_lam_p)[np.newaxis]  # one row, its own mean
         bounds = 2.0 * cfg.b * vp * cum_lam_p / cum_lam
         conds = [None] * len(cps)
@@ -659,7 +675,9 @@ def run_bound_validity(
     the verdict per n is exact.  The run uses Catoni's default schedule
     power_law(1, p) and CatoniConfig's width constants t = 1/2, tau = 0.1.
     """
-    vp, cfg, lam, cum_lam, cum_lam_p = _method_setup(CATONI, dist, p, alpha, n_max, reps, None, 1.0)
+    vp, cfg, schedule = _method_setup(CATONI, dist, p, alpha, n_max, reps, None, 1.0)
+    lam = schedule.head(n_max)
+    cum_lam, cum_lam_p = cumulative_sums(lam, p)
     budget = cat.failure_budget(cfg)  # raises before any replication on an uncertifiable config
     mu = dist.true_mean
     bounds, condition = cat.width_bound_sums(cfg, cum_lam, cum_lam_p)

@@ -7,7 +7,9 @@ like the harmonic series), and the Dubins-Savage width-optimal weights are
 one (`dubins_savage.ds_optimal_schedule`).  Prefix sums are exact: every
 finite float is an integer over a power of two, so a running sum is one
 integer over a power of two, and a streaming interval rounds once, at the
-query, instead of once per observation.
+query, instead of once per observation.  Batch sums are float curves over
+every n (cumulative_sums), or their entries at a few n, formed a chunk of
+SUM_CHUNK terms at a time (checkpoint_sums) with the same bits.
 """
 
 from __future__ import annotations
@@ -54,7 +56,10 @@ class LambdaSchedule:
         if start < 1:
             raise ValueError(f"schedule index must be >= 1, got {start}")
         if not self.values:
-            return self.c * np.arange(start, stop + 1, dtype=np.float64) ** (-1.0 / self.p)
+            lam = np.arange(start, stop + 1, dtype=np.float64)  # c t^(-1/p), formed in this one buffer
+            lam **= -1.0 / self.p
+            lam *= self.c
+            return lam
         if stop > len(self.values):
             raise ValueError(
                 f"custom_list schedule has {len(self.values)} values, {stop} requested"
@@ -63,7 +68,11 @@ class LambdaSchedule:
 
 
 def cumulative_sums(lam: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_{i<=n} lambda_i, cumulative_powers(lam, p)) for n = 1..lam.size; batch bands, bounds and floors index these."""
+    """(sum_{i<=n} lambda_i, cumulative_powers(lam, p)) for every n = 1..lam.size, for runs that read every n.
+
+    Coverage bands, bound validity and the full width-bound and floor
+    curves index these; a value at a few n reads checkpoint_sums instead.
+    """
     return np.cumsum(lam), cumulative_powers(lam, p)
 
 
@@ -71,6 +80,52 @@ def cumulative_powers(lam: np.ndarray, p: float) -> np.ndarray:
     """sum lambda_i^p over i <= n, for n = 1..lam.size, in lambda^p's buffer: the one batch sum lambda_i^p."""
     lam_p = lam**p
     return np.cumsum(lam_p, out=lam_p)
+
+
+#: Terms per chunk of running_sums_at: its memory is a few chunks, whatever n.
+SUM_CHUNK = 1 << 16
+
+
+def running_sums_at(ns, terms) -> list[np.ndarray]:
+    """Running sums of some term series at each n of the ascending, nonempty 1-based ns, one array per series.
+
+    terms(start, stop) gives each series' terms start..stop as arrays the
+    sums may overwrite.  They are asked for SUM_CHUNK at a time up to
+    max(ns); each chunk's first term is joined by the sum so far before a
+    cumulative sum in place, and only the entries at ns are kept.  numpy's
+    cumulative sum adds strictly in order, so each entry equals the full
+    curve's (np.cumsum of every term) bit for bit.
+    """
+    ns = np.asarray(ns)
+    n_max = operator.index(ns[-1])  # TypeError for a non-integer n, as span gives
+    picked, carries = [], ()
+    for start in range(1, n_max + 1, SUM_CHUNK):
+        stop = min(start + SUM_CHUNK - 1, n_max)
+        chunk = terms(start, stop)
+        for k, carry in enumerate(carries):
+            chunk[k][0] += carry
+        here = ns[slice(*np.searchsorted(ns, (start, stop + 1)))] - start
+        picked.append([np.cumsum(t, out=t)[here] for t in chunk])
+        carries = [t[-1] for t in chunk]
+        del chunk  # before the next chunk's terms are formed
+    return [np.concatenate(series) for series in zip(*picked)]
+
+
+def checkpoint_sums(span, p: float, ns) -> tuple[np.ndarray, np.ndarray]:
+    """(sum lambda_i, sum lambda_i^p) at each n of the ascending, nonempty ns, in O(SUM_CHUNK) memory.
+
+    span(start, stop) gives lambda_start..lambda_stop, as LambdaSchedule.span
+    does; a slice of weights already in memory serves too, and is left
+    unchanged.  Each chunk forms lambda^p as cumulative_powers does, and
+    running_sums_at adds in cumulative_sums' order, so the values are bit
+    for bit cumulative_sums' entries at n.
+    """
+
+    def terms(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        lam = span(start, stop)
+        return lam.copy(), lam**p
+
+    return tuple(running_sums_at(ns, terms))
 
 
 def power_law(c: float = 1.0, p: float = 2.0) -> LambdaSchedule:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from heavytail_cs import cli
 from heavytail_cs.cli import _COMMANDS, _OPTIONS, main
 
 
@@ -31,6 +32,30 @@ def read_report_csv(path):
                 continue
             rows.append(dict(zip(header, next(csv.reader([line])))))
     return config, rows
+
+
+class TestOneParser:
+    """main builds its argument parser once per process, and a reused parser parses each command afresh."""
+
+    COMMANDS = [
+        ["width", "--method", "ds", "--dist", "gaussian", "--n", "200", "--checkpoints", "10,200", "--seed", "3"],
+        ["coverage", "--method", "ds", "--dist", "gaussian", "--n", "200", "--reps", "3"],
+    ]
+
+    def test_two_commands_then_an_invalid_flag(self, tmp_path, capsys):
+        fresh = []
+        for k, args in enumerate(self.COMMANDS):
+            cli._parser.cache_clear()
+            assert main(args + ["--out", str(tmp_path / f"fresh{k}.csv")]) == 0
+            fresh.append((tmp_path / f"fresh{k}.csv").read_text())
+        cli._parser.cache_clear()
+        for k, args in enumerate(self.COMMANDS):
+            assert main(args + ["--out", str(tmp_path / f"reused{k}.csv")]) == 0
+            assert (tmp_path / f"reused{k}.csv").read_text() == fresh[k]
+        capsys.readouterr()
+        assert main(["width", "--dist", "gaussian", "--bogus"]) == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert cli._parser.cache_info().misses == 1
 
 
 class TestCoverageCommand:

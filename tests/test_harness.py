@@ -33,7 +33,7 @@ from heavytail_cs.harness import (
     true_vp,
     two_point,
 )
-from heavytail_cs.schedules import LambdaSchedule, power_law
+from heavytail_cs.schedules import SUM_CHUNK, LambdaSchedule, power_law
 
 RADEMACHER = two_point([-1.0, 1.0], [0.5, 0.5])
 #: (shape, p) pairs for the centred-Pareto moment; 1.5/1.45, 1.95/1.9 and
@@ -464,30 +464,50 @@ class TestRunsReadOneCurve:
             assert cat.width_bound(cfg, ck.n) == ck.bound
 
     def test_schedule_evaluated_once(self, monkeypatch):
-        """A Catoni width run evaluates its weights once; a bound-validity run too, besides the
-        failure budget's own first block of 2^16 terms."""
+        """A Catoni width run evaluates its weights once; a DS width run each weight up to its last
+        checkpoint once, a chunk at a time; a bound-validity run once, besides the failure
+        budget's own first block of 2^16 terms."""
         span, calls = LambdaSchedule.span, []
         monkeypatch.setattr(LambdaSchedule, "span",
                             lambda s, start, stop: calls.append((start, stop)) or span(s, start, stop))
         run_width("catoni", gaussian(0, 1), 2.0, 0.05, 3000, seed=3, reps=2)
         assert calls == [(1, 3000)]
         calls.clear()
+        run_width("ds", gaussian(0, 1), 2.0, 0.05, 3 * SUM_CHUNK, seed=3, checkpoints=[10, 2 * SUM_CHUNK + 1])
+        assert calls == [(1, SUM_CHUNK), (SUM_CHUNK + 1, 2 * SUM_CHUNK), (2 * SUM_CHUNK + 1, 2 * SUM_CHUNK + 1)]
+        calls.clear()
         run_bound_validity(gaussian(0, 1), 2.0, 0.05, 5000, 2, seed=3)
         assert calls == [(1, 5000), (1, 1 << 16)]
 
-    @pytest.mark.parametrize("method, arrays", [("catoni", 4.5), ("ds", 3.0)])
-    def test_width_run_memory(self, method, arrays):
-        """tracemalloc peak of a width run at n = 2e5, counted in arrays of n floats: the weights and
-        their two cumulative sums, then the weights and the stream.  Evaluating the schedule a
-        second time for the Catoni width bound peaked at 5; 64 kB allow for everything else."""
-        n = 2 * 10**5
+    @staticmethod
+    def traced_peak(fn) -> int:
         tracemalloc.start()
         try:
-            run_width(method, gaussian(0, 1), 1.5, 0.05, n, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
+            fn()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < arrays * 8 * n + 65536
+
+    #: One chunk's working set: three arrays of SUM_CHUNK floats (the weights, their copy and
+    #: their p-th powers), and 64 kB for everything else.
+    CHUNK_SET = 3 * 8 * SUM_CHUNK + 65536
+    #: A Catoni solve's 2^15-element blocks take 3.5 such arrays; four bound them.
+    SOLVE_SET = 4 * 8 * SUM_CHUNK + 65536
+
+    @pytest.mark.parametrize("method, n", [("catoni", 2 * 10**5), ("ds", 2 * 10**5), ("ds", 10**6)])
+    def test_width_run_memory(self, method, n):
+        """tracemalloc peak of a width run: a Catoni run holds two arrays of n floats, the weights
+        and the stream, plus a solve's blocks; a DS run one chunk's working set, whatever n.
+        Full Sigma-lambda and Sigma-lambda^p curves peaked at 4.5 and 3 arrays of n floats."""
+        peak = self.traced_peak(lambda: run_width(method, gaussian(0, 1), 1.5, 0.05, n, seed=1))
+        assert peak < (2 * 8 * n + self.SOLVE_SET if method == "catoni" else self.CHUNK_SET)
+
+    def test_width_bound_and_ds_width_memory(self):
+        """One value at n = 10^6 reads its sums in chunks: the full curves peaked at 22.9 MB."""
+        n = 10**6
+        cfg = cat.CatoniConfig(p=1.5, v_p=1.0, alpha=0.05, schedule=power_law(1.0, 1.5))
+        assert self.traced_peak(lambda: cat.width_bound(cfg, n)) < self.CHUNK_SET
+        assert self.traced_peak(lambda: ds.ds_width(ds.DsConfig(1.5, 1.0, 0.05), n)) < self.CHUNK_SET
 
 
 class TestRunSizes:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from heavytail_cs import catoni_cs as cat
-from heavytail_cs.harness import gaussian, sample_stream, true_std, two_point
+from heavytail_cs import lower_bound
+from heavytail_cs.harness import gaussian, run_width, sample_stream, true_std, two_point
 from heavytail_cs.influence import default_influence
-from heavytail_cs.lower_bound import LilConfig, lil_floor_curve, lil_trace
-from heavytail_cs.schedules import custom_list, power_law
+from heavytail_cs.lower_bound import LilConfig, lil_check, lil_floor_curve, lil_trace
+from heavytail_cs.schedules import SUM_CHUNK, LambdaSchedule, power_law
 
 
 def lil_config(**kw):
@@ -73,8 +74,9 @@ class TestTheta:
     @staticmethod
     def one_step_trace(lam):
         dist = two_point([-1, 1], [0.5, 0.5])
-        y = default_influence(2.0)(lam * sample_stream(dist, 113, 1)[0])
-        return y, lil_trace(dist, custom_list([lam]), 1, seed=113)[0]
+        x = sample_stream(dist, 113, 1)
+        y = default_influence(2.0)(lam * x[0])
+        return y, lil_trace(dist, np.array([lam]), x, [1])[0]
 
     def test_e_squared_value(self):
         # s_n^2 = e^2: theta = e sqrt(2 log 2) = 3.20053226884937
@@ -179,9 +181,53 @@ class TestFloorVsWidth:
                 assert hi - lo >= floor[n - 1]
 
 
+def full_trace(dist, lam, x):
+    """sum_{i<=m} Y_i / theta_m for every m, from the full curves: the trace's defining formula."""
+    sigma = true_std(dist)
+    s2 = np.cumsum(lam**2.0) * sigma * sigma
+    sums = np.cumsum(default_influence(2.0)(lam * (x - dist.true_mean)))
+    ratio = np.full(lam.size, np.nan)
+    ok = s2 > math.e
+    ratio[ok] = sums[ok] / (np.sqrt(s2[ok]) * np.sqrt(2.0 * np.log(np.log(s2[ok]))))
+    return ratio
+
+
 class TestTrace:
     def test_shape_and_nan_head(self):
-        ratio = lil_trace(gaussian(0, 1), power_law(1.0, 2.0), 500, seed=111)
+        dist = gaussian(0, 1)
+        ratio = lil_trace(dist, power_law(1.0, 2.0).head(500), sample_stream(dist, 111, 500), np.arange(1, 501))
         assert ratio.shape == (500,)
         assert np.all(np.isnan(ratio[:8]))  # theta undefined until n = 9
         assert np.all(np.isfinite(ratio[8:]))
+
+    def test_checkpoints_are_the_full_curve(self):
+        """Read at checkpoints across chunk edges, the trace is the full curve's, bit for bit."""
+        dist, n = two_point([-1.0, 2.0], [2 / 3, 1 / 3]), 2 * SUM_CHUNK + 1
+        lam, x = power_law(0.6, 2.0).head(n), sample_stream(dist, 5, n)
+        ns = np.array([1, 9, 100, SUM_CHUNK - 1, SUM_CHUNK, SUM_CHUNK + 1, 2 * SUM_CHUNK, n])
+        assert lil_trace(dist, lam, x, ns).tobytes() == full_trace(dist, lam, x)[ns - 1].tobytes()
+
+
+class TestLilCheck:
+    """lil-check's widths, floor and trace come from one weight array and one stream."""
+
+    def test_values_are_the_separate_runs(self):
+        n, ns = SUM_CHUNK + 100, [5, 9, 1000, SUM_CHUNK, SUM_CHUNK + 1, SUM_CHUNK + 100]
+        dist, lil = gaussian(0, 1), lil_config()
+        got_ns, widths, floor, ratio = lil_check(lil, dist, 0.05, n, 17, ns)
+        assert got_ns == ns
+        rep = run_width("catoni", dist, 2.0, 0.05, n, 17, ns, schedule=lil.schedule)
+        assert widths == [ck.mean_width for ck in rep.checkpoints]
+        at = np.asarray(ns) - 1
+        assert floor.tobytes() == lil_floor_curve(lil, n)[at].tobytes()
+        lam = lil.schedule.head(n)
+        assert ratio.tobytes() == full_trace(dist, lam, sample_stream(dist, 17, n))[at].tobytes()
+
+    def test_one_evaluation_and_one_draw(self, monkeypatch):
+        span, draw, calls = LambdaSchedule.span, lower_bound.sample_stream, []
+        monkeypatch.setattr(LambdaSchedule, "span",
+                            lambda s, start, stop: calls.append(("span", start, stop)) or span(s, start, stop))
+        monkeypatch.setattr(lower_bound, "sample_stream",
+                            lambda *args, **kw: calls.append(("draw", *args[1:])) or draw(*args, **kw))
+        lil_check(lil_config(), gaussian(0, 1), 0.05, 3000, 7)
+        assert calls == [("span", 1, 3000), ("draw", 7, 3000)]

@@ -2,15 +2,18 @@
 
 import math
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import mp_sums
 
 from heavytail_cs.catoni_cs import CatoniConfig, CatoniState, interval, new_state, update, width_bound
 from heavytail_cs.dubins_savage import DsConfig, DsState, ds_interval, ds_optimal_schedule, ds_update, ds_width
-from heavytail_cs.schedules import PrefixSums, _ExactSum, custom_list, power_law
+from heavytail_cs.schedules import SUM_CHUNK, PrefixSums, _ExactSum, checkpoint_sums, cumulative_sums, custom_list, power_law
 
 
 class TestLambdaAt:
@@ -100,6 +103,52 @@ class TestSpan:
             s.span(30, 41)
         with pytest.raises(ValueError):
             s.span(0, 3)
+
+    @pytest.mark.parametrize("p", [1.01, 1.1, 1.5, 1.9, 2.0])
+    @pytest.mark.parametrize("c", [1.0, 0.37, 3.3])
+    def test_power_law_in_one_buffer(self, p, c):
+        """The power law formed in place has the bits of c * t^(-1/p) over 10^6 terms, and one n-array's memory."""
+        n = 10**6
+        tracemalloc.start()
+        try:
+            lam = power_law(c, p).span(1, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lam.tobytes() == (c * np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / p)).tobytes()
+        assert peak < 8 * n + 65536
+
+
+#: Schedules long enough for three chunks of checkpoint_sums and one term more.
+CHUNKED_SCHEDULES = {
+    "power_law": power_law(0.37, 1.5),
+    "ds_optimal": ds_optimal_schedule(DsConfig(1.1, 2.0, 0.05)),
+    "custom_list": custom_list(0.9 / np.arange(1.0, 3 * SUM_CHUNK + 2.0) ** 0.6),
+}
+
+
+class TestCheckpointSums:
+    """Chunked sums at checkpoints are the full curves' entries, bit for bit, on and beside every chunk edge."""
+
+    @pytest.mark.parametrize("kind", sorted(CHUNKED_SCHEDULES))
+    @settings(max_examples=12, deadline=None)
+    @given(k=st.integers(1, 3), offset=st.sampled_from([-1, 0, 1]), p=st.sampled_from([1.1, 1.5, 2.0]),
+           data=st.data())
+    def test_entries_are_the_full_curves(self, kind, k, offset, p, data):
+        schedule, n = CHUNKED_SCHEDULES[kind], k * SUM_CHUNK + offset
+        ns = sorted(set(data.draw(st.lists(st.integers(1, n), max_size=6)) + [n]))
+        at = np.asarray(ns) - 1
+        lam = schedule.head(n)
+        full = cumulative_sums(lam, p)
+        before = lam.copy()
+        for span in (schedule.span, lambda start, stop: lam[start - 1 : stop]):
+            for got, want in zip(checkpoint_sums(span, p, ns), full):
+                assert got.tobytes() == want[at].tobytes()
+        assert lam.tobytes() == before.tobytes()  # slices of weights in memory are read, not written
+
+    def test_non_integer_n_rejected(self):
+        with pytest.raises(TypeError):
+            checkpoint_sums(power_law(1, 2).span, 2.0, [10.5])
 
 
 def pushed(schedule, n, p=2.0):
