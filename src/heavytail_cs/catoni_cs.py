@@ -138,11 +138,15 @@ _TERM_ULPS = 16
 _SUM_DEPTH = 40
 #: The certificate gives up on Newton steps this long (|d|^p must not overflow).
 _MAX_REACH = 1e150
+#: How much larger than its estimate curvature r^2 the split remainder is taken to be when
+#: _TaylorCertificate.split_radius decides whether a pass's split sums can pay.
+_SPLIT_GAIN = 8.0
 #: Terms of failure_budget summed one by one; DeTemple's closed form bounds the rest.
 _BUDGET_HEAD = 1 << 16
 
 
-def _f_and_slope(influence: InfluenceFunction, lam: np.ndarray, xs: np.ndarray, x: float, sums: bool = False):
+def _f_and_slope(influence: InfluenceFunction, lam: np.ndarray, xs: np.ndarray, x: float, sums: bool = False,
+                 far: float = 0.0):
     """(f_n(x), f_n'(x)) = (sum phi(z_i), -sum lambda_i phi'(z_i)), z_i = lambda_i (X_i - x).
 
     One pass over the arrays in blocks of _BLOCK elements.  Up to _BLOCK
@@ -150,25 +154,41 @@ def _f_and_slope(influence: InfluenceFunction, lam: np.ndarray, xs: np.ndarray, 
     A z_i beyond the float range is +-inf without a warning; f_n is then
     infinite, which solve_monotone reads as an overflow.  With `sums` the
     same pass also returns sum |z_i| and sum lambda_i^2, the inputs of
-    _TaylorCertificate.
+    _TaylorCertificate.build.  With `far` > 0 it returns instead the sums of
+    a _Split at x: sum lambda_i u_i / |X_i - x| (u_i = |z_i|^(p-1), so each
+    term is lambda_i^2 |z_i|^(p-2)) over the terms whose computed |X_i - x|
+    is at least `far`, and sum lambda_i^2 and sum lambda_i over the rest.
     """
-    f = slope = abs_z = lam_sq = 0.0
-    with np.errstate(over="ignore"):
+    f = slope = abs_z = lam_sq = curv = 0.0
+    lam_near = []
+    # A split pass may meet inf / inf (a near z_i beyond the float range): its NaN far sum just
+    # leaves the Hoelder remainder in force.  None keeps the caller's setting.
+    with np.errstate(over="ignore", invalid="ignore" if far else None):
         for start in range(0, xs.size, _BLOCK):
             lam_b = lam[start : start + _BLOCK]
             z = xs[start : start + _BLOCK] - x
+            if far:
+                gap = np.abs(z)
+                near = np.flatnonzero(gap < far)
+                gap[near] = np.inf  # u / inf = 0 drops a near term from the far sum
+                lam_near.append(lam_b[near])
             z *= lam_b
-            phi, dphi = influence.value_and_slope(z)
-            f += float(np.sum(phi))
+            phi, dphi = influence.value_and_slope(z, gap) if far else influence.value_and_slope(z)
+            f += float(np.add.reduce(phi))  # np.sum's reduction, without its dispatch
             slope -= float(np.dot(lam_b, dphi))
+            if far:
+                curv += float(np.dot(lam_b, gap))
             if sums:
-                abs_z += float(np.sum(np.abs(z, out=z)))
+                abs_z += float(np.add.reduce(np.abs(z, out=z)))
                 lam_sq += float(np.dot(lam_b, lam_b))
+    if far:
+        lam_n = np.concatenate(lam_near)
+        return f, slope, curv, float(np.dot(lam_n, lam_n)), float(np.sum(lam_n))
     return (f, slope, abs_z, lam_sq) if sums else (f, slope)
 
 
-def _rounding_error(influence: InfluenceFunction, size: int, abs_z: float, slope: float) -> tuple[float, float]:
-    """Bounds on |computed - exact| of _f_and_slope's (f_n, f_n'): `size` terms, sum |z_i| <= abs_z.
+def _rounding_rates(influence: InfluenceFunction, size: int) -> tuple[float, float]:
+    """(a, b): _f_and_slope's f_n is within a sum |z_i| and its f_n' within b |f_n'| of exact, at `size` terms.
 
     f_n: a term is off by at most _TERM_ULPS eps L |z_i|, since
     |phi(z)| <= L |z| (L = slope_bound), and summing adds at most
@@ -177,12 +197,49 @@ def _rounding_error(influence: InfluenceFunction, size: int, abs_z: float, slope
     Algorithms, 2nd ed., section 4.2).  f_n': every term lambda_i phi'(z_i)
     is positive and off by at most _TERM_ULPS eps of itself, and np.dot may
     add in any order, so a block counts its length:
-    (_TERM_ULPS + min(size, _BLOCK) + blocks) eps |f_n'|.
+    b = (_TERM_ULPS + min(size, _BLOCK) + blocks) eps.  The same b bounds
+    any such dot of positive terms, each within _TERM_ULPS eps.
     """
     blocks = -(-size // _BLOCK)
-    err_f = (_TERM_ULPS + _SUM_DEPTH + blocks) * _EPS * influence.slope_bound * abs_z
-    err_slope = (_TERM_ULPS + min(size, _BLOCK) + blocks) * _EPS * abs(slope)
-    return err_f, err_slope
+    rate_f = (_TERM_ULPS + _SUM_DEPTH + blocks) * _EPS * influence.slope_bound
+    return rate_f, (_TERM_ULPS + min(size, _BLOCK) + blocks) * _EPS
+
+
+@dataclass(frozen=True)
+class _Split:
+    """The split remainder at one point x: for every |d| <= rho,
+    |f_n(x + d) - f_n(x) - f_n'(x) d| <= far d^2 + near |d|^p.
+
+    A term is far when |X_i - x| >= 2 rho.  Then |lambda_i d| <= |z_i| / 2,
+    so phi'' is read only at |v| >= |z_i| / 2, where
+    |phi''(v)| <= kappa_p 2^(2-p) |z_i|^(p-2) (kappa_p =
+    InfluenceFunction.curvature_bound), and the term's remainder is at most
+    kappa_p 2^(1-p) lambda_i^2 |z_i|^(p-2) d^2.  Every other term keeps the
+    Hoelder remainder (H_p / p) lambda_i^p |d|^p, its sum of lambda_i^p
+    bounded as in _TaylorCertificate.  The pass that takes the sums calls a
+    term far when its computed |X_i - x|, one rounding off the exact one,
+    is at least threshold(rho) = 2 rho (1 + 4 eps), so every term it calls
+    far is far; a doubtful term counts as near.
+    """
+
+    x: float
+    rho: float
+    far: float
+    near: float
+
+    @staticmethod
+    def threshold(rho: float) -> float:
+        return 2.0 * rho * (1.0 + 4.0 * _EPS)
+
+    @classmethod
+    def build(cls, influence: InfluenceFunction, size: int, x: float, rho: float, curv: float, near_sq: float,
+              near_lam: float) -> _Split:
+        """From _f_and_slope's split sums at x, taken with far = threshold(rho), each raised by its rounding."""
+        p = influence.p
+        curv *= 1.0 + _rounding_rates(influence, size)[1]  # positive terms, each within _TERM_ULPS eps
+        near_lam_p = near_sq ** (p - 1.0) * near_lam ** (2.0 - p) * (1.0 + (_TERM_ULPS + size) * _EPS)
+        far = influence.curvature_bound * 2.0 ** (1.0 - p) * curv
+        return cls(x, rho, far, influence.holder_bound / p * near_lam_p)
 
 
 @dataclass(frozen=True)
@@ -196,57 +253,123 @@ class _TaylorCertificate:
     term, delta = lambda_i d.  Hoelder's inequality with exponents
     1/(p-1) and 1/(2-p) gives
     sum lambda_i^p <= (sum lambda_i^2)^(p-1) (sum lambda_i)^(2-p),
-    equal at p = 2 and for one term, so R needs no pow per element.
-    Rounding: sum |z_i(x)| <= abs_z0 + |x - xhat| sum lambda_i by the
-    triangle inequality, with abs_z0 the sum at xhat, so _rounding_error
-    bounds the float error at any x at no cost per pass.  An instance is a
-    solve_monotone certifier.
+    equal at p = 2 and for one term, so R needs no pow per element.  At
+    p < 2 a _Split at x bounds the remainder for |d| <= its rho too, and
+    the smaller bound is used.  Rounding: sum |z_i(x)| <= abs_z0 +
+    |x - xhat| sum lambda_i by the triangle inequality, with abs_z0 the sum
+    at xhat, so _rounding_rates bound the float error at any x at no cost
+    per pass.  An instance is a solve_monotone certifier; _Endpoint passes
+    it the split of the latest pass.
     """
 
     influence: InfluenceFunction
-    size: int
     xhat: float
     abs_z0: float
     sum_lam: float
+    rates: tuple[float, float]  # _rounding_rates at the data's size
     remainder: float  # H_p / p times an upper bound on sum lambda_i^p
+    curvature: float  # kappa_p 2^(1-p) sum lambda_i^2, a _Split's far at |z_i| = 1; 0 at p = 2 (no split)
 
     @classmethod
     def build(cls, influence: InfluenceFunction, size: int, xhat: float, abs_z0: float, sum_lam: float,
               sum_lam_sq: float) -> _TaylorCertificate:
-        q = influence.p - 1.0
+        p = influence.p
+        q = p - 1.0
         sum_lam_p = sum_lam_sq**q * sum_lam ** (1.0 - q)
         sum_lam_p *= 1.0 + (_TERM_ULPS + size) * _EPS  # rounding of the sums of positive terms and the pows
-        return cls(influence, size, xhat, abs_z0, sum_lam, influence.holder_bound / influence.p * sum_lam_p)
+        curvature = influence.curvature_bound * 2.0 ** (1.0 - p) * sum_lam_sq if p < 2.0 else 0.0
+        return cls(influence, xhat, abs_z0, sum_lam, _rounding_rates(influence, size),
+                   influence.holder_bound / p * sum_lam_p, curvature)
 
-    def bound(self, x: float, g: float, s: float, reach: float) -> float:
+    def split_radius(self, step: float, slope: float, radius: float) -> float:
+        """The rho of a _Split at x = x' + step, where a pass at x' gave f_n'(x') = slope; 0 for no split.
+
+        Newton converges quadratically, so the step from x is predicted as
+        K step^2, K = curvature / |slope|, and its reach as r = K step^2 +
+        radius.  The split's sums pay only when the Hoelder remainder at r
+        would not fit in half the slack -slope radius while curvature r^2,
+        taken as a _SPLIT_GAIN-th of the split's remainder, would: then
+        rho = 4 r, so the step may run 4 times past its prediction.  The
+        prediction only picks rho, since a longer step falls back to R.
+        Also 0 where slope is not negative or r is not below _MAX_REACH.
+        """
+        if not slope < 0.0:
+            return 0.0
+        slack = -slope * radius
+        reach = self.curvature / -slope * step * step + radius
+        if not reach < _MAX_REACH:
+            return 0.0
+        holder = self.remainder * reach**self.influence.p
+        if holder <= 0.5 * slack or _SPLIT_GAIN * self.curvature * reach * reach > slack:
+            return 0.0
+        return 4.0 * reach
+
+    def bound(self, x: float, g: float, s: float, reach: float, split: _Split | None = None) -> float:
         """Bound on |f_n(x + d) - level - (g + s d)| over |d| <= reach.
 
         g and s are the computed f_n(x) - level and f_n'(x).  The bound adds
-        their float errors (_rounding_error, plus the rounding of
-        subtracting level) and the Taylor remainder R(reach).
+        their float errors (_rounding_rates, plus the rounding of
+        subtracting level) and the Taylor remainder: R(reach), or the
+        split's at x where reach is within its rho and the split's is smaller.
         """
+        p = self.influence.p
+        rate_f, rate_s = self.rates
+        rem = self.remainder * reach**p
+        if split is not None and split.x == x and reach <= split.rho:
+            rem = min(rem, split.far * reach * reach + split.near * reach**p)
         abs_z = self.abs_z0 + abs(x - self.xhat) * self.sum_lam
-        err_f, err_s = _rounding_error(self.influence, self.size, abs_z, s)
-        return err_f + _EPS * abs(g) + err_s * reach + self.remainder * reach**self.influence.p
+        return rate_f * abs_z + _EPS * abs(g) + rate_s * abs(s) * reach + rem
 
-    def __call__(self, x: float, g: float, s: float, radius: float) -> tuple[float, float] | None:
+    def __call__(self, x: float, g: float, s: float, radius: float, split: _Split | None = None
+                 ) -> tuple[float, float] | None:
         """[m - radius, m + radius] around m = x - g/s if it provably holds the root, else None.
 
         Let e bound the rounding of m and of the bracket ends and
         D = |m - x| + radius + e.  At either end y, g + s (y - x) is
         -s (radius - e) or more away from 0 on its side, so the exact
         f_n - level is > 0 at m - radius and < 0 at m + radius when
-        -s (radius - e) > bound(x, g, s, D).  Anything non-finite, s >= 0 or
-        D >= _MAX_REACH gives None.
+        -s (radius - e) > bound(x, g, s, D, split).  Anything non-finite,
+        s >= 0 or D >= _MAX_REACH gives None.
         """
         if not (s < 0.0 and math.isfinite(x) and math.isfinite(g)):
             return None
         m = x - g / s
         e = 4.0 * _EPS * (abs(m) + abs(x) + radius)
         reach = abs(m - x) + radius + e
-        if reach < _MAX_REACH and -s * (radius - e) > self.bound(x, g, s, reach):
+        if reach < _MAX_REACH and -s * (radius - e) > self.bound(x, g, s, reach, split):
             return m - radius, m + radius
         return None
+
+
+class _Endpoint:
+    """One endpoint's solve: f_n - level as solve_monotone's objective, and its certifier.
+
+    At p < 2 each pass asks the certificate for a split radius from the
+    step since the previous pass; given one, the pass also takes a _Split's
+    sums, and the certifier may use them at that x.
+    """
+
+    __slots__ = ("cert", "lam", "xs", "level", "radius", "x", "slope", "split")
+
+    def __init__(self, cert: _TaylorCertificate, lam: np.ndarray, xs: np.ndarray, level: float, radius: float,
+                 slope0: float):
+        self.cert, self.lam, self.xs, self.level, self.radius = cert, lam, xs, level, radius
+        self.x, self.slope = cert.xhat, slope0  # the latest pass
+        self.split: _Split | None = None
+
+    def objective(self, x: float) -> tuple[float, float]:
+        cert = self.cert
+        rho = cert.split_radius(float(x) - self.x, self.slope, self.radius) if cert.curvature else 0.0
+        if rho:
+            f, slope, *sums = _f_and_slope(cert.influence, self.lam, self.xs, x, False, _Split.threshold(rho))
+            self.split = _Split.build(cert.influence, self.xs.size, x, rho, *sums)
+        else:
+            f, slope = _f_and_slope(cert.influence, self.lam, self.xs, x)
+        self.x, self.slope = float(x), slope
+        return f - self.level, slope
+
+    def certify(self, x: float, g: float, s: float, radius: float) -> tuple[float, float] | None:
+        return self.cert(x, g, s, radius, self.split)
 
 
 def solve_interval_arrays(
@@ -265,26 +388,25 @@ def solve_interval_arrays(
     pass (_f_and_slope).  The shared pass also takes sum |z_i| and
     sum lambda_i^2 for a _TaylorCertificate, which ends a solve once the
     Taylor remainder and the float error prove the Newton point within
-    root_tol/4 of the root: typically 3 passes per interval at p = 2 and
-    5 at p = 1.5 for n >= 10^4.  Returns (lower, upper); lower <= upper
-    since f_n is decreasing and the +tgt root is the smaller one.
+    root_tol/4 of the root; at p < 2 each side (_Endpoint) may add a
+    _Split's sums to a pass predicted to close.  Measured passes per
+    interval: 3 at p = 2 for n >= 476 (Gaussian, alpha = 0.05); at p = 1.5
+    (centred Pareto(1.9), alpha = 0.001) 3 from n = 3e5 on, where the split
+    proves the first Newton iterate, and 5 below.  Returns (lower, upper);
+    lower <= upper since f_n is decreasing and the +tgt root is the smaller one.
     """
     sum_lam = float(np.sum(lam))
     xhat = float(np.dot(lam, xs)) / sum_lam
     if root_tol is None:
         root_tol = 1e-9 * max(1.0, abs(xhat))
 
-    def shifted(level: float):
-        def g(x: float) -> tuple[float, float]:
-            f, slope = _f_and_slope(influence, lam, xs, x)
-            return f - level, slope
-        return g
-
     f0, slope0, abs_z0, sum_lam_sq = _f_and_slope(influence, lam, xs, xhat, True)
     cert = _TaylorCertificate.build(influence, xs.size, xhat, abs_z0, sum_lam, sum_lam_sq)
-    lower = solve_monotone(shifted(tgt), xhat, root_tol, (f0 - tgt, slope0), certify=cert)
-    upper = solve_monotone(shifted(-tgt), xhat, root_tol, (f0 + tgt, slope0), certify=cert)
-    return lower, upper
+    ends = []
+    for level in (tgt, -tgt):
+        end = _Endpoint(cert, lam, xs, level, 0.25 * root_tol, slope0)
+        ends.append(solve_monotone(end.objective, xhat, root_tol, (f0 - level, slope0), certify=end.certify))
+    return ends[0], ends[1]
 
 
 def interval(state: CatoniState, config: CatoniConfig) -> ConfidenceInterval:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import catoni_cs as cat
 from . import dubins_savage as ds
-from .schedules import LambdaSchedule, checkpoint_sums, cumulative_sums, power_law
+from .schedules import LambdaSchedule, checkpoint_sums, cumulative_powers, cumulative_sums, power_law
 
 CATONI = "catoni"
 DS = "ds"
@@ -410,14 +410,16 @@ def run_coverage(
     condition rather than by solving for endpoints: mu in I_n iff a
     cumulative statistic is within its threshold, |f_n(mu)| <= the band for
     Catoni, |sum lambda_i (X_i - mu)| <= a + b v_p sum(lambda_i^p) for
-    Dubins-Savage.  That check is exact and O(1) per step, so stride > 1
-    only coarsens the event (it is recorded in the report either way).
+    Dubins-Savage.  Both statistics subtract mu before they weight by lambda,
+    so a location far from 0 costs no digits of the deviations.  The check
+    is O(1) per step, so stride > 1 only coarsens the event (it is recorded
+    in the report either way).
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     vp, cfg, schedule = _method_setup(method, dist, p, alpha, n_max, reps, schedule, b)
     lam = schedule.head(n_max)
-    cum_lam, cum_lam_p = cumulative_sums(lam, p)
+    cum_lam_p = cumulative_powers(lam, p)
     mu = dist.true_mean
     # A plain slice is a view, so stride 1 indexes without a copy.
     idx = slice(None) if stride == 1 else _checked_indices(n_max, stride)
@@ -426,7 +428,7 @@ def run_coverage(
     # free once phi is evaluated.
     if method == CATONI:
         threshold = cat.target(cfg, cum_lam_p)[idx]
-        del cum_lam, cum_lam_p  # before the replications, which read neither
+        del cum_lam_p  # before the replications, which do not read it
         influence = cfg.influence
 
         def statistic(z: np.ndarray) -> np.ndarray:  # cumsum(phi(lam (x - mu)))
@@ -438,13 +440,11 @@ def run_coverage(
         cum_lam_p *= cfg.b * vp  # a + b v_p sum lambda^p, formed in place
         cum_lam_p += ds.ds_a(cfg)
         threshold = cum_lam_p[idx]
-        mu_cum_lam = np.multiply(mu, cum_lam, out=cum_lam)
 
-        def statistic(dev: np.ndarray) -> np.ndarray:  # cumsum(lam x) - mu sum lam
+        def statistic(dev: np.ndarray) -> np.ndarray:  # cumsum(lam (x - mu))
+            dev -= mu
             dev *= lam
-            stat = np.cumsum(dev)
-            stat -= mu_cum_lam
-            return stat
+            return np.cumsum(dev)
 
     def one_rep(r: int) -> bool:
         stat = statistic(sample_stream(dist, seed, n_max, rep=r))

@@ -27,6 +27,7 @@ strictly increasing and 1-Lipschitz.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,9 +50,11 @@ def catoni_constant(p: float) -> float:
 class InfluenceFunction:
     """The influence function phi of order p, with its constant C_p = catoni_constant(p).
 
-    Besides phi and phi' it carries two closed-form constants that the
-    solvers' certificates rest on: slope_bound (L_p >= sup phi') and
-    holder_bound (H_p, the (p-1)-Hoelder constant of phi').
+    Besides phi and phi' it carries three closed-form constants that the
+    solvers' certificates rest on: slope_bound (L_p >= sup phi'),
+    holder_bound (H_p, the (p-1)-Hoelder constant of phi') and
+    curvature_bound (kappa_p, bounding |phi''(v)| |v|^(2-p)), each computed
+    once per instance.
 
     Immutable; evaluation and inversion are pure, so instances are safe to
     share across threads.
@@ -68,16 +71,18 @@ class InfluenceFunction:
         out = _phi_parts(np.asarray(x, dtype=np.float64), self.p, self.c_p, want_slope=False)[0]
         return float(out) if np.ndim(x) == 0 else out
 
-    def value_and_slope(self, x) -> tuple[np.ndarray, np.ndarray]:
+    def value_and_slope(self, x, power_over: np.ndarray | None = None):
         """(phi(x), phi'(x)) as numpy values of x's shape, sharing one power u = |x|^(p-1).
 
         phi's log argument is t = |x| + C_p u |x| and phi'(x) = (1 + p C_p u) / (1 + t),
         so phi'(0) = 1 exactly.  Both are finite for every finite x; at x = +-inf
-        phi is +-inf and the slope NaN, without a warning.  x is left unchanged.
+        phi is +-inf and the slope NaN, without a warning.  Given an array
+        `power_over` of x's shape, u / power_over is written into it, from the
+        same u, before u's buffer is reused.  x is left unchanged.
         """
-        return _phi_parts(np.asarray(x, dtype=np.float64), self.p, self.c_p, want_slope=True)
+        return _phi_parts(np.asarray(x, dtype=np.float64), self.p, self.c_p, True, power_over)
 
-    @property
+    @cached_property
     def slope_bound(self) -> float:
         """L_p >= sup phi', so |phi(a) - phi(b)| <= L_p |a - b| for all a, b.
 
@@ -92,7 +97,7 @@ class InfluenceFunction:
         u_star = (p * (p - 1.0) * self.c_p) ** (1.0 / (2.0 - p))
         return 1.0 + (2.0 - p) / (p - 1.0) * u_star
 
-    @property
+    @cached_property
     def holder_bound(self) -> float:
         """H_p with |phi'(u) - phi'(v)| <= H_p |u - v|^(p-1) for all u, v.
 
@@ -114,6 +119,40 @@ class InfluenceFunction:
             return 0.25
         fall = (p - 1.0) ** (p - 1.0) * (2.0 - p) ** (2.0 - p) * self.slope_bound**p
         return max(p * self.c_p, fall)
+
+    @cached_property
+    def curvature_bound(self) -> float:
+        """kappa_p with |phi''(v)| <= kappa_p |v|^(p-2) for all v != 0, so
+        sup_{|v| >= u} |phi''(v)| <= kappa_p u^(p-2) for every u > 0.
+
+        p = 2: kappa_2 = 1/4 = holder_bound.
+
+        p < 2: kappa_p = max(p (p-1) C, A^2 / (4 (A - B))), with A and B below.
+        phi'' is odd, so take v > 0, D = 1 + v + C v^p, t = D - 1 and
+        phi'' = p (p-1) C v^(p-2) / D - (D'/D)^2.
+        Rise: phi'' <= p (p-1) C v^(p-2) / D <= p (p-1) C v^(p-2).
+        Fall: expanding D'^2 and v^p = (t - v) / C gives
+        -phi'' v^(2-p) D^2 = p C t + h(v) - p (p-1) C,  h(v) = v^(2-p) + p C (2-p) v.
+        h is concave and increasing, and so is v as a function of t (the
+        inverse of the convex t(v) = v + C v^p), so the right-hand side is
+        concave in t and lies below its tangent A t + B at v0 = 3/5:
+        A = p C + h'(v0) / t'(v0),  B = h(v0) - t0 h'(v0) / t'(v0) - p (p-1) C,
+        with t0 = t(v0).  Then -phi'' v^(2-p) <= (A t + B) / (1 + t)^2
+        <= A^2 / (4 (A - B)), the maximum over all 1 + t > 0 (A > B on all of
+        (1, 2)).  v0 lies near the fall's maximiser (0.50 to 0.73 over
+        (1, 2)), so this is within 0.1% of sup -phi''(v) v^(2-p).
+        """
+        p, c = self.p, self.c_p
+        if p == 2.0:
+            return 0.25
+        v0 = 0.6
+        s0 = v0 ** (p - 1.0)
+        dh = (2.0 - p) / s0 + p * c * (2.0 - p)  # h'(v0)
+        dt = 1.0 + p * c * s0  # t'(v0)
+        t0 = v0 + c * v0 * s0
+        a = p * c + dh / dt
+        b = v0 ** (2.0 - p) + p * c * (2.0 - p) * v0 - t0 * dh / dt - p * (p - 1.0) * c
+        return max(p * (p - 1.0) * c, a * a / (4.0 * (a - b)))
 
     def upper_envelope(self, x):
         """log(1 + x + C_p |x|^p); defined for every real x."""
@@ -150,8 +189,8 @@ class InfluenceFunction:
 _X_SAFE = 1e150
 
 
-def _phi_parts(x: np.ndarray, p: float, c_p: float, want_slope: bool):
-    """(phi(x), phi'(x) or None), finite for every finite x.
+def _phi_parts(x: np.ndarray, p: float, c_p: float, want_slope: bool, power_over: np.ndarray | None = None):
+    """(phi(x), phi'(x) or None), finite for every finite x; see value_and_slope for power_over.
 
     Where some |x| exceeds _X_SAFE (or x is not finite), the log1p form is
     evaluated without warnings, and the finite x at which t overflowed
@@ -159,9 +198,9 @@ def _phi_parts(x: np.ndarray, p: float, c_p: float, want_slope: bool):
     """
     ax = np.abs(x)
     if not ax.size or ax.max() <= _X_SAFE:
-        return _log1p_form(x, ax, p, c_p, want_slope)
+        return _log1p_form(x, ax, p, c_p, want_slope, power_over)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        phi, slope = _log1p_form(x, ax, p, c_p, want_slope)
+        phi, slope = _log1p_form(x, ax, p, c_p, want_slope, power_over)
         over = np.isinf(phi) & np.isfinite(x)
         mag, big_slope = _log_form(ax, p, c_p)
         phi = np.where(over, np.copysign(mag, x), phi)
@@ -170,16 +209,20 @@ def _phi_parts(x: np.ndarray, p: float, c_p: float, want_slope: bool):
     return phi, slope
 
 
-def _log1p_form(x: np.ndarray, ax: np.ndarray, p: float, c_p: float, want_slope: bool):
+def _log1p_form(x: np.ndarray, ax: np.ndarray, p: float, c_p: float, want_slope: bool,
+                power_over: np.ndarray | None = None):
     """phi = copysign(log1p(t), x) and phi' = (1 + p C u) / (1 + t), from one power u = |x|^(p-1).
 
-    t = |x| + C (u |x|) is formed in u's buffer once the slope has read u, and
-    the log overwrites it.  u is a fresh array (numpy takes a sqrt at p = 1.5,
-    a copy at p = 2), so x and ax keep their values.  phi is log(1 + x + C|x|^p)
-    for x >= 0 and -log(1 - x + C|x|^p) for x < 0.  A 0-d x stays on numpy scalars.
+    t = |x| + C (u |x|) is formed in u's buffer once the slope (and
+    power_over's quotient) have read u, and the log overwrites it.  u is a
+    fresh array (numpy takes a sqrt at p = 1.5, a copy at p = 2), so x and ax
+    keep their values.  phi is log(1 + x + C|x|^p) for x >= 0 and
+    -log(1 - x + C|x|^p) for x < 0.  A 0-d x stays on numpy scalars.
     """
     t = ax ** (p - 1.0)
     slope = t * (p * c_p) + 1.0 if want_slope else None
+    if power_over is not None:
+        np.divide(t, power_over, out=power_over)
     t *= ax
     t *= c_p
     t += ax

@@ -261,6 +261,38 @@ class TestSolveBudget:
         assert lower < upper
         assert len(calls) <= 12
 
+    def test_width_workload_inputs_at_p15(self, monkeypatch):
+        """The README width run's Catoni solves: centred Pareto(1.9), p = 1.5,
+        alpha = 0.001, stream seed 11.  From n = 3e5 on, the split remainder
+        proves both Newton points at their first iterate (3 passes); below,
+        a split cannot close, and the Hoelder remainder takes 5."""
+        dist, p = centered_pareto(1.9), 1.5
+        cfg = cat.CatoniConfig(p=p, v_p=true_vp(dist, p), alpha=0.001, schedule=power_law(1.0, p))
+        ns = [1000, 3000, 10_000, 30_000, 100_000, 300_000, 1_000_000]
+        lam, x = cfg.schedule.head(ns[-1]), sample_stream(dist, 11, ns[-1])
+        calls = self.counted(monkeypatch)
+        counts = []
+        for n in ns:
+            calls.clear()
+            tgt = cat.target(cfg, float(np.sum(lam[:n] ** p)))
+            lower, upper = cat.solve_interval_arrays(cfg.influence, lam[:n], x[:n], tgt)
+            assert lower < upper
+            counts.append(len(calls))
+        assert counts == [5, 5, 5, 5, 5, 3, 3]
+
+    def test_lil_inputs_at_p2(self, monkeypatch):
+        """The lil-check solves: gaussian, p = 2, alpha = 0.05, stream seed 5, at
+        lil-check's checkpoints to 1e5.  3 passes from n = 476 on, 4 to 6 below."""
+        from heavytail_cs.harness import default_checkpoints
+
+        cfg = config_p2()
+        lam, x = cfg.schedule.head(100_000), sample_stream(gaussian(), 5, 100_000)
+        calls = self.counted(monkeypatch)
+        for n in default_checkpoints(100_000):
+            calls.clear()
+            cat.solve_interval_arrays(cfg.influence, lam[:n], x[:n], cat.target(cfg, float(np.sum(lam[:n] ** 2))))
+            assert (len(calls) == 3) if n >= 476 else (4 <= len(calls) <= 6), n
+
     def test_infinite_endpoints_within_expansion_budget(self, monkeypatch):
         """The case of test_endpoints_beyond_float_range_are_infinite: bracket
         growth alone took 2 * (2 + 2 * 200 + 2) = 808 evaluations."""

@@ -7,13 +7,15 @@ import re
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mp_pareto_vp
+from oracles import mp_pareto_vp, mp_phi
 from scipy import integrate, stats
 
 from heavytail_cs import catoni_cs as cat
@@ -33,7 +35,7 @@ from heavytail_cs.harness import (
     true_vp,
     two_point,
 )
-from heavytail_cs.schedules import SUM_CHUNK, LambdaSchedule, power_law
+from heavytail_cs.schedules import SUM_CHUNK, LambdaSchedule, cumulative_powers, power_law
 
 RADEMACHER = two_point([-1.0, 1.0], [0.5, 0.5])
 #: (shape, p) pairs for the centred-Pareto moment; 1.5/1.45, 1.95/1.9 and
@@ -302,6 +304,40 @@ class TestCoverage:
         serial = run_coverage(method, gaussian(0, 1), 2.0, 0.05, 500, 60, seed=4, stride=stride, threads=1)
         parallel = run_coverage(method, gaussian(0, 1), 2.0, 0.05, 500, 60, seed=4, stride=stride, threads=4)
         assert serial == parallel
+
+    @pytest.mark.parametrize("method", ["catoni", "ds"])
+    @pytest.mark.parametrize("shift", [0.0, 1e6, 1e12, 1e14, 1e17])
+    def test_verdicts_match_exact_arithmetic_at_any_location(self, method, shift):
+        """Each replication's float verdict equals the verdict of the same statistic,
+        |sum lambda_i (X_i - mu)| for Dubins-Savage or |sum phi(lambda_i (X_i - mu))| for
+        Catoni, summed exactly (Fraction; phi in 50-digit mpmath) on the same stream and
+        against the same float thresholds.  A wide alpha makes some replications miss."""
+        n, alpha, p = 200, 0.9, 2.0
+        dist = gaussian(shift, 1.0)
+        vp, cfg, schedule = harness._method_setup(method, dist, p, alpha, n, 1, None, 1.0)
+        lam = schedule.head(n)
+        sum_lam_p = cumulative_powers(lam, p)
+        if method == "catoni":
+            thresholds = cat.target(cfg, sum_lam_p)
+        else:
+            thresholds = sum_lam_p * (cfg.b * vp) + ds.ds_a(cfg)
+        verdicts = []
+        for seed in range(8):
+            x = sample_stream(dist, seed, n)
+            stat = Fraction(0)
+            exact_miss = False
+            with mpmath.workdps(50):
+                for lam_i, x_i, thr in zip(lam.tolist(), x.tolist(), thresholds.tolist()):
+                    z = Fraction(lam_i) * (Fraction(x_i) - Fraction(shift))
+                    if method == "catoni":
+                        z = mp_phi(p, cfg.c_p, mpmath.mpf(z.numerator) / z.denominator)[0]
+                    stat += z
+                    exact_miss = exact_miss or abs(stat) > thr
+            miss = run_coverage(method, dist, p, alpha, n, 1, seed=seed).miscoverage_count == 1
+            assert miss == exact_miss, seed
+            verdicts.append(miss)
+        if shift == 0.0:
+            assert verdicts.count(True) == (2 if method == "catoni" else 0)
 
     @pytest.mark.parametrize("method", ["catoni", "ds"])
     def test_statistic_accumulates_into_another_buffer(self, monkeypatch, method):

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from oracles import mp_phi, mp_phi_errors
@@ -266,6 +267,54 @@ class TestHolderBound:
         h = 1e-6
         curvature = (f.value_and_slope(x + h)[1] - f.value_and_slope(x - h)[1]) / (2.0 * h)
         assert curvature == pytest.approx(-0.25, rel=1e-6)
+
+
+class TestCurvatureBound:
+    @staticmethod
+    def mp_scaled_curvature(p, c_p, v):
+        """|phi''(v)| v^(2-p) at the exact float v > 0, in 50-digit mpmath.
+
+        With D = 1 + v + C v^p, phi' = D'/D and phi'' = D''/D - (D'/D)^2.
+        """
+        with mpmath.workdps(50):
+            p, c_p, v = mpmath.mpf(p), mpmath.mpf(c_p), mpmath.mpf(v)
+            d = 1 + v + c_p * v**p
+            d1 = 1 + p * c_p * v ** (p - 1)
+            d2 = p * (p - 1) * c_p * v ** (p - 2)
+            return float(abs(d2 / d - (d1 / d) ** 2) * v ** (2 - p))
+
+    @pytest.mark.parametrize("p", [1.01, 1.1, 1.5, 1.9, 1.99, 2.0])
+    def test_bounds_the_scaled_curvature_closely(self, p):
+        """|phi''(v)| <= kappa_p |v|^(p-2) at |v| log-spaced over [1e-300, 1e6] and dense around
+        the fall's peak, against 50-digit mpmath; phi'' is odd, so v > 0 covers both signs.
+
+        kappa_p is within 10% of the grid's largest |phi''(v)| |v|^(2-p), except
+        at p = 1.99: there the rise's p (p-1) C_p is reached only at v below 1e-300.
+        """
+        f = default_influence(p)
+        v = np.concatenate([np.geomspace(1e-300, 1e6, 160), np.linspace(0.3, 1.2, 40)])
+        scaled = [self.mp_scaled_curvature(p, f.c_p, vi) for vi in v.tolist()]
+        kappa = f.curvature_bound
+        assert max(scaled) <= kappa * (1.0 + 1e-12)
+        if p != 1.99:
+            assert kappa <= 1.1 * max(scaled)
+
+    def test_values(self):
+        """kappa_2 = 1/4 = H_2; at p = 1.5 a grid gives sup |phi''(v)| v^(1/2) of about 0.360."""
+        assert default_influence(2.0).curvature_bound == 0.25 == default_influence(2.0).holder_bound
+        assert default_influence(1.5).curvature_bound == pytest.approx(0.3602, abs=1e-4)
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0])
+    def test_power_over(self, p):
+        """value_and_slope(z, power_over=w) keeps phi and phi' bit for bit and writes |z|^(p-1) / w into w."""
+        f = default_influence(p)
+        z = np.random.default_rng(5).standard_normal(1000) * 10.0
+        z[0] = 0.0
+        w = np.abs(np.random.default_rng(6).standard_normal(1000)) + 0.5
+        expected = np.abs(z) ** (p - 1.0) / w
+        phi, slope = f.value_and_slope(z, w)
+        assert np.array_equal(phi, f.value_and_slope(z)[0]) and np.array_equal(slope, f.value_and_slope(z)[1])
+        assert np.array_equal(w, expected)
 
 
 class TestInvert:
