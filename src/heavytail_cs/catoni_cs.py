@@ -152,7 +152,7 @@ def _f_and_slope(influence: InfluenceFunction, lam: np.ndarray, xs: np.ndarray, 
     One pass over the arrays in blocks of _BLOCK elements.  Up to _BLOCK
     elements the value equals np.sum(influence(lam * (xs - x))) exactly.
     A z_i beyond the float range is +-inf without a warning; f_n is then
-    infinite, which solve_monotone reads as an overflow.  With `sums` the
+    infinite, which _Endpoint reads as an overflow of unknown sign.  With `sums` the
     same pass also returns sum |z_i| and sum lambda_i^2, the inputs of
     _TaylorCertificate.build.  With `far` > 0 it returns instead the sums of
     a _Split at x: sum lambda_i u_i / |X_i - x| (u_i = |z_i|^(p-1), so each
@@ -357,6 +357,11 @@ class _Endpoint:
         self.x, self.slope = cert.xhat, slope0  # the latest pass
         self.split: _Split | None = None
 
+    def reading(self, f: float, slope: float) -> tuple[float, float]:
+        """(f - level, slope) for a pass's (f_n(x), f_n'(x)).  An infinite f_n at a finite x is an overflow
+        whose sign proves nothing: it reads as the root lying outward of x, which can only widen the interval."""
+        return (-math.copysign(math.inf, self.level) if math.isinf(f) else f - self.level), slope
+
     def objective(self, x: float) -> tuple[float, float]:
         cert = self.cert
         rho = cert.split_radius(float(x) - self.x, self.slope, self.radius) if cert.curvature else 0.0
@@ -366,10 +371,23 @@ class _Endpoint:
         else:
             f, slope = _f_and_slope(cert.influence, self.lam, self.xs, x)
         self.x, self.slope = float(x), slope
-        return f - self.level, slope
+        return self.reading(f, slope)
 
     def certify(self, x: float, g: float, s: float, radius: float) -> tuple[float, float] | None:
         return self.cert(x, g, s, radius, self.split)
+
+
+def _bracket(influence: InfluenceFunction, lam: np.ndarray, xs: np.ndarray, tgt: float) -> tuple[float, float]:
+    """[lo, hi] = [min X - r, max X + r], r = expm1(tgt/n) / min lambda_i, proved to hold both roots of f_n = +-tgt.
+
+    Beyond either end every |z_i| is at least expm1(tgt/n), and phi is odd with phi(z) >= log1p(z) for
+    z >= 0 (InfluenceFunction.reach), so f_n >= tgt at every x <= lo and f_n <= -tgt at every x >= hi.
+    tgt/n, r and the ends are rounded outward; an end is +-inf where expm1 overflows.  No pass over phi.
+    """
+    r = influence.reach(math.nextafter(tgt / xs.size, math.inf)) / float(np.minimum.reduce(lam))
+    r = math.nextafter(r, math.inf)
+    return (math.nextafter(float(np.minimum.reduce(xs)) - r, -math.inf),
+            math.nextafter(float(np.maximum.reduce(xs)) + r, math.inf))
 
 
 def solve_interval_arrays(
@@ -379,33 +397,33 @@ def solve_interval_arrays(
     tgt: float,
     root_tol: float | None = None,
 ) -> tuple[float, float]:
-    """Both endpoint roots of sum phi(lambda_i (X_i - x)) = +-tgt, each to within
-    root_tol (None: 1e-9 * max(1, |xhat|)).
+    """Both endpoint roots of sum phi(lambda_i (X_i - x)) = +-tgt, each the outer end of
+    a final bracket no wider than root_tol (None: 1e-9 * max(1, |xhat|)).
 
-    Both endpoints start safeguarded Newton (solve_monotone) from one shared
-    evaluation of f_n and f_n' at the weighted mean
-    xhat = sum(lambda_i X_i)/sum(lambda_i); each evaluation is one fused
-    pass (_f_and_slope).  The shared pass also takes sum |z_i| and
-    sum lambda_i^2 for a _TaylorCertificate, which ends a solve once the
-    Taylor remainder and the float error prove the Newton point within
-    root_tol/4 of the root; at p < 2 each side (_Endpoint) may add a
-    _Split's sums to a pass predicted to close.  Measured passes per
-    interval: 3 at p = 2 for n >= 476 (Gaussian, alpha = 0.05); at p = 1.5
-    (centred Pareto(1.9), alpha = 0.001) 3 from n = 3e5 on, where the split
-    proves the first Newton iterate, and 5 below.  Returns (lower, upper);
-    lower <= upper since f_n is decreasing and the +tgt root is the smaller one.
+    Both endpoints run safeguarded Newton (solve_monotone) in the proven
+    bracket of both roots (_bracket), from one shared evaluation of f_n and
+    f_n' at the weighted mean xhat = sum(lambda_i X_i)/sum(lambda_i); each
+    evaluation is one fused pass (_f_and_slope).  The shared pass also takes
+    sum |z_i| and sum lambda_i^2 for a _TaylorCertificate, which ends a
+    solve with the bracket of half-width root_tol/4 around the Newton point
+    once the Taylor remainder and the float error prove it; at p < 2 each
+    side (_Endpoint) may add a _Split's sums to a pass predicted to close.
+    Measured passes per interval: 3 at p = 2 for n >= 476 (Gaussian,
+    alpha = 0.05); at p = 1.5 (centred Pareto(1.9), alpha = 0.001) 3 from
+    n = 3e5 on, where the split proves the first Newton iterate, and 5
+    below.  Returns (lower, upper), lower from the +tgt solve.
     """
     sum_lam = float(np.sum(lam))
     xhat = float(np.dot(lam, xs)) / sum_lam
     if root_tol is None:
         root_tol = 1e-9 * max(1.0, abs(xhat))
-
+    lo, hi = _bracket(influence, lam, xs, tgt)
     f0, slope0, abs_z0, sum_lam_sq = _f_and_slope(influence, lam, xs, xhat, True)
     cert = _TaylorCertificate.build(influence, xs.size, xhat, abs_z0, sum_lam, sum_lam_sq)
     ends = []
-    for level in (tgt, -tgt):
+    for side, level in enumerate((tgt, -tgt)):
         end = _Endpoint(cert, lam, xs, level, 0.25 * root_tol, slope0)
-        ends.append(solve_monotone(end.objective, xhat, root_tol, (f0 - level, slope0), certify=end.certify))
+        ends.append(solve_monotone(end.objective, lo, hi, xhat, root_tol, end.reading(f0, slope0), end.certify)[side])
     return ends[0], ends[1]
 
 

@@ -609,8 +609,10 @@ def _bound_suspects(influence, lam, cum_lam, mu, band, bounds, blocks):
     Block k tests f_n(mu + w_k) <= -band_n and f_n(mu - w_k) >= band_n for
     its n, with w_k = min(bounds over the block) / 2, from prefixes carried
     over from block k-1 (see run_bound_validity).  Both sides are the rows
-    of one (2, m) array: mu + (-1.0) w is mu - w exactly, and the row-wise
-    cumulative sum adds in order, so each row has the bits of a one-sided pass.
+    of one (2, m) array, (x - mu) -+ w: centring first keeps x - mu exact
+    near mu (Sterbenz) at any location, where mu +- w would round to mu's
+    grid, and the row-wise cumulative sum adds in order, so each row has the
+    bits of a one-sided pass.
     cum_lam, the cumulative sum of lam, is read only at the block edges.
     """
     w = [0.5 * float(np.min(bounds[a - 1 : b])) for a, b in blocks]
@@ -624,7 +626,7 @@ def _bound_suspects(influence, lam, cum_lam, mu, band, bounds, blocks):
         carry = np.zeros(2)
         for k, (a, b) in enumerate(blocks):
             start = 0 if k == 0 else a - 1
-            sides = x[start:b] - (mu + sign * w[k])
+            sides = (x[start:b] - mu) - sign * w[k]
             sides *= lam[start:b]
             sides = influence(sides)
             sides[:, 0] += carry

@@ -26,6 +26,7 @@ strictly increasing and 1-Lipschitz.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -166,13 +167,23 @@ class InfluenceFunction:
         out = -np.log(1.0 - arr + self.c_p * np.abs(arr) ** self.p)
         return float(out) if np.ndim(x) == 0 else out
 
+    @staticmethod
+    def reach(y: float) -> float:
+        """An r >= 0 with phi(r) >= y >= 0 at every p, as phi(z) >= log1p(z) for z >= 0: math.expm1(y),
+        within an ulp, raised by two; +inf where expm1 overflows."""
+        try:
+            e = math.expm1(y)
+        except OverflowError:
+            return math.inf
+        return math.nextafter(e + math.ulp(e), math.inf)
+
     def invert(self, y: float) -> float:
         """The unique x with phi(x) = y, to absolute tolerance INVERT_TOL.
 
         Exists for every finite y because phi is strictly increasing and
-        unbounded in both directions.  Safeguarded Newton on y - phi(x) from
-        x = 0 (see solve_monotone); the p = 2 closed form
-        -1 + sqrt(2 e^y - 1) is used only as a test oracle, never here.
+        unbounded in both directions, and lies in [-r, r], r = reach(|y|), as
+        phi is odd.  The midpoint of solve_monotone's final bracket from x = 0;
+        the p = 2 closed form -1 + sqrt(2 e^y - 1) is only a test oracle.
         """
         y = float(y)
         if y == 0.0:
@@ -182,7 +193,9 @@ class InfluenceFunction:
             phi, slope = self.value_and_slope(x)
             return y - float(phi), -float(slope)
 
-        return solve_monotone(g, 0.0, INVERT_TOL)
+        r = self.reach(abs(y))
+        lo, hi = solve_monotone(g, -r, r, 0.0, INVERT_TOL)
+        return 0.5 * lo + 0.5 * hi
 
 
 #: Up to this |x| (p <= 2, C_p <= 1) no product in the kernel overflows.

@@ -1,31 +1,25 @@
-"""Scalar root finding for strictly monotone functions.
+"""Scalar root finding for strictly monotone functions in a proven bracket.
 
 `solve_monotone` is the package's root solver: safeguarded Newton on an
-objective that returns its value and slope.  It keeps a sign-change bracket
-at all times and falls back to bisection (or, while one side is still open,
-to geometric growth of the bracket) whenever a Newton step cannot be
-trusted, so it terminates like bisection and stops only on a certified
-bracket: one whose ends it evaluated, or one an optional certifier proves
-from the latest value and slope.  `expand_bracket` and `bisect` are the plain value-only methods;
-they remain as the slow reference the solver is tested against.
+objective that returns its value and slope, inside a bracket the caller has
+proved to hold the root.  It narrows the bracket at every evaluation, splits
+it whenever a Newton step cannot be trusted, so it terminates like
+bisection, and returns its final bracket, whose ends the caller picks from.
+`expand_bracket` and `bisect` are the plain value-only methods; they remain
+as the slow reference the solver is tested against.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from typing import Callable
 
-
-class BracketError(RuntimeError):
-    """No sign change within the allowed doublings, nor out to +-inf."""
-
-
-#: certify(x, f(x), f'(x), radius) -> a bracket [a, b] of half-width radius
-#: (up to the rounding of its ends) proved to hold the root, or None; see
-#: solve_monotone.
+#: certify(x, f(x), f'(x), radius) -> a bracket [a, b] of half-width radius (up to
+#: the rounding of its ends) proved to hold the root, or None; see solve_monotone.
 Certifier = Callable[[float, float, float, float], tuple[float, float] | None]
-#: Open-side fallback steps after which solve_monotone probes that side's infinite end.
-_MAX_DOUBLINGS = 200
+#: The sign bit of a float64's bit pattern.
+_SIGN = 1 << 63
 
 
 def _value(f: Callable[[float], float], x: float) -> float:
@@ -49,35 +43,20 @@ def expand_bracket(
     """Grow [lo, hi] symmetrically until f changes sign across it.
 
     Returns (lo, hi, f(lo), f(hi)) with f(lo) * f(hi) <= 0.  Each step
-    doubles the interval radius.  When `max_doublings` expansions find no
-    sign change, the root lies beyond them, possibly beyond the float
-    range: the bracket becomes [-inf, lo] or [hi, inf], whichever f changes
-    sign across, and bisecting it returns that infinite end, an outward
-    answer.  Raises BracketError when neither does, and ValueError when f
-    is NaN.
+    doubles the interval radius.  Raises ValueError when `max_doublings`
+    expansions find no sign change, or when f is NaN.
     """
     if not lo < hi:
         raise ValueError(f"invalid initial bracket [{lo}, {hi}]")
-    flo = _value(f, lo)
-    fhi = _value(f, hi)
-    width = hi - lo
+    flo, fhi = _value(f, lo), _value(f, hi)
     for _ in range(max_doublings):
         if _brackets(flo, fhi):
-            return lo, hi, flo, fhi
-        lo -= width
-        hi += width
-        width = hi - lo
-        flo = _value(f, lo)
-        fhi = _value(f, hi)
-    # The last expansion is still unchecked; after it, try each infinite end.
-    f_ninf, f_pinf = _value(f, -math.inf), _value(f, math.inf)
-    for a, b, fa, fb in ((lo, hi, flo, fhi), (-math.inf, lo, f_ninf, flo), (hi, math.inf, fhi, f_pinf)):
-        if _brackets(fa, fb):
-            return a, b, fa, fb
-    raise BracketError(
-        f"no sign change in [{lo}, {hi}] after {max_doublings} doublings: "
-        f"f(lo)={flo}, f(hi)={fhi}"
-    )
+            break
+        lo, hi = lo - (hi - lo), hi + (hi - lo)
+        flo, fhi = _value(f, lo), _value(f, hi)
+    if not _brackets(flo, fhi):
+        raise ValueError(f"no sign change in [{lo}, {hi}] after {max_doublings} doublings: f(lo)={flo}, f(hi)={fhi}")
+    return lo, hi, flo, fhi
 
 
 def bisect(
@@ -120,25 +99,40 @@ def bisect(
     return 0.5 * (lo + hi)
 
 
+def _ordinal(x: float) -> int:
+    """x's rank among the floats: adjacent floats differ by 1, and +-0.0 give 0."""
+    bits = struct.unpack("<Q", struct.pack("<d", x))[0]
+    return -(bits ^ _SIGN) if bits & _SIGN else bits
+
+
+def _split(lo: float, hi: float) -> float:
+    """The midpoint of [lo, hi], or of its ends' ordinals where hi - lo is not finite (64 splits at most)."""
+    if math.isfinite(hi - lo):
+        return 0.5 * lo + 0.5 * hi
+    k = (_ordinal(lo) + _ordinal(hi)) // 2
+    return struct.unpack("<d", struct.pack("<Q", -k | _SIGN if k < 0 else k))[0]
+
+
 def solve_monotone(
     f: Callable[[float], tuple[float, float]],
+    lo: float,
+    hi: float,
     x: float,
     xtol: float,
     fx: tuple[float, float] | None = None,
     certify: Certifier | None = None,
-) -> float:
-    """Root of a strictly decreasing f to within `xtol`, by safeguarded Newton.
+) -> tuple[float, float]:
+    """The final bracket of the root of a strictly decreasing f, by safeguarded Newton in a proven one.
 
-    f returns the pair (f(x), f'(x)); `fx` may pass that pair at the start
-    `x` to reuse an evaluation.  The iterate always ends a bracket
-    [lo, hi] with f(lo) > 0 > f(hi).  Each step is a Newton step from the
-    latest iterate, unless that step is not finite, leaves the bracket, or
-    is longer than half the step before last; then it bisects instead.
-    While one side of the bracket is still open, the fallback step doubles
-    the distance from the start, as in expand_bracket; after
-    _MAX_DOUBLINGS steps on an open side, the next probe is that side's
-    infinite end.  A Newton step shorter than xtol/4 is lengthened by
-    xtol/4, so it lands just past the root and closes the bracket.
+    The caller proves f(lo) >= 0 >= f(hi); the ends are never evaluated and
+    may be +-inf.  f returns (f(x), f'(x)), and `fx` may pass that pair at
+    the start x, which is clamped into [lo, hi] (_split(lo, hi) if x is not
+    finite).  Each evaluation moves lo (f > 0) or hi (f < 0) to the iterate.
+    Each step is a Newton step from the latest iterate, unless that step is
+    not finite, leaves the bracket, or is longer than half the step before
+    last; then _split splits the bracket.  A Newton step shorter than xtol/4
+    is lengthened by xtol/4, so it lands just past the root and closes the
+    bracket.
 
     `certify`, when given, is asked at every iterate, with x and its
     (fx, dfx), for a bracket [a, b] of half-width xtol/4 around the Newton
@@ -146,65 +140,35 @@ def solve_monotone(
     bound on f's Taylor remainder).  A proved bracket ends the solve
     without evaluating f at its ends; None lets the loop go on unchanged.
 
-    Returns the midpoint of the first bracket no wider than `xtol` (or of
-    one whose ends are adjacent floats), so the root lies within xtol/2 of
-    the answer.  f is taken to be finite at every finite x, so an infinite
-    value there is an overflow of its computation and its sign is not
-    trusted: when it turns up on an open side, the answer is that side's
-    infinite end.  A root beyond the float range also comes back as +-inf.
-    Raises ValueError when f is NaN or overflows at the start, and
-    BracketError when f does not change sign out to +-inf.
+    Returns the proved bracket, else the first one no wider than `xtol` or
+    with adjacent ends ((x, x) where f(x) == 0); the caller takes the end on
+    the side it needs.  Raises ValueError when f is NaN.
     """
     if xtol <= 0.0:
         raise ValueError(f"xtol must be positive, got {xtol}")
-    x0 = x
+    start = min(max(x, lo), hi) if math.isfinite(x) else _split(lo, hi)
+    if start != x:
+        x, fx = start, None
     fx, dfx = f(x) if fx is None else fx
-    lo, hi = -math.inf, math.inf
-    lo_open = hi_open = True
-    reach, doublings = 1.0, 0
     prev = prev2 = math.inf  # lengths of the last two steps
     while True:
         if math.isnan(fx):
             raise ValueError(f"objective is NaN at x = {x}")
         if fx == 0.0:
-            return x
-        if math.isinf(fx) and math.isfinite(x) and (lo_open or hi_open):
-            # f is finite at every finite x, so this value is an overflow and
-            # its sign proves nothing: the root may lie anywhere beyond.
-            if lo_open and hi_open:
-                raise ValueError(f"objective overflows at the start x = {x}")
-            return -math.inf if lo_open else math.inf
-        if fx > 0.0:
-            lo, lo_open = x, False
-        else:
-            hi, hi_open = x, False
-        if not (lo_open or hi_open):
-            mid = 0.5 * lo + 0.5 * hi
-            if hi - lo <= xtol or not lo < mid < hi:
-                return mid
-        elif math.isinf(x):
-            raise BracketError(f"no sign change out to x = {x}: f = {fx}")
+            return x, x
+        lo, hi = (x, hi) if fx > 0.0 else (lo, x)
+        mid = _split(lo, hi)
+        if hi - lo <= xtol or not lo < mid < hi:
+            return lo, hi
         proved = certify(x, fx, dfx, 0.25 * xtol) if certify is not None else None
         if proved is not None:
-            lo, hi = proved
-            return 0.5 * lo + 0.5 * hi
-        toward = 1.0 if fx > 0.0 else -1.0  # the side of x the root is on
+            return proved
         step = -fx / dfx if dfx < 0.0 else math.nan
         if abs(step) < 0.25 * xtol:
-            step = toward * (abs(step) + 0.25 * xtol)
+            step = math.copysign(abs(step) + 0.25 * xtol, fx)
         nxt = x + step
-        if not (lo < nxt < hi and (lo_open or hi_open or abs(step) <= 0.5 * prev2)):
-            if not (lo_open or hi_open):
-                nxt = mid
-            elif doublings < _MAX_DOUBLINGS:
-                end = lo if hi_open else hi
-                reach = max(reach, abs(end - x0), 4.0 * math.ulp(end))
-                nxt = end + toward * reach
-                reach *= 2.0
-            else:
-                nxt = toward * math.inf
-        if lo_open or hi_open:
-            doublings += 1
+        if not (lo < nxt < hi and abs(step) <= 0.5 * prev2):
+            nxt = mid
         prev2, prev = prev, abs(nxt - x)
         x = nxt
         fx, dfx = f(x)

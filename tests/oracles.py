@@ -85,9 +85,13 @@ def mp_phi_errors(p, c_p, z, phi, slope):
         return float(abs(phi - exact_phi)), float(abs(slope - exact_slope) / exact_slope)
 
 
-def exact_f(influence, lam, xs, y):
-    """f_n(y) = sum phi(lambda_i (X_i - y)) on the exact values of the float inputs, in 50-digit mpmath."""
-    with mp.workdps(50):
+def exact_f(influence, lam, xs, y, dps=50):
+    """f_n(y) = sum phi(lambda_i (X_i - y)) on the exact values of the float inputs, in dps-digit mpmath.
+
+    Each phi is mp_phi's, within 50 digits of its own size; dps sets the
+    precision of the z_i and of the sum.
+    """
+    with mp.workdps(dps):
         total = mp.mpf(0)
         for li, xi in zip(lam.tolist(), xs.tolist()):
             total += mp_phi(influence.p, influence.c_p, mp.mpf(li) * (mp.mpf(xi) - mp.mpf(y)))[0]

@@ -11,6 +11,7 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import budget_oracle
@@ -142,3 +143,29 @@ def test_suspects_and_offset_run_are_pinned():
     for threads in (1, 2):
         rep = harness.run_bound_validity(offset, 2.0, 0.05, 3000, 8, seed=14, threads=threads)
         assert (rep.exact_solves, rep.violating_reps) == (984, 0)
+
+
+@pytest.mark.parametrize("shift", [1e6, 1e12, 1e15, 1e17])
+def test_suspects_do_not_depend_on_the_location(shift):
+    """The chained test at mu = shift on a stream x equals the test at mu = 0
+    on x - shift, which is exact (Sterbenz) near mu: it forms (x - mu) -+ w.
+    Offsetting first, x - (mu +- w), rounds mu +- w to mu's grid (0.125 at
+    1e15), and moves the checked points by up to half of that.  Below 1e17
+    the stream's offset of 0.66 from mu survives the shift, so some n fail;
+    at 1e17 the grid is 16 and the rounded stream sits on mu."""
+    unit = harness.gaussian(0.0, 1.0)
+    scale, n_max = 3.0, 4000
+    cfg = cat.CatoniConfig(p=2.0, v_p=scale**2 * harness.true_vp(unit, 2.0), alpha=0.05,
+                           schedule=power_law(0.2 / scale, 2.0))
+    lam = cfg.schedule.head(n_max)
+    band = math.log(2.0 / 0.05) + cfg.c_p * cfg.v_p * np.cumsum(lam**2)
+    bounds, condition = cat.width_bound_curve(cfg, n_max)
+    blocks = harness._bound_blocks(int(np.argmax(condition)) + 1, n_max)
+
+    def suspects(mu, x):
+        return harness._bound_suspects(cfg.influence, lam, np.cumsum(lam), mu, band, bounds, blocks)(x)
+
+    x = shift + scale * (0.22 + harness.sample_stream(unit, 1, n_max))
+    centred = suspects(0.0, x - shift)
+    assert bool(centred) == (shift < 1e17)
+    assert suspects(shift, x) == centred

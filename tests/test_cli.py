@@ -212,7 +212,7 @@ class TestDefaultSchedule:
         assert docs[0]["rows"] == docs[1]["rows"] and docs[0]["summary"] == docs[1]["summary"]
         assert (docs[0]["config"]["schedule"], docs[1]["config"]["schedule"]) == (None, "power_law")
         if args[0] == "width":
-            assert docs[0]["rows"][-1]["width_catoni"] == 0.21473151804452634
+            assert docs[0]["rows"][-1]["width_catoni"] == 0.21473151854452632
         else:
             assert docs[0]["rows"][0]["miscoverage_count"] == 48
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from heavytail_cs.rootfind import BracketError, bisect, expand_bracket, solve_monotone
+from heavytail_cs.rootfind import bisect, expand_bracket, solve_monotone
 
 
 def test_expand_finds_sign_change():
@@ -14,7 +14,7 @@ def test_expand_finds_sign_change():
 
 
 def test_expand_gives_up_on_sign_definite():
-    with pytest.raises(BracketError):
+    with pytest.raises(ValueError, match="no sign change"):
         expand_bracket(lambda x: 1.0 + x * x, -1.0, 1.0, max_doublings=60)
 
 
@@ -29,7 +29,23 @@ def test_bisect_requires_sign_change():
 
 
 def test_solve_monotone_decreasing():
-    assert solve_monotone(lambda x: (5.0 - x, -1.0), 0.0, 1e-12) == pytest.approx(5.0, abs=1e-12)
+    """The final bracket holds the root and is no wider than xtol."""
+    lo, hi = solve_monotone(lambda x: (5.0 - x, -1.0), 0.0, 10.0, 0.0, 1e-12)
+    assert lo <= 5.0 <= hi <= lo + 1e-12
+
+
+def test_start_is_clamped_into_the_bracket():
+    """A start outside [lo, hi] (or not finite) is never evaluated."""
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return 5.0 - x, -1.0
+
+    for start in (-1e300, 1e300, math.inf, math.nan):
+        seen.clear()
+        lo, hi = solve_monotone(f, 4.0, 6.0, start, 1e-12)
+        assert lo <= 5.0 <= hi and all(4.0 <= x <= 6.0 for x in seen)
 
 
 def test_nan_objective_rejected():
@@ -38,9 +54,19 @@ def test_nan_objective_rejected():
 
 
 def test_root_beyond_float_range_is_infinite():
-    """Root at 1e310: the outward answer is +inf, not a BracketError."""
-    assert solve_monotone(lambda x: (1e10 - x * 1e-300, -1e-300), 0.0, 1e-9) == math.inf
-    assert solve_monotone(lambda x: (-1e10 - x * 1e-300, -1e-300), 0.0, 1e-9) == -math.inf
+    """Root at +-1e310 in [-inf, inf]: the bracket's outer end is that infinity,
+    reached by splitting the ordinals in at most 64 steps past Newton's."""
+    calls = []
+
+    def f(sign):
+        def g(x):
+            calls.append(x)
+            return sign * 1e10 - x * 1e-300, -1e-300
+        return g
+
+    assert solve_monotone(f(1.0), -math.inf, math.inf, 0.0, 1e-9)[1] == math.inf
+    assert solve_monotone(f(-1.0), -math.inf, math.inf, 0.0, 1e-9)[0] == -math.inf
+    assert len(calls) <= 2 * 66
 
 
 def test_invalid_bracket():
@@ -53,29 +79,20 @@ def test_newton_stops_on_certified_bracket():
     changes sign across [answer - xtol/2, answer + xtol/2]."""
     f = lambda x: 2.0 - x**3
     xtol = 1e-9
-    root = solve_monotone(lambda x: (f(x), -3.0 * x * x), 1.0, xtol)
-    assert abs(root - 2.0 ** (1.0 / 3.0)) <= 0.5 * xtol
-    assert f(root - 0.5 * xtol) > 0.0 > f(root + 0.5 * xtol)
+    lo, hi = solve_monotone(lambda x: (f(x), -3.0 * x * x), 0.0, 2.0, 1.0, xtol)
+    assert lo <= 2.0 ** (1.0 / 3.0) <= hi <= lo + xtol
+    assert f(lo) > 0.0 > f(hi)
 
 
 def test_bad_slope_falls_back_to_bracketing():
-    """A useless slope (NaN, or of the wrong sign) leaves expansion and
-    bisection, which still converge to the root."""
+    """A useless slope (NaN, or of the wrong sign) leaves splitting, which
+    still converges to the root, also from an infinite bracket."""
     for slope in (math.nan, 1.0, 0.0):
-        assert solve_monotone(lambda x: (3.0 - x, slope), 0.0, 1e-10) == pytest.approx(3.0, abs=1e-10)
+        for lo, hi in ((-10.0, 10.0), (-math.inf, math.inf)):
+            lo, hi = solve_monotone(lambda x: (3.0 - x, slope), lo, hi, 0.0, 1e-10)
+            assert lo <= 3.0 <= hi <= lo + 1e-10
 
 
 def test_newton_nan_objective_rejected():
     with pytest.raises(ValueError, match="NaN"):
-        solve_monotone(lambda x: (math.nan if x > 0.5 else 1.0 - x, -1.0), 0.0, 1e-9)
-
-
-def test_overflow_on_open_side_gives_infinite_end():
-    """An infinite value at a finite x is an overflow, not a sign: the root is
-    reported as the open side's infinite end, never as that finite x."""
-    f = lambda x: (math.inf if x < -1e100 else 1e-3 * (-1e6 - x), -1e-3)
-    assert solve_monotone(f, 0.0, 1e-9) == pytest.approx(-1e6, abs=1e-9)
-    f = lambda x: (math.inf if x < -1e100 else -1e-3 * x - 1e300, -1e-3)
-    assert solve_monotone(f, 0.0, 1e-9) == -math.inf
-    with pytest.raises(ValueError, match="overflows"):
-        solve_monotone(lambda x: (math.inf, -1.0), 0.0, 1e-9)
+        solve_monotone(lambda x: (math.nan if x > 0.5 else 1.0 - x, -1.0), -10.0, 10.0, 0.0, 1e-9)
