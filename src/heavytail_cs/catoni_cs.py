@@ -44,7 +44,7 @@ import numpy as np
 
 from .influence import InfluenceFunction, default_influence
 from .interval import ConfidenceInterval
-from .rootfind import solve_monotone
+from .rootfind import Reading, solve_monotone
 from .schedules import LambdaSchedule, PrefixSums, checkpoint_sums, cumulative_powers, cumulative_sums
 
 
@@ -219,10 +219,9 @@ class _Split:
     bounded as in _TaylorCertificate.  The pass that takes the sums calls a
     term far when its computed |X_i - x|, one rounding off the exact one,
     is at least threshold(rho) = 2 rho (1 + 4 eps), so every term it calls
-    far is far; a doubtful term counts as near.
+    far is far; a doubtful term counts as near.  It holds at its own pass's x only.
     """
 
-    x: float
     rho: float
     far: float
     near: float
@@ -232,14 +231,14 @@ class _Split:
         return 2.0 * rho * (1.0 + 4.0 * _EPS)
 
     @classmethod
-    def build(cls, influence: InfluenceFunction, size: int, x: float, rho: float, curv: float, near_sq: float,
+    def build(cls, influence: InfluenceFunction, size: int, rho: float, curv: float, near_sq: float,
               near_lam: float) -> _Split:
         """From _f_and_slope's split sums at x, taken with far = threshold(rho), each raised by its rounding."""
         p = influence.p
         curv *= 1.0 + _rounding_rates(influence, size)[1]  # positive terms, each within _TERM_ULPS eps
         near_lam_p = near_sq ** (p - 1.0) * near_lam ** (2.0 - p) * (1.0 + (_TERM_ULPS + size) * _EPS)
         far = influence.curvature_bound * 2.0 ** (1.0 - p) * curv
-        return cls(x, rho, far, influence.holder_bound / p * near_lam_p)
+        return cls(rho, far, influence.holder_bound / p * near_lam_p)
 
 
 @dataclass(frozen=True)
@@ -258,8 +257,8 @@ class _TaylorCertificate:
     the smaller bound is used.  Rounding: sum |z_i(x)| <= abs_z0 +
     |x - xhat| sum lambda_i by the triangle inequality, with abs_z0 the sum
     at xhat, so _rounding_rates bound the float error at any x at no cost
-    per pass.  An instance is a solve_monotone certifier; _Endpoint passes
-    it the split of the latest pass.
+    per pass.  _Endpoint calls an instance on each pass's reading, with that
+    pass's split if it took one, and returns the proof to solve_monotone.
     """
 
     influence: InfluenceFunction
@@ -307,15 +306,15 @@ class _TaylorCertificate:
     def bound(self, x: float, g: float, s: float, reach: float, split: _Split | None = None) -> float:
         """Bound on |f_n(x + d) - level - (g + s d)| over |d| <= reach.
 
-        g and s are the computed f_n(x) - level and f_n'(x).  The bound adds
-        their float errors (_rounding_rates, plus the rounding of
-        subtracting level) and the Taylor remainder: R(reach), or the
-        split's at x where reach is within its rho and the split's is smaller.
+        g and s are the computed f_n(x) - level and f_n'(x), and `split` one taken in the
+        same pass.  The bound adds their float errors (_rounding_rates, plus the
+        rounding of subtracting level) and the Taylor remainder: R(reach), or the
+        split's where reach is within its rho and the split's is smaller.
         """
         p = self.influence.p
         rate_f, rate_s = self.rates
         rem = self.remainder * reach**p
-        if split is not None and split.x == x and reach <= split.rho:
+        if split is not None and reach <= split.rho:
             rem = min(rem, split.far * reach * reach + split.near * reach**p)
         abs_z = self.abs_z0 + abs(x - self.xhat) * self.sum_lam
         return rate_f * abs_z + _EPS * abs(g) + rate_s * abs(s) * reach + rem
@@ -342,39 +341,36 @@ class _TaylorCertificate:
 
 
 class _Endpoint:
-    """One endpoint's solve: f_n - level as solve_monotone's objective, and its certifier.
+    """One endpoint's solve: solve_monotone's objective, f_n - level with its slope and the certificate's proof.
 
     At p < 2 each pass asks the certificate for a split radius from the
     step since the previous pass; given one, the pass also takes a _Split's
-    sums, and the certifier may use them at that x.
+    sums, and the certificate reads that split with the same pass's reading.
     """
 
-    __slots__ = ("cert", "lam", "xs", "level", "radius", "x", "slope", "split")
+    __slots__ = ("cert", "lam", "xs", "level", "radius", "x", "slope")
 
     def __init__(self, cert: _TaylorCertificate, lam: np.ndarray, xs: np.ndarray, level: float, radius: float,
                  slope0: float):
         self.cert, self.lam, self.xs, self.level, self.radius = cert, lam, xs, level, radius
         self.x, self.slope = cert.xhat, slope0  # the latest pass
-        self.split: _Split | None = None
 
-    def reading(self, f: float, slope: float) -> tuple[float, float]:
-        """(f - level, slope) for a pass's (f_n(x), f_n'(x)).  An infinite f_n at a finite x is an overflow
-        whose sign proves nothing: it reads as the root lying outward of x, which can only widen the interval."""
-        return (-math.copysign(math.inf, self.level) if math.isinf(f) else f - self.level), slope
+    def reading(self, x: float, f: float, slope: float, split: _Split | None = None) -> Reading:
+        """(f - level, slope, the certificate's proof or None) for a pass's (f_n(x), f_n'(x)).  An infinite f_n at a
+        finite x is an overflow of unknown sign: it reads as the root lying outward of x, which can only widen."""
+        g = -math.copysign(math.inf, self.level) if math.isinf(f) else f - self.level
+        return g, slope, self.cert(x, g, slope, self.radius, split)
 
-    def objective(self, x: float) -> tuple[float, float]:
+    def objective(self, x: float) -> Reading:
         cert = self.cert
         rho = cert.split_radius(float(x) - self.x, self.slope, self.radius) if cert.curvature else 0.0
         if rho:
             f, slope, *sums = _f_and_slope(cert.influence, self.lam, self.xs, x, False, _Split.threshold(rho))
-            self.split = _Split.build(cert.influence, self.xs.size, x, rho, *sums)
+            split = _Split.build(cert.influence, self.xs.size, rho, *sums)
         else:
-            f, slope = _f_and_slope(cert.influence, self.lam, self.xs, x)
+            (f, slope), split = _f_and_slope(cert.influence, self.lam, self.xs, x), None
         self.x, self.slope = float(x), slope
-        return self.reading(f, slope)
-
-    def certify(self, x: float, g: float, s: float, radius: float) -> tuple[float, float] | None:
-        return self.cert(x, g, s, radius, self.split)
+        return self.reading(x, f, slope, split)
 
 
 def _bracket(influence: InfluenceFunction, lam: np.ndarray, xs: np.ndarray, tgt: float) -> tuple[float, float]:
@@ -411,10 +407,13 @@ def solve_interval_arrays(
     Measured passes per interval: 3 at p = 2 for n >= 476 (Gaussian,
     alpha = 0.05); at p = 1.5 (centred Pareto(1.9), alpha = 0.001) 3 from
     n = 3e5 on, where the split proves the first Newton iterate, and 5
-    below.  Returns (lower, upper), lower from the +tgt solve.
+    below.  An infinite or NaN xhat (its sum overflows; no warning) starts each solve from
+    the bracket's split, and an infinite root_tol returns the proven bracket after that pass.
+    Returns (lower, upper), lower from the +tgt solve.
     """
     sum_lam = float(np.sum(lam))
-    xhat = float(np.dot(lam, xs)) / sum_lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        xhat = float(np.dot(lam, xs)) / sum_lam
     if root_tol is None:
         root_tol = 1e-9 * max(1.0, abs(xhat))
     lo, hi = _bracket(influence, lam, xs, tgt)
@@ -423,7 +422,7 @@ def solve_interval_arrays(
     ends = []
     for side, level in enumerate((tgt, -tgt)):
         end = _Endpoint(cert, lam, xs, level, 0.25 * root_tol, slope0)
-        ends.append(solve_monotone(end.objective, lo, hi, xhat, root_tol, end.reading(f0, slope0), end.certify)[side])
+        ends.append(solve_monotone(end.objective, lo, hi, xhat, root_tol, end.reading(xhat, f0, slope0))[side])
     return ends[0], ends[1]
 
 

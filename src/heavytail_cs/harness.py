@@ -603,17 +603,15 @@ def _bound_blocks(n0: int, n_max: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])] or [(n0, n_max)]
 
 
-def _bound_suspects(influence, lam, cum_lam, mu, band, bounds, blocks):
+def _bound_suspects(influence, lam, cum_lam, band, bounds, blocks):
     """suspects(x): the sorted n of `blocks` at which run_bound_validity's sufficient test fails.
 
-    Block k tests f_n(mu + w_k) <= -band_n and f_n(mu - w_k) >= band_n for
-    its n, with w_k = min(bounds over the block) / 2, from prefixes carried
-    over from block k-1 (see run_bound_validity).  Both sides are the rows
-    of one (2, m) array, (x - mu) -+ w: centring first keeps x - mu exact
-    near mu (Sterbenz) at any location, where mu +- w would round to mu's
-    grid, and the row-wise cumulative sum adds in order, so each row has the
-    bits of a one-sided pass.
-    cum_lam, the cumulative sum of lam, is read only at the block edges.
+    x is the stream less its checked mean.  Block k tests f_n(w_k) <= -band_n
+    and f_n(-w_k) >= band_n for its n, with w_k = min(bounds over the block)
+    / 2, from prefixes carried over from block k-1 (see run_bound_validity).
+    Both sides are the rows of one (2, m) array, x -+ w, and the row-wise
+    cumulative sum adds in order, so each row has the bits of a one-sided
+    pass.  cum_lam, the cumulative sum of lam, is read only at the block edges.
     """
     w = [0.5 * float(np.min(bounds[a - 1 : b])) for a, b in blocks]
     # The next block starts at n = b, so its prefix is lambda_1..lambda_{b-1}.
@@ -626,7 +624,7 @@ def _bound_suspects(influence, lam, cum_lam, mu, band, bounds, blocks):
         carry = np.zeros(2)
         for k, (a, b) in enumerate(blocks):
             start = 0 if k == 0 else a - 1
-            sides = (x[start:b] - mu) - sign * w[k]
+            sides = x[start:b] - sign * w[k]
             sides *= lam[start:b]
             sides = influence(sides)
             sides[:, 0] += carry
@@ -674,8 +672,10 @@ def run_bound_validity(
     replication: O(n_max) time, and memory of one block.
 
     Only the (rare) n where the test fails get exact endpoint solves, so
-    the verdict per n is exact.  The run uses Catoni's default schedule
-    power_law(1, p) and CatoniConfig's width constants t = 1/2, tau = 0.1.
+    the verdict per n is exact.  The test and the exact solves read x - mu,
+    formed once per replication and exact (Sterbenz) near mu at any mu, where
+    mu +- w rounds to mu's grid and root_tol scales with |xhat|.  The run uses
+    Catoni's default schedule power_law(1, p) and width constants t = 1/2, tau = 0.1.
     """
     vp, cfg, schedule = _method_setup(CATONI, dist, p, alpha, n_max, reps, None, 1.0)
     lam = schedule.head(n_max)
@@ -691,11 +691,12 @@ def run_bound_validity(
     if not permanent:
         raise ValueError("the width-bound condition is not permanent over [n0, n_max]; blocks assume it")
     influence = cfg.influence
-    suspects = _bound_suspects(influence, lam, cum_lam, mu, band, bounds, _bound_blocks(n0, n_max))
+    suspects = _bound_suspects(influence, lam, cum_lam, band, bounds, _bound_blocks(n0, n_max))
     del cum_lam, cum_lam_p  # before the replications, which read neither
 
     def one_rep(r: int) -> tuple[bool, int]:
         x = sample_stream(dist, seed, n_max, rep=r)
+        x -= mu
         suspect = suspects(x)
         violated = False
         for n in suspect:

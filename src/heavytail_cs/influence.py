@@ -32,10 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .rootfind import solve_monotone
-
-#: Absolute tolerance of invert()'s root solve.
-INVERT_TOL = 1e-12
+# Bound here for perfbench/tracer.py, which times the solver at influence's name.
+from .rootfind import solve_monotone  # noqa: F401
 
 
 def catoni_constant(p: float) -> float:
@@ -57,8 +55,8 @@ class InfluenceFunction:
     curvature_bound (kappa_p, bounding |phi''(v)| |v|^(2-p)), each computed
     once per instance.
 
-    Immutable; evaluation and inversion are pure, so instances are safe to
-    share across threads.
+    Immutable; evaluation is pure, so instances are safe to share across
+    threads.
     """
 
     p: float
@@ -176,26 +174,6 @@ class InfluenceFunction:
         except OverflowError:
             return math.inf
         return math.nextafter(e + math.ulp(e), math.inf)
-
-    def invert(self, y: float) -> float:
-        """The unique x with phi(x) = y, to absolute tolerance INVERT_TOL.
-
-        Exists for every finite y because phi is strictly increasing and
-        unbounded in both directions, and lies in [-r, r], r = reach(|y|), as
-        phi is odd.  The midpoint of solve_monotone's final bracket from x = 0;
-        the p = 2 closed form -1 + sqrt(2 e^y - 1) is only a test oracle.
-        """
-        y = float(y)
-        if y == 0.0:
-            return 0.0
-
-        def g(x: float) -> tuple[float, float]:
-            phi, slope = self.value_and_slope(x)
-            return y - float(phi), -float(slope)
-
-        r = self.reach(abs(y))
-        lo, hi = solve_monotone(g, -r, r, 0.0, INVERT_TOL)
-        return 0.5 * lo + 0.5 * hi
 
 
 #: Up to this |x| (p <= 2, C_p <= 1) no product in the kernel overflows.

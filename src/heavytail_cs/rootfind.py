@@ -1,10 +1,11 @@
 """Scalar root finding for strictly monotone functions in a proven bracket.
 
 `solve_monotone` is the package's root solver: safeguarded Newton on an
-objective that returns its value and slope, inside a bracket the caller has
-proved to hold the root.  It narrows the bracket at every evaluation, splits
-it whenever a Newton step cannot be trusted, so it terminates like
-bisection, and returns its final bracket, whose ends the caller picks from.
+objective that returns its value, its slope and, where it can prove one, a
+narrow bracket of the root, inside a bracket the caller has proved to hold
+the root.  It narrows the bracket at every evaluation, splits it whenever a
+Newton step cannot be trusted, so it terminates like bisection, and returns
+its final bracket, whose ends the caller picks from.
 `expand_bracket` and `bisect` are the plain value-only methods; they remain
 as the slow reference the solver is tested against.
 """
@@ -15,9 +16,6 @@ import math
 import struct
 from typing import Callable
 
-#: certify(x, f(x), f'(x), radius) -> a bracket [a, b] of half-width radius (up to
-#: the rounding of its ends) proved to hold the root, or None; see solve_monotone.
-Certifier = Callable[[float, float, float, float], tuple[float, float] | None]
 #: The sign bit of a float64's bit pattern.
 _SIGN = 1 << 63
 
@@ -113,43 +111,44 @@ def _split(lo: float, hi: float) -> float:
     return struct.unpack("<d", struct.pack("<Q", -k | _SIGN if k < 0 else k))[0]
 
 
+Reading = tuple[float, float, tuple[float, float] | None]  #: an objective's (f(x), f'(x), proof); see solve_monotone
+
+
 def solve_monotone(
-    f: Callable[[float], tuple[float, float]],
+    f: Callable[[float], Reading],
     lo: float,
     hi: float,
     x: float,
     xtol: float,
-    fx: tuple[float, float] | None = None,
-    certify: Certifier | None = None,
+    fx: Reading | None = None,
 ) -> tuple[float, float]:
     """The final bracket of the root of a strictly decreasing f, by safeguarded Newton in a proven one.
 
     The caller proves f(lo) >= 0 >= f(hi); the ends are never evaluated and
-    may be +-inf.  f returns (f(x), f'(x)), and `fx` may pass that pair at
-    the start x, which is clamped into [lo, hi] (_split(lo, hi) if x is not
-    finite).  Each evaluation moves lo (f > 0) or hi (f < 0) to the iterate.
-    Each step is a Newton step from the latest iterate, unless that step is
-    not finite, leaves the bracket, or is longer than half the step before
-    last; then _split splits the bracket.  A Newton step shorter than xtol/4
-    is lengthened by xtol/4, so it lands just past the root and closes the
-    bracket.
+    may be +-inf.  f returns (f(x), f'(x), proof), and `fx` may pass that
+    triple at the start x, which is clamped into [lo, hi] (_split(lo, hi) if
+    x is not finite).  Each evaluation moves lo (f > 0) or hi (f < 0) to the
+    iterate.  Each step is a Newton step from the latest iterate, unless
+    that step is not finite, leaves the bracket, or is longer than half the
+    step before last; then _split splits the bracket.  A Newton step shorter
+    than xtol/4 is lengthened by xtol/4, so it lands just past the root and
+    closes the bracket.
 
-    `certify`, when given, is asked at every iterate, with x and its
-    (fx, dfx), for a bracket [a, b] of half-width xtol/4 around the Newton
-    point x - fx/dfx that it proves holds the root (for example from a
-    bound on f's Taylor remainder).  A proved bracket ends the solve
-    without evaluating f at its ends; None lets the loop go on unchanged.
+    `proof` is None or a bracket [a, b] of half-width xtol/4 around the
+    Newton point x - f(x)/f'(x) that the objective has proved holds the root
+    (for example from a bound on f's Taylor remainder).  A proof ends the
+    solve without evaluating f at its ends; None lets the loop go on.
 
-    Returns the proved bracket, else the first one no wider than `xtol` or
-    with adjacent ends ((x, x) where f(x) == 0); the caller takes the end on
-    the side it needs.  Raises ValueError when f is NaN.
+    Returns the proof, else the first bracket no wider than `xtol` or with
+    adjacent ends ((x, x) where f(x) == 0); the caller takes the end on the
+    side it needs.  Raises ValueError when f is NaN.
     """
     if xtol <= 0.0:
         raise ValueError(f"xtol must be positive, got {xtol}")
     start = min(max(x, lo), hi) if math.isfinite(x) else _split(lo, hi)
     if start != x:
         x, fx = start, None
-    fx, dfx = f(x) if fx is None else fx
+    fx, dfx, proof = f(x) if fx is None else fx
     prev = prev2 = math.inf  # lengths of the last two steps
     while True:
         if math.isnan(fx):
@@ -160,9 +159,8 @@ def solve_monotone(
         mid = _split(lo, hi)
         if hi - lo <= xtol or not lo < mid < hi:
             return lo, hi
-        proved = certify(x, fx, dfx, 0.25 * xtol) if certify is not None else None
-        if proved is not None:
-            return proved
+        if proof is not None:
+            return proof
         step = -fx / dfx if dfx < 0.0 else math.nan
         if abs(step) < 0.25 * xtol:
             step = math.copysign(abs(step) + 0.25 * xtol, fx)
@@ -171,4 +169,4 @@ def solve_monotone(
             nxt = mid
         prev2, prev = prev, abs(nxt - x)
         x = nxt
-        fx, dfx = f(x)
+        fx, dfx, proof = f(x)

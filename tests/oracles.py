@@ -1,5 +1,5 @@
-"""Exact oracles for phi and f_n, the Dubins-Savage constants, the running sums, the failure
-budget and the centred-Pareto moment, shared by the test modules.
+"""Exact oracles for phi, f_n and the Catoni endpoints, the Dubins-Savage constants, the running
+sums, the failure budget and the centred-Pareto moment, shared by the test modules.
 
 Each mpmath function sets its own precision with `mpmath.workdps`, so it
 leaves the global `mpmath.mp.dps` as it found it.
@@ -10,6 +10,8 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.special import digamma
+
+from heavytail_cs.catoni_cs import solve_interval_arrays
 
 
 def mp_m_p(p):
@@ -96,6 +98,60 @@ def exact_f(influence, lam, xs, y, dps=50):
         for li, xi in zip(lam.tolist(), xs.tolist()):
             total += mp_phi(influence.p, influence.c_p, mp.mpf(li) * (mp.mpf(xi) - mp.mpf(y)))[0]
         return total
+
+
+def exact_endpoints(influence, lam, xs, tgt):
+    """The exact roots (lower, upper) of f_n = +tgt and f_n = -tgt on the float inputs, as mpf.
+
+    Centred on m, the median observation, each root is m + u with u Newton's
+    iterate in mpmath on d_i = X_i - m from u0, the end that
+    solve_interval_arrays gives on the float X_i - m at the finest root_tol
+    (adjacent floats).  The digits, 30 + log10(max |X_i - m - u0| / width),
+    hold each d_i - u, and so f_n, to within about width 1e-30 of exact;
+    Newton stops below a step of width 1e-30.  The exact f_n - level is then
+    checked to be > 0 at u - width 1e-20 and < 0 at u + width 1e-20, a margin
+    of 1e10 over those errors.  Raises AssertionError if Newton does not
+    converge or a sign is wrong, and ValueError where X_i - m or a float end
+    is not finite.
+    """
+    m = float(np.sort(xs)[xs.size // 2])
+    with np.errstate(over="ignore"):
+        centred = xs - m
+    if not np.isfinite(centred).all():
+        raise ValueError(f"X_i - m overflows at m = {m}")
+    starts = solve_interval_arrays(influence, lam, centred, tgt, 5e-324)
+    if not all(map(math.isfinite, starts)):
+        raise ValueError(f"the float solve has an infinite end: {starts}")
+    width = max(starts[1] - starts[0], math.ulp(starts[1]))
+    roots = []
+    for u0, level in zip(starts, (tgt, -tgt)):
+        spread = max(abs(mp.mpf(float(xs.max())) - m), abs(mp.mpf(float(xs.min())) - m)) + abs(u0) + width
+        dps = 30 + int(mp.ceil(mp.log10(spread / width)))
+        with mp.workdps(dps):
+            d = [mp.mpf(x) - m for x in xs.tolist()]
+
+            def excess(u):
+                """(f_n(m + u) - level, f_n'(m + u))."""
+                f = df = mp.mpf(0)
+                for li, di in zip(lam.tolist(), d):
+                    phi, dphi = mp_phi(influence.p, influence.c_p, mp.mpf(li) * (di - u))
+                    f, df = f + phi, df - li * dphi
+                return f - level, df
+
+            u, step = mp.mpf(u0), mp.inf
+            for _ in range(60):
+                if abs(step) <= width * mp.mpf(10) ** -30:
+                    break
+                g, dg = excess(u)
+                step = g / dg
+                u -= step
+            else:
+                raise AssertionError(f"Newton did not converge from {m} + {u0}")
+            delta = width * mp.mpf(10) ** -20
+            assert excess(u - delta)[0] > 0 > excess(u + delta)[0], (m, u0, level)
+        with mp.workdps(dps + 20 + int(mp.log10(1 + abs(m) / spread))):
+            roots.append(m + u)
+    return roots[0], roots[1]
 
 
 def budget_oracle(cfg, m=1 << 22):

@@ -77,7 +77,7 @@ def test_chained_check_is_sufficient(kind, p, n_max, c, shift, log10_scale, offs
     assert condition[n0 - 1 :].all()
     blocks = harness._bound_blocks(n0, n_max)
 
-    chained = harness._bound_suspects(cfg.influence, lam, np.cumsum(lam), mu, band, bounds, blocks)(x)
+    chained = harness._bound_suspects(cfg.influence, lam, np.cumsum(lam), band, bounds, blocks)(x - mu)
     assert set(reference_suspects(cfg.influence, lam, x, mu, band, bounds, blocks)) <= set(chained)
 
     passed = sorted(set(range(n0, n_max + 1)) - set(chained))
@@ -134,8 +134,8 @@ def test_suspects_and_offset_run_are_pinned():
     band = math.log(2.0 / 0.05) + cfg.c_p * cfg.v_p * np.cumsum(lam**2)
     bounds, condition = cat.width_bound_curve(cfg, n_max)
     n0 = int(np.argmax(condition)) + 1
-    suspects = harness._bound_suspects(cfg.influence, lam, np.cumsum(lam), mu, band, bounds,
-                                      harness._bound_blocks(n0, n_max))(x)
+    suspects = harness._bound_suspects(cfg.influence, lam, np.cumsum(lam), band, bounds,
+                                      harness._bound_blocks(n0, n_max))(x - mu)
     assert n0 == 154
     assert _runs(suspects) == [(2171, 2213), (2217, 2218), (2220, 2231), (2662, 3214), (3263, 4000)]
 
@@ -145,27 +145,15 @@ def test_suspects_and_offset_run_are_pinned():
         assert (rep.exact_solves, rep.violating_reps) == (984, 0)
 
 
-@pytest.mark.parametrize("shift", [1e6, 1e12, 1e15, 1e17])
-def test_suspects_do_not_depend_on_the_location(shift):
-    """The chained test at mu = shift on a stream x equals the test at mu = 0
-    on x - shift, which is exact (Sterbenz) near mu: it forms (x - mu) -+ w.
-    Offsetting first, x - (mu +- w), rounds mu +- w to mu's grid (0.125 at
-    1e15), and moves the checked points by up to half of that.  Below 1e17
-    the stream's offset of 0.66 from mu survives the shift, so some n fail;
-    at 1e17 the grid is 16 and the rounded stream sits on mu."""
-    unit = harness.gaussian(0.0, 1.0)
-    scale, n_max = 3.0, 4000
-    cfg = cat.CatoniConfig(p=2.0, v_p=scale**2 * harness.true_vp(unit, 2.0), alpha=0.05,
-                           schedule=power_law(0.2 / scale, 2.0))
-    lam = cfg.schedule.head(n_max)
-    band = math.log(2.0 / 0.05) + cfg.c_p * cfg.v_p * np.cumsum(lam**2)
-    bounds, condition = cat.width_bound_curve(cfg, n_max)
-    blocks = harness._bound_blocks(int(np.argmax(condition)) + 1, n_max)
-
-    def suspects(mu, x):
-        return harness._bound_suspects(cfg.influence, lam, np.cumsum(lam), mu, band, bounds, blocks)(x)
-
-    x = shift + scale * (0.22 + harness.sample_stream(unit, 1, n_max))
-    centred = suspects(0.0, x - shift)
-    assert bool(centred) == (shift < 1e17)
-    assert suspects(shift, x) == centred
+def test_run_does_not_depend_on_the_location():
+    """A two-point stream at s + {-0.75, 1.25}, checked at mu = s (0.25 off its
+    mean), gives the same report at s = 0 and 1e15: each replication centres
+    its stream once, so the sufficient test and the exact solves read the same
+    x - mu at every s.  Solving on the raw stream, whose root_tol is
+    1e-9 |xhat|, reported 6 of 8 reps violating at 1e12 and 1e15."""
+    reports = []
+    for s in (0.0, 1e15):
+        dist = dataclasses.replace(harness.two_point([s - 0.75, s + 1.25], [0.5, 0.5]), true_mean=s)
+        reports.append(harness.run_bound_validity(dist, 2.0, 0.05, 3000, 8, seed=14))
+    assert (reports[0].exact_solves, reports[0].violating_reps) == (3182, 0)
+    assert reports[1] == reports[0]

@@ -3,7 +3,8 @@
 Signs are read from oracles.exact_f, which sums phi of the exact values of
 the float inputs in mpmath.  An endpoint is outward when the exact f_n is
 >= tgt at the lower end and <= -tgt at the upper end; an infinite end is
-outward by definition.
+outward by definition.  The exact roots themselves come from
+oracles.exact_endpoints.
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import exact_f
+from oracles import exact_endpoints, exact_f
 
 from heavytail_cs import catoni_cs as cat
 from heavytail_cs.influence import default_influence
@@ -38,7 +39,9 @@ def test_streaming_interval_contains_the_exact_one(kind, value):
     power_law(1, 2), shifted, or with one more observation appended, through
     update and interval.  A solver that returns its final bracket's midpoint,
     or wanders past the data, fails 8 of these 11: seven narrow (zero width at
-    1e17 and 1e150) and "endpoints out of order" at the outlier 1e100."""
+    1e17 and 1e150) and "endpoints out of order" at the outlier 1e100.  The
+    README's promise holds too: each finite end lies outward of its exact root
+    (oracles.exact_endpoints) by at most root_tol = 1e-9 max(1, |xhat|)."""
     cfg = cat.CatoniConfig(p=2.0, v_p=1.0, alpha=0.05, schedule=power_law(1.0, 2.0))
     draws = np.random.default_rng(0).standard_normal(50)
     xs = draws + value if kind == "shift" else np.append(draws, value)
@@ -47,9 +50,16 @@ def test_streaming_interval_contains_the_exact_one(kind, value):
         cat.update(state, x)
     iv = cat.interval(state, cfg)
     lam, xs = state.arrays()
-    assert_outward(cfg.influence, lam, xs, cat.target(cfg, state.sum_lambda_p), iv.lower, iv.upper, DPS)
+    tgt = cat.target(cfg, state.sum_lambda_p)
+    assert_outward(cfg.influence, lam, xs, tgt, iv.lower, iv.upper, DPS)
     if kind == "shift" and value <= 1e6:
         assert iv.upper - iv.lower < 0.953  # the exact width is 0.952 at these shifts
+    lower, upper = exact_endpoints(cfg.influence, lam, xs, tgt)
+    root_tol = 1e-9 * max(1.0, abs(float(np.dot(lam, xs)) / float(np.sum(lam))))
+    assert iv.lower == -math.inf or 0 <= lower - iv.lower <= root_tol
+    assert iv.upper == math.inf or 0 <= iv.upper - upper <= root_tol
+    if value == 0.0:
+        assert float(upper - lower) == pytest.approx(0.951757, abs=5e-7)
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,3 +123,19 @@ def test_overflow_reads_as_root_outward(monkeypatch, where, sign):
     assert_outward(cfg.influence, lam, xs, tgt, lo, hi)
     if where == "everywhere":
         assert (lo, hi) == cat._bracket(cfg.influence, lam, xs, tgt)
+
+
+@pytest.mark.parametrize("data", [[1e308] * 3, [1e308, 1.7e308, 1e308]], ids=["equal", "mixed"])
+def test_weighted_mean_beyond_the_float_range(data):
+    """sum lambda_i X_i overflows, so xhat is +inf: update + interval raise no
+    warning (pytest turns warnings into errors, and an unguarded dot product
+    warns "overflow encountered in dot"), each solve starts from the proven
+    bracket's split, and both ends are outward of the exact roots."""
+    cfg = cat.CatoniConfig(p=2.0, v_p=1.0, alpha=0.05, schedule=power_law(1.0, 2.0))
+    state = cat.new_state(cfg)
+    for x in data:
+        cat.update(state, x)
+    iv = cat.interval(state, cfg)
+    lam, xs = state.arrays()
+    assert iv.lower <= 1e308 <= iv.upper
+    assert_outward(cfg.influence, lam, xs, cat.target(cfg, state.sum_lambda_p), iv.lower, iv.upper, DPS)

@@ -1,4 +1,4 @@
-"""Influence function construction, sandwich envelopes, inversion."""
+"""Influence function construction, sandwich envelopes, and phi inverted by the package's root solver."""
 
 import math
 import warnings
@@ -9,6 +9,7 @@ import pytest
 from oracles import mp_phi, mp_phi_errors
 
 from heavytail_cs.influence import catoni_constant, default_influence, make_influence
+from heavytail_cs.rootfind import solve_monotone
 
 P_GRID = [1.1, 1.5, 1.9, 2.0]
 
@@ -317,25 +318,39 @@ class TestCurvatureBound:
         assert np.array_equal(w, expected)
 
 
+def invert(f, y):
+    """The x with phi(x) = y, to 1e-12: the midpoint of solve_monotone's final bracket
+    in [-r, r], r = reach(|y|) (phi is odd), from x = 0."""
+
+    def g(x):
+        phi, slope = f.value_and_slope(x)
+        return y - float(phi), -float(slope), None
+
+    r = f.reach(abs(y))
+    lo, hi = solve_monotone(g, -r, r, 0.0, 1e-12)
+    return 0.5 * lo + 0.5 * hi
+
+
 class TestInvert:
+    """phi^-1 through solve_monotone, against the p = 2 closed form -1 + sqrt(2 e^y - 1) and phi itself."""
+
     def test_zero(self):
-        assert make_influence(2.0, "catoni_classic_p2").invert(0.0) == 0.0
+        assert invert(make_influence(2.0, "catoni_classic_p2"), 0.0) == 0.0
 
     @pytest.mark.parametrize("y", [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
     def test_p2_closed_form_oracle(self, y):
-        """Bisection path against x = -1 + sqrt(2 e^y - 1)."""
         f = make_influence(2.0, "catoni_classic_p2")
-        assert f.invert(y) == pytest.approx(-1.0 + math.sqrt(2.0 * math.exp(y) - 1.0), abs=1e-11)
+        assert invert(f, y) == pytest.approx(-1.0 + math.sqrt(2.0 * math.exp(y) - 1.0), abs=1e-11)
         # odd symmetry carries the oracle to negative targets
-        assert f.invert(-y) == pytest.approx(1.0 - math.sqrt(2.0 * math.exp(y) - 1.0), abs=1e-11)
+        assert invert(f, -y) == pytest.approx(1.0 - math.sqrt(2.0 * math.exp(y) - 1.0), abs=1e-11)
 
     def test_closed_form_value(self):
         # frozen: -1 + sqrt(2 e^2 - 1) at 40 digits
         f = make_influence(2.0, "catoni_classic_p2")
-        assert f.invert(2.0) == pytest.approx(2.7118879559950756216, abs=1e-11)
+        assert invert(f, 2.0) == pytest.approx(2.7118879559950756216, abs=1e-11)
 
     @pytest.mark.parametrize("p", P_GRID)
     @pytest.mark.parametrize("x", [-3.7, -0.7, 0.7, 12.0])
     def test_round_trip(self, p, x):
         f = default_influence(p)
-        assert f.invert(f(x)) == pytest.approx(x, abs=1e-9)
+        assert invert(f, f(x)) == pytest.approx(x, abs=1e-9)

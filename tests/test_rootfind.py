@@ -1,4 +1,8 @@
-"""Safeguarded Newton, and the bracket expansion and bisection it is checked against."""
+"""Safeguarded Newton, and the bracket expansion and bisection it is checked against.
+
+solve_monotone's objectives return (f(x), f'(x), proof); proof is None here
+unless a test is about proofs.
+"""
 
 import math
 
@@ -30,7 +34,7 @@ def test_bisect_requires_sign_change():
 
 def test_solve_monotone_decreasing():
     """The final bracket holds the root and is no wider than xtol."""
-    lo, hi = solve_monotone(lambda x: (5.0 - x, -1.0), 0.0, 10.0, 0.0, 1e-12)
+    lo, hi = solve_monotone(lambda x: (5.0 - x, -1.0, None), 0.0, 10.0, 0.0, 1e-12)
     assert lo <= 5.0 <= hi <= lo + 1e-12
 
 
@@ -40,7 +44,7 @@ def test_start_is_clamped_into_the_bracket():
 
     def f(x):
         seen.append(x)
-        return 5.0 - x, -1.0
+        return 5.0 - x, -1.0, None
 
     for start in (-1e300, 1e300, math.inf, math.nan):
         seen.clear()
@@ -61,7 +65,7 @@ def test_root_beyond_float_range_is_infinite():
     def f(sign):
         def g(x):
             calls.append(x)
-            return sign * 1e10 - x * 1e-300, -1e-300
+            return sign * 1e10 - x * 1e-300, -1e-300, None
         return g
 
     assert solve_monotone(f(1.0), -math.inf, math.inf, 0.0, 1e-9)[1] == math.inf
@@ -74,14 +78,42 @@ def test_invalid_bracket():
         expand_bracket(lambda x: x, 2.0, 1.0)
 
 
+def cube_root_objective(calls, prove_at=None):
+    """2 - x^3, root 2^(1/3), recording each x; at the call numbered `prove_at` it
+    returns the bracket of half-width xtol/4 = 2.5e-10 around the Newton point."""
+
+    def f(x):
+        calls.append(x)
+        fx, dfx = 2.0 - x**3, -3.0 * x * x
+        m = x - fx / dfx
+        return fx, dfx, (m - 2.5e-10, m + 2.5e-10) if len(calls) == prove_at else None
+
+    return f
+
+
 def test_newton_stops_on_certified_bracket():
-    """Root of 2 - x^3 at 2^(1/3): the answer is within xtol/2 of it, and f
-    changes sign across [answer - xtol/2, answer + xtol/2]."""
-    f = lambda x: 2.0 - x**3
-    xtol = 1e-9
-    lo, hi = solve_monotone(lambda x: (f(x), -3.0 * x * x), 0.0, 2.0, 1.0, xtol)
-    assert lo <= 2.0 ** (1.0 / 3.0) <= hi <= lo + xtol
-    assert f(lo) > 0.0 > f(hi)
+    """A proof at the first iterate is returned as it is, with no further
+    evaluation: the start's reading (passed as fx) and one call of f."""
+    calls = []
+    f = cube_root_objective(calls, prove_at=2)
+    start = f(1.0)
+    lo, hi = solve_monotone(f, 0.0, 2.0, 1.0, 1e-9, start)
+    x1 = calls[1]
+    m = x1 - (2.0 - x1**3) / (-3.0 * x1 * x1)
+    assert len(calls) == 2 and (lo, hi) == (m - 2.5e-10, m + 2.5e-10)
+
+
+def test_none_proofs_leave_the_newton_path():
+    """With every proof None the iterates are plain Newton steps x - f/f' (the
+    last lengthened by xtol/4 to close the bracket), and the final bracket, no
+    wider than xtol, holds the root, with f changing sign across it."""
+    calls = []
+    lo, hi = solve_monotone(cube_root_objective(calls), 0.0, 2.0, 1.0, 1e-9)
+    newton = [x - (2.0 - x**3) / (-3.0 * x * x) for x in calls[:-1]]
+    assert len(calls) == 6 and calls[1:-1] == newton[:-1]
+    assert abs(calls[-1] - newton[-1]) == pytest.approx(2.5e-10)
+    assert lo <= 2.0 ** (1.0 / 3.0) <= hi <= lo + 1e-9
+    assert 2.0 - lo**3 > 0.0 > 2.0 - hi**3
 
 
 def test_bad_slope_falls_back_to_bracketing():
@@ -89,10 +121,10 @@ def test_bad_slope_falls_back_to_bracketing():
     still converges to the root, also from an infinite bracket."""
     for slope in (math.nan, 1.0, 0.0):
         for lo, hi in ((-10.0, 10.0), (-math.inf, math.inf)):
-            lo, hi = solve_monotone(lambda x: (3.0 - x, slope), lo, hi, 0.0, 1e-10)
+            lo, hi = solve_monotone(lambda x: (3.0 - x, slope, None), lo, hi, 0.0, 1e-10)
             assert lo <= 3.0 <= hi <= lo + 1e-10
 
 
 def test_newton_nan_objective_rejected():
     with pytest.raises(ValueError, match="NaN"):
-        solve_monotone(lambda x: (math.nan if x > 0.5 else 1.0 - x, -1.0), -10.0, 10.0, 0.0, 1e-9)
+        solve_monotone(lambda x: (math.nan if x > 0.5 else 1.0 - x, -1.0, None), -10.0, 10.0, 0.0, 1e-9)
