@@ -145,6 +145,30 @@ def test_suspects_and_offset_run_are_pinned():
         assert (rep.exact_solves, rep.violating_reps) == (984, 0)
 
 
+@pytest.mark.parametrize("shift", [1e6, 1e12, 1e15, 1e17])
+def test_suspects_do_not_depend_on_the_location(shift):
+    """A replication hands the chained test x - mu, formed once and exact
+    (Sterbenz) near mu, so a stream at mu = shift is tested as x - shift at
+    0 and the location acts only through the rounding of the stream itself.
+    Its offset of 0.66 from mu survives the shift below 1e17, so some n
+    fail, and the suspects still contain the reference's; at 1e17 the grid
+    is 16, all but 27 of the rounded draws sit on mu and every n passes."""
+    unit = harness.gaussian(0.0, 1.0)
+    scale, n_max = 3.0, 4000
+    cfg = cat.CatoniConfig(p=2.0, v_p=scale**2 * harness.true_vp(unit, 2.0), alpha=0.05,
+                           schedule=power_law(0.2 / scale, 2.0))
+    lam = cfg.schedule.head(n_max)
+    band = math.log(2.0 / 0.05) + cfg.c_p * cfg.v_p * np.cumsum(lam**2)
+    bounds, condition = cat.width_bound_curve(cfg, n_max)
+    blocks = harness._bound_blocks(int(np.argmax(condition)) + 1, n_max)
+
+    x = shift + scale * (0.22 + harness.sample_stream(unit, 1, n_max))
+    x -= shift
+    centred = harness._bound_suspects(cfg.influence, lam, np.cumsum(lam), band, bounds, blocks)(x)
+    assert bool(centred) == (shift < 1e17)
+    assert set(reference_suspects(cfg.influence, lam, x, 0.0, band, bounds, blocks)) <= set(centred)
+
+
 def test_run_does_not_depend_on_the_location():
     """A two-point stream at s + {-0.75, 1.25}, checked at mu = s (0.25 off its
     mean), gives the same report at s = 0 and 1e15: each replication centres
