@@ -215,8 +215,8 @@ class _Split:
     |phi''(v)| <= kappa_p 2^(2-p) |z_i|^(p-2) (kappa_p =
     InfluenceFunction.curvature_bound), and the term's remainder is at most
     kappa_p 2^(1-p) lambda_i^2 |z_i|^(p-2) d^2.  Every other term keeps the
-    Hoelder remainder (H_p / p) lambda_i^p |d|^p, its sum of lambda_i^p
-    bounded as in _TaylorCertificate.  The pass that takes the sums calls a
+    Hoelder remainder (H_p / p) lambda_i^p |d|^p, bounded in sum by
+    holder from the near terms' sums.  The pass that takes the sums calls a
     term far when its computed |X_i - x|, one rounding off the exact one,
     is at least threshold(rho) = 2 rho (1 + 4 eps), so every term it calls
     far is far; a doubtful term counts as near.  It holds at its own pass's x only.
@@ -230,15 +230,22 @@ class _Split:
     def threshold(rho: float) -> float:
         return 2.0 * rho * (1.0 + 4.0 * _EPS)
 
+    @staticmethod
+    def holder(influence: InfluenceFunction, size: int, sum_sq: float, sum_lin: float) -> float:
+        """At least (H_p / p) sum lambda_i^p over at most `size` terms, sum_sq and sum_lin being their computed
+        sums of lambda_i^2 and lambda_i: sum lambda_i^p <= sum_sq^(p-1) sum_lin^(2-p) (Hoelder, equal at p = 2 and
+        for one term), and (1 + (_TERM_ULPS + size) eps) covers the rounding of those sums and of the pows."""
+        p = influence.p
+        lam_p = sum_sq ** (p - 1.0) * sum_lin ** (2.0 - p)
+        return influence.holder_bound / p * (lam_p * (1.0 + (_TERM_ULPS + size) * _EPS))
+
     @classmethod
     def build(cls, influence: InfluenceFunction, size: int, rho: float, curv: float, near_sq: float,
               near_lam: float) -> _Split:
         """From _f_and_slope's split sums at x, taken with far = threshold(rho), each raised by its rounding."""
-        p = influence.p
         curv *= 1.0 + _rounding_rates(influence, size)[1]  # positive terms, each within _TERM_ULPS eps
-        near_lam_p = near_sq ** (p - 1.0) * near_lam ** (2.0 - p) * (1.0 + (_TERM_ULPS + size) * _EPS)
-        far = influence.curvature_bound * 2.0 ** (1.0 - p) * curv
-        return cls(rho, far, influence.holder_bound / p * near_lam_p)
+        far = influence.curvature_bound * 2.0 ** (1.0 - influence.p) * curv
+        return cls(rho, far, _Split.holder(influence, size, near_sq, near_lam))
 
 
 @dataclass(frozen=True)
@@ -249,10 +256,8 @@ class _TaylorCertificate:
     |f_n(x + d) - f_n(x) - f_n'(x) d| <= R(d) = (H_p / p) |d|^p sum lambda_i^p,
     where H_p is InfluenceFunction.holder_bound: apply
     |int_0^delta (phi'(z - s) - phi'(z)) ds| <= H_p |delta|^p / p to each
-    term, delta = lambda_i d.  Hoelder's inequality with exponents
-    1/(p-1) and 1/(2-p) gives
-    sum lambda_i^p <= (sum lambda_i^2)^(p-1) (sum lambda_i)^(2-p),
-    equal at p = 2 and for one term, so R needs no pow per element.  At
+    term, delta = lambda_i d.  _Split.holder bounds its factor
+    (H_p / p) sum lambda_i^p over all terms, with no pow per element.  At
     p < 2 a _Split at x bounds the remainder for |d| <= its rho too, and
     the smaller bound is used.  Rounding: sum |z_i(x)| <= abs_z0 +
     |x - xhat| sum lambda_i by the triangle inequality, with abs_z0 the sum
@@ -273,12 +278,9 @@ class _TaylorCertificate:
     def build(cls, influence: InfluenceFunction, size: int, xhat: float, abs_z0: float, sum_lam: float,
               sum_lam_sq: float) -> _TaylorCertificate:
         p = influence.p
-        q = p - 1.0
-        sum_lam_p = sum_lam_sq**q * sum_lam ** (1.0 - q)
-        sum_lam_p *= 1.0 + (_TERM_ULPS + size) * _EPS  # rounding of the sums of positive terms and the pows
         curvature = influence.curvature_bound * 2.0 ** (1.0 - p) * sum_lam_sq if p < 2.0 else 0.0
         return cls(influence, xhat, abs_z0, sum_lam, _rounding_rates(influence, size),
-                   influence.holder_bound / p * sum_lam_p, curvature)
+                   _Split.holder(influence, size, sum_lam_sq, sum_lam), curvature)
 
     def split_radius(self, step: float, slope: float, radius: float) -> float:
         """The rho of a _Split at x = x' + step, where a pass at x' gave f_n'(x') = slope; 0 for no split.

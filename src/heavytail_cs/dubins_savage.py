@@ -21,8 +21,9 @@ width display that drops it.
 
 a is formed in one place, `_radius_terms`: exactly at p = 2, and as a
 `decimal` upper bound elsewhere.  `ds_a` is the smallest float at or
-above it, so the batch thresholds, widths and weights and the streaming
-interval all read one a, never below the exact one.
+above it, so the batch band `ds_band` (which `ds_radius` divides by
+sum lambda_i), the weights and the streaming interval all read one a,
+never below the exact one.
 
 The per-time width minimizer of b v_p lam^(p-1) + a/(t lam) is
 lambda_t = (a / (t b v_p (p-1)))^(1/p); with it the radius shrinks at the
@@ -147,9 +148,14 @@ def ds_update(state: DsState, schedule: LambdaSchedule, x: float) -> DsState:
     return state
 
 
-def ds_radius(cfg: DsConfig, sum_lambda: float, sum_lambda_p: float) -> float:
-    """(a + b v_p sum lambda_i^p) / sum lambda_i."""
-    return (ds_a(cfg) + cfg.b * cfg.v_p * sum_lambda_p) / sum_lambda
+def ds_band(cfg: DsConfig, sum_lambda_p):
+    """Band half-height a + b v_p sum(lambda_i^p) on |sum lambda_i (X_i - mu)|; elementwise over an array of sums."""
+    return ds_a(cfg) + cfg.b * cfg.v_p * sum_lambda_p
+
+
+def ds_radius(cfg: DsConfig, sum_lambda, sum_lambda_p):
+    """ds_band / sum lambda_i; elementwise over arrays of sums."""
+    return ds_band(cfg, sum_lambda_p) / sum_lambda
 
 
 def ds_interval(state: DsState, cfg: DsConfig) -> ConfidenceInterval:

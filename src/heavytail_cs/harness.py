@@ -407,47 +407,31 @@ def run_coverage(
 
     The miscoverage event is the existence of any checked n <= n_max with
     mu outside I_n.  Membership is tested through the defining band
-    condition rather than by solving for endpoints: mu in I_n iff a
-    cumulative statistic is within its threshold, |f_n(mu)| <= the band for
-    Catoni, |sum lambda_i (X_i - mu)| <= a + b v_p sum(lambda_i^p) for
-    Dubins-Savage.  Both statistics subtract mu before they weight by lambda,
-    so a location far from 0 costs no digits of the deviations.  The check
-    is O(1) per step, so stride > 1 only coarsens the event (it is recorded
-    in the report either way).
+    condition rather than by solving for endpoints: mu in I_n iff
+    |sum g(lambda_i (X_i - mu))| is within the method's band at
+    sum(lambda_i^p), g = phi and band = catoni_cs.target for Catoni, the
+    identity and dubins_savage.ds_band for Dubins-Savage.  Subtracting mu
+    before weighting by lambda costs no digits at a location far from 0.
+    The check is O(1) per step, so stride > 1 only coarsens the event (it
+    is recorded in the report either way).
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     vp, cfg, schedule = _method_setup(method, dist, p, alpha, n_max, reps, schedule, b)
     lam = schedule.head(n_max)
-    cum_lam_p = cumulative_powers(lam, p)
-    mu = dist.true_mean
+    band, g = (cat.target, cfg.influence) if method == CATONI else (ds.ds_band, None)
     # A plain slice is a view, so stride 1 indexes without a copy.
     idx = slice(None) if stride == 1 else _checked_indices(n_max, stride)
-    # A statistic is formed by its expression's ufuncs in order, so it has their bits, and accumulates
-    # into a buffer other than its input (see the module docstring): Catoni's into the drawn stream's,
-    # free once phi is evaluated.
-    if method == CATONI:
-        threshold = cat.target(cfg, cum_lam_p)[idx]
-        del cum_lam_p  # before the replications, which do not read it
-        influence = cfg.influence
-
-        def statistic(z: np.ndarray) -> np.ndarray:  # cumsum(phi(lam (x - mu)))
-            z -= mu
-            z *= lam
-            return np.cumsum(influence(z), out=z)
-
-    else:
-        cum_lam_p *= cfg.b * vp  # a + b v_p sum lambda^p, formed in place
-        cum_lam_p += ds.ds_a(cfg)
-        threshold = cum_lam_p[idx]
-
-        def statistic(dev: np.ndarray) -> np.ndarray:  # cumsum(lam (x - mu))
-            dev -= mu
-            dev *= lam
-            return np.cumsum(dev)
+    threshold = band(cfg, cumulative_powers(lam, p))[idx]
+    mu = dist.true_mean
 
     def one_rep(r: int) -> bool:
-        stat = statistic(sample_stream(dist, seed, n_max, rep=r))
+        # The statistic's ufuncs run in its expression's order, so it has their bits, and cumsum writes to a
+        # buffer other than its input (see the module docstring): phi's output frees the drawn stream's.
+        z = sample_stream(dist, seed, n_max, rep=r)
+        z -= mu
+        z *= lam
+        stat = np.cumsum(g(z), out=z) if g else np.cumsum(z)
         return bool(np.any(np.abs(stat, out=stat)[idx] > threshold))
 
     misses = _run_reps(one_rep, reps, threads)

@@ -37,11 +37,9 @@ from .rootfind import solve_monotone  # noqa: F401
 
 
 def catoni_constant(p: float) -> float:
-    """C_p = ((p-1)/p)^(p/2) * ((2-p)/(p-1))^((2-p)/2), with C_2 = 1/2."""
+    """C_p = ((p-1)/p)^(p/2) * ((2-p)/(p-1))^((2-p)/2); C_2 = 1/2 exactly, since 0.0 ** 0.0 is 1."""
     if not 1.0 < p <= 2.0:
         raise ValueError(f"p must lie in (1, 2], got {p}")
-    if p == 2.0:
-        return 0.5
     return ((p - 1.0) / p) ** (p / 2.0) * ((2.0 - p) / (p - 1.0)) ** ((2.0 - p) / 2.0)
 
 

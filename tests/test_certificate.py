@@ -147,6 +147,22 @@ def test_split_classifies_by_the_threshold():
     assert cert.bound(0.0, f, slope, 1.01 * rho, split) == cert.bound(0.0, f, slope, 1.01 * rho)
 
 
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0])
+def test_hoelder_term_is_written_once(p):
+    """The certificate's remainder is _Split.holder over all terms and a split's near is
+    _Split.holder over its near terms, each bit for bit the inline expression they replaced."""
+    scale, xs, lam, influence, xhat, cert = setup(300, p, 0.0, 0.0, 7)
+    _, _, _, sum_lam_sq = cat._f_and_slope(influence, lam, xs, xhat, True)
+    sum_lam = float(np.sum(lam))
+    assert cert.remainder == cat._Split.holder(influence, 300, sum_lam_sq, sum_lam)
+    q = p - 1.0
+    inline = sum_lam_sq**q * sum_lam ** (1.0 - q) * (1.0 + (cat._TERM_ULPS + 300) * cat._EPS)
+    assert cert.remainder == influence.holder_bound / p * inline
+    rho = 0.5
+    sums = cat._f_and_slope(influence, lam, xs, xhat, False, cat._Split.threshold(rho))[2:]
+    assert cat._Split.build(influence, 300, rho, *sums).near == cat._Split.holder(influence, 300, *sums[1:])
+
 @pytest.mark.parametrize("p", [1.1, 1.5])
 @pytest.mark.parametrize("xs", [[0.3], [0.0] * 50], ids=["n1", "all_equal"])
 def test_solve_from_an_observation(p, xs):

@@ -15,7 +15,7 @@ from oracles import mp_a, mp_intervals, mp_m_p, mp_tail_bound
 from heavytail_cs import catoni_cs as cat
 from heavytail_cs import dubins_savage as ds
 from heavytail_cs.harness import centered_pareto, gaussian, run_width, sample_stream, true_vp
-from heavytail_cs.schedules import custom_list, power_law
+from heavytail_cs.schedules import cumulative_powers, custom_list, power_law
 
 
 class TestNearOneVsMpmath:
@@ -274,6 +274,23 @@ class TestIntervalContainsExact:
         assume(sum(abs(l * x) for l, x in zip(lam, xs)) < 1e307)  # short of overflow (inf, nan fail)
         for iv, (lo, hi, _, _) in zip(streamed(cfg, sched, xs), mp_intervals(cfg, lam, xs), strict=True):
             assert iv.lower <= lo and hi <= iv.upper
+
+
+@pytest.mark.parametrize("p, v_p, alpha, b", [(2.0, 1.0, 0.05, 1.0), (1.5, 2.3, 0.01, 0.7), (1.1, 0.4, 0.3, 3.0)])
+def test_band_is_the_threshold_and_the_radius_numerator(p, v_p, alpha, b):
+    """ds_band over an array has the bits of the coverage check's former in-place threshold
+    s *= b v_p; s += a, and ds_radius is ds_band / sum lambda_i, bit for bit, on arrays and scalars."""
+    cfg = ds.DsConfig(p=p, v_p=v_p, alpha=alpha, b=b)
+    lam = ds.ds_optimal_schedule(cfg).head(5000)
+    sums, sums_p = np.cumsum(lam), cumulative_powers(lam, p)
+    in_place = sums_p.copy()
+    in_place *= b * v_p
+    in_place += ds.ds_a(cfg)
+    band = ds.ds_band(cfg, sums_p)
+    assert np.array_equal(band.view(np.int64), in_place.view(np.int64))
+    assert np.array_equal(ds.ds_radius(cfg, sums, sums_p).view(np.int64), (band / sums).view(np.int64))
+    for s, sp in zip(sums[::997].tolist(), sums_p[::997].tolist(), strict=True):
+        assert ds.ds_radius(cfg, s, sp).hex() == (ds.ds_band(cfg, sp) / s).hex()
 
 
 class TestWidth:
